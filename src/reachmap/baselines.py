@@ -5,10 +5,11 @@ one to the control group's, then report the difference of the two predictions
 at a task point.  Base learners are a variance-reduction CART, a bagged forest
 of CARTs with per-split feature sampling, and k-nearest-neighbours averaging.
 
-The CART uses the same splitting conventions as the causal tree: thresholds at
-midpoints of consecutive distinct values, ties to the lowest feature index then
-lowest threshold, values < threshold route left, and a split must strictly
-reduce the sum of squared errors.
+The CART shares the causal tree's split search, internal node type and router
+(:mod:`reachmap.causal_tree`): thresholds at midpoints of consecutive distinct
+values, ties to the lowest feature index then lowest threshold, values <
+threshold route left, and a split must strictly reduce the sum of squared
+errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .causal_tree import DifficultyEstimate, Split
+from .causal_tree import DifficultyEstimate, Internal, Split, _best_cut, _route
 from .domain import Dataset, GroupLabel, TaskFeatures, canonical_order, validate_dataset
 from .errors import EmptyDataset, InsufficientSamples
 
@@ -75,30 +76,7 @@ class RegLeaf:
     n: int
 
 
-@dataclass(frozen=True)
-class RegInternal:
-    split: Split
-    left: "RegNode"
-    right: "RegNode"
-
-
-RegNode = Union[RegInternal, RegLeaf]
-
-
-def _route(root: RegNode, v: np.ndarray) -> float:
-    node = root
-    while isinstance(node, RegInternal):
-        if v[node.split.feature_index] < node.split.threshold:
-            node = node.left
-        else:
-            node = node.right
-    return node.value
-
-
-#: same near-tie window rationale as the causal splitter: float gains this
-#: close to the max (relative to the outcome spread squared) get re-checked
-#: with exact rational arithmetic so the tie rule is applied to true values.
-_GAIN_NOISE = 2.0**-30
+RegNode = Union[Internal, RegLeaf]
 
 
 def _exact_sse_gain(v: np.ndarray, y: np.ndarray, thr: float) -> Fraction:
@@ -136,53 +114,23 @@ def _best_cart_cut(
     s_total = float(np.sum(yc))
     sse_parent = q_total - s_total * s_total / n
 
-    per_feature = []
-    g_star = -np.inf
-    for f in features:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cuts = np.nonzero(vs[1:] > vs[:-1])[0]
-        if cuts.size == 0:
-            continue
+    def gains_at(f, order, cuts, thresholds):
         n_l = cuts + 1
         n_r = n - n_l
         valid = (n_l >= min_leaf) & (n_r >= min_leaf)
         if not valid.any():
-            continue
-        thresholds = 0.5 * (vs[cuts] + vs[cuts + 1])
+            return None
         ys = yc[order]
         s = np.cumsum(ys)[cuts]
         q = np.cumsum(ys * ys)[cuts]
         sse_l = q - s * s / n_l
         sse_r = (q_total - q) - (s_total - s) ** 2 / n_r
-        gains = np.where(valid, sse_parent - sse_l - sse_r, -np.inf)
-        per_feature.append((int(f), thresholds, gains))
-        g_star = max(g_star, float(np.max(gains)))
+        return np.where(valid, sse_parent - sse_l - sse_r, -np.inf)
 
-    if not per_feature:
-        return None
-
-    tol = _GAIN_NOISE * scale * scale * n
-    if g_star <= tol:
-        cutoff = -np.inf  # everything valid may be an exact tie with zero
-    else:
-        cutoff = g_star - (tol + 1e-9 * g_star)
-    near = []
-    for f, thresholds, gains in per_feature:
-        for k in np.nonzero(gains > cutoff)[0]:
-            near.append((f, float(thresholds[k])))
-    if cutoff > -np.inf and len(near) == 1:
-        return Split(near[0][0], near[0][1], g_star)
-
-    best: Optional[Split] = None
-    best_exact = Fraction(0)
-    for f, thr in near:
-        exact = _exact_sse_gain(X[idx, f], y, thr)
-        if exact > best_exact:
-            best_exact = exact
-            best = Split(f, thr, float(exact))
-    return best
+    # SSE gains grow with the node size, so the near-tie window does too
+    return _best_cut(
+        X, idx, features, gains_at, lambda v, thr: _exact_sse_gain(v, y, thr), scale, n
+    )
 
 
 def _grow_cart(
@@ -212,7 +160,7 @@ def _grow_cart(
         if cut is None:
             return RegLeaf(float(np.mean(y_node)), n)
         left_mask = X[idx, cut.feature_index] < cut.threshold
-        return RegInternal(
+        return Internal(
             cut,
             build(idx[left_mask], depth + 1),
             build(idx[~left_mask], depth + 1),
@@ -227,7 +175,7 @@ class CartRegressor:
     spec: CartSpec
 
     def predict(self, p: TaskFeatures) -> float:
-        return _route(self.root, p.as_array())
+        return _route(self.root, p.as_array()).value
 
 
 @dataclass(frozen=True)
@@ -237,7 +185,7 @@ class ForestRegressor:
 
     def predict(self, p: TaskFeatures) -> float:
         v = p.as_array()
-        return sum(_route(root, v) for root in self.roots) / len(self.roots)
+        return sum(_route(root, v).value for root in self.roots) / len(self.roots)
 
 
 @dataclass(frozen=True)

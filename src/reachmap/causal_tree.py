@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Internal:
+    """Internal node of a causal tree, and of the baselines' CARTs."""
+
     split: Split
     left: "TreeNode"
     right: "TreeNode"
@@ -171,9 +173,79 @@ class _Half:
         self.y = d.outcomes
 
 
-#: float gains within this times max|y_centered|^2 of the best are re-checked
-#: exactly; safely above the prefix-sum error bound for n into the millions.
+#: float gains within this times max|y_centered|^2 (times the splitter's
+#: weight) of the best are re-checked exactly; safely above the prefix-sum
+#: error bound for n into the millions.
 _GAIN_NOISE = 2.0**-30
+
+
+def _best_cut(
+    X: np.ndarray,
+    rows: np.ndarray,
+    features,
+    gains_at: Callable[[int, np.ndarray, np.ndarray, np.ndarray], Optional[np.ndarray]],
+    exact_gain: Callable[[np.ndarray, float], Fraction],
+    scale: float,
+    weight: int,
+) -> Optional[Split]:
+    """Split search shared by the causal tree and the CART baselines.
+
+    For each feature, candidate thresholds sit at midpoints of consecutive
+    distinct values of ``X[rows, f]``.  ``gains_at(f, order, cuts, thresholds)``
+    scores them: ``order`` sorts the node's rows by the feature, ``cuts[k]`` is
+    the sorted position after which candidate k cuts, and the result holds
+    each candidate's float gain, -inf where it is inadmissible, or None when
+    no candidate of the feature is admissible.  Candidates whose float gain is
+    within ``_GAIN_NOISE * scale**2 * weight`` of the best are re-scored with
+    ``exact_gain(X[rows, f], threshold)``, so that the tie rule (lowest
+    feature index, then lowest threshold) and the strict gain > 0 rule apply
+    to exact values.
+    """
+    per_feature = []
+    g_star = -np.inf
+    for f in features:
+        f = int(f)
+        v = X[rows, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        cuts = np.nonzero(vs[1:] > vs[:-1])[0]
+        if cuts.size == 0:
+            continue
+        thresholds = 0.5 * (vs[cuts] + vs[cuts + 1])
+        gains = gains_at(f, order, cuts, thresholds)
+        if gains is None:
+            continue
+        per_feature.append((f, thresholds, gains))
+        g_star = max(g_star, float(np.max(gains)))
+
+    if not per_feature:
+        return None
+
+    # Distinct candidates can share a partition (e.g. a duplicated or mirrored
+    # column), making their gains mathematically equal while the float values
+    # differ in the last bits.  The documented tie rule therefore needs exact
+    # arithmetic for candidates whose float gains are within summation error
+    # of the max.
+    tol = _GAIN_NOISE * scale * scale * weight
+    if g_star <= tol:
+        cutoff = -np.inf  # everything valid may be an exact tie with zero
+    else:
+        cutoff = g_star - (tol + 1e-9 * g_star)
+    near = []
+    for f, thresholds, gains in per_feature:
+        for k in np.nonzero(gains > cutoff)[0]:
+            near.append((f, float(thresholds[k])))
+    if cutoff > -np.inf and len(near) == 1:
+        return Split(near[0][0], near[0][1], g_star)
+
+    best = None
+    best_exact = Fraction(0)  # strict > 0 required to split at all
+    for f, thr in near:
+        exact = exact_gain(X[rows, f], thr)
+        if exact > best_exact:
+            best_exact = exact
+            best = Split(f, thr, float(exact))
+    return best
 
 
 def _search_split(
@@ -183,11 +255,10 @@ def _search_split(
     e_idx: np.ndarray,
     min_group_leaf: int,
 ) -> Optional[Split]:
-    """Exhaustive candidate search over the four features, vectorised per feature.
+    """Best effect-contrast cut of the split half's rows ``s_idx``.
 
-    Candidate thresholds sit at midpoints of consecutive distinct sorted values
-    of the split half.  Group counts on the estimation side are obtained by
-    binary search over each group's sorted feature values.
+    Group counts on the estimation side are obtained by binary search over
+    each group's sorted feature values.
     """
     m = min_group_leaf
     y = split.y[s_idx]
@@ -210,17 +281,7 @@ def _search_split(
     yc = y - np.mean(y)
     scale = float(np.max(np.abs(yc)))
 
-    per_feature = []
-    g_star = -np.inf
-    for f in range(split.X.shape[1]):
-        v = split.X[s_idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cuts = np.nonzero(vs[1:] > vs[:-1])[0]
-        if cuts.size == 0:
-            continue
-        thresholds = 0.5 * (vs[cuts] + vs[cuts + 1])
-
+    def gains_at(f, order, cuts, thresholds):
         gs = g[order]
         ys = yc[order]
         c1 = np.cumsum(gs)[cuts]
@@ -240,7 +301,7 @@ def _search_split(
         c0e = np.searchsorted(np.sort(est.X[e0_rows, f]), thresholds, side="left")
         valid &= (c1e >= m) & (n1e - c1e >= m) & (c0e >= m) & (n0e - c0e >= m)
         if not valid.any():
-            continue
+            return None
 
         with np.errstate(divide="ignore", invalid="ignore"):
             tau_l = s1 / c1 - s0 / c0
@@ -248,38 +309,17 @@ def _search_split(
             n_l = cuts + 1.0
             n_r = n - n_l
             gains = (n_l * n_r) / float(n * n) * (tau_l - tau_r) ** 2
-        gains = np.where(valid, gains, -np.inf)
-        per_feature.append((f, thresholds, gains))
-        g_star = max(g_star, float(np.max(gains)))
+        return np.where(valid, gains, -np.inf)
 
-    if not per_feature:
-        return None
-
-    # Distinct candidates can share a partition (e.g. a duplicated or mirrored
-    # column), making their gains mathematically equal while the float values
-    # computed above differ in the last bits.  The documented tie rule (lowest
-    # feature index, then lowest threshold) therefore needs exact arithmetic
-    # for candidates whose float gains are within summation error of the max.
-    tol = _GAIN_NOISE * scale * scale
-    if g_star <= tol:
-        cutoff = -np.inf  # everything valid may be an exact tie with zero
-    else:
-        cutoff = g_star - (tol + 1e-9 * g_star)
-    near = []
-    for f, thresholds, gains in per_feature:
-        for k in np.nonzero(gains > cutoff)[0]:
-            near.append((f, float(thresholds[k])))
-    if cutoff > -np.inf and len(near) == 1:
-        return Split(near[0][0], near[0][1], g_star)
-
-    best = None
-    best_exact = Fraction(0)  # strict > 0 required to split at all
-    for f, thr in near:
-        exact = _exact_effect_gain(split.X[s_idx, f], g, y, thr)
-        if exact > best_exact:
-            best_exact = exact
-            best = Split(f, thr, float(exact))
-    return best
+    return _best_cut(
+        split.X,
+        s_idx,
+        range(split.X.shape[1]),
+        gains_at,
+        lambda v, thr: _exact_effect_gain(v, g, y, thr),
+        scale,
+        1,
+    )
 
 
 def _exact_effect_gain(v: np.ndarray, g: np.ndarray, y: np.ndarray, thr: float) -> Fraction:
@@ -371,16 +411,24 @@ def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
     return grow_causal_tree(split_half, estimation_half, params)
 
 
-def predict_tau(tree: CausalTree, p: TaskFeatures) -> DifficultyEstimate:
-    """Route a point to its leaf (value < threshold goes left) and return its effect."""
-    v = p.as_array()
-    node = tree.root
+def _route(root, v: np.ndarray):
+    """The leaf that feature vector ``v`` reaches: value < threshold goes left.
+
+    Walks causal and CART trees alike; both share the ``Internal`` node type.
+    """
+    node = root
     while isinstance(node, Internal):
         if v[node.split.feature_index] < node.split.threshold:
             node = node.left
         else:
             node = node.right
-    return DifficultyEstimate(node.tau_hat, node.leaf_id)
+    return node
+
+
+def predict_tau(tree: CausalTree, p: TaskFeatures) -> DifficultyEstimate:
+    """Route a point to its leaf and return its effect."""
+    leaf = _route(tree.root, p.as_array())
+    return DifficultyEstimate(leaf.tau_hat, leaf.leaf_id)
 
 
 @dataclass(frozen=True)
@@ -393,9 +441,10 @@ class CausalForest:
     subsample_ratio: float
 
     def predict(self, p: TaskFeatures) -> DifficultyEstimate:
+        v = p.as_array()
         total = 0.0
         for t in self.trees:
-            total += predict_tau(t, p).tau_hat
+            total += _route(t.root, v).tau_hat
         return DifficultyEstimate(total / len(self.trees), None)
 
 

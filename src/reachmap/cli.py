@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +26,7 @@ from .domain import (
 )
 from .errors import MissingSeed, ReachmapError
 from .evaluation import (
+    HYPERPARAMETERS,
     MODEL_KINDS,
     bench_config_from_json,
     bench_rows_to_csv,
@@ -83,22 +83,6 @@ class MapCmd:
 
 Command = Union[Generate, Fit, Predict, Bench, MapCmd]
 
-# which fit flags each model kind accepts
-_FIT_FLAGS = {
-    "causal_tree": ("max_depth", "min_group_leaf", "honest_fraction"),
-    "causal_forest": (
-        "max_depth",
-        "min_group_leaf",
-        "honest_fraction",
-        "n_trees",
-        "subsample_ratio",
-    ),
-    "t_cart": ("max_depth", "min_leaf"),
-    "t_forest": ("n_trees", "max_depth", "min_leaf", "features_per_split"),
-    "t_knn": ("k", "standardize"),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reachmap",
@@ -109,13 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"reachmap {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="upper bound on worker parallelism (current implementation runs "
-        "single-threaded; the flag is an accepted cap, default: available cores)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="draw a synthetic dataset from a DGP config")
@@ -175,8 +152,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> Command:
     parser = _build_parser()
     ns = parser.parse_args(argv)
 
-    if ns.threads < 1:
-        parser.error(f"--threads must be >= 1, got {ns.threads}")
     for flag in ("x", "y", "z", "z_slice", "resolution", "honest_fraction",
                  "subsample_ratio"):
         value = getattr(ns, flag, None)
@@ -187,21 +162,12 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> Command:
         return Generate(ns.dgp, ns.n0, ns.n1, ns.seed, ns.out)
     if ns.command == "fit":
         hyper = {}
-        for flag in (
-            "max_depth",
-            "min_group_leaf",
-            "honest_fraction",
-            "n_trees",
-            "subsample_ratio",
-            "min_leaf",
-            "features_per_split",
-            "k",
-            "standardize",
-        ):
+        # every fit flag, in the order the model kinds first accept them
+        for flag in dict.fromkeys(f for names in HYPERPARAMETERS.values() for f in names):
             value = getattr(ns, flag)
             if value is None:
                 continue
-            if flag not in _FIT_FLAGS[ns.model]:
+            if flag not in HYPERPARAMETERS[ns.model]:
                 parser.error(
                     f"--{flag.replace('_', '-')} does not apply to model {ns.model!r}"
                 )

@@ -77,7 +77,8 @@ class OutOfWorkspace(ReachmapError):
 
 
 class InvalidResolution(ReachmapError):
-    """Grid resolution is non-positive or too coarse for the workspace."""
+    """Grid resolution is non-positive, too coarse for the workspace, or so
+    fine that the grid would exceed ``mapgen.MAX_GRID_CELLS`` cells."""
 
 
 class SliceOutOfRange(ReachmapError):

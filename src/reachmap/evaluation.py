@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -229,89 +229,59 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
 
 # --- model registry ----------------------------------------------------------
 
-MODEL_KINDS = ("causal_tree", "causal_forest", "t_cart", "t_forest", "t_knn")
+#: the dataclass each model kind's hyperparameters configure
+_CONFIG_TYPES = {
+    "causal_tree": CausalTreeParams,
+    "causal_forest": CausalTreeParams,
+    "t_cart": CartSpec,
+    "t_forest": ForestSpec,
+    "t_knn": KnnSpec,
+}
+
+MODEL_KINDS = tuple(_CONFIG_TYPES)
+
+#: causal_forest's ensemble settings beside its tree params, with defaults
+_FOREST_DEFAULTS = {"n_trees": 50, "subsample_ratio": 0.7}
+
+#: hyperparameters each model kind accepts: its config fields except the seed
+HYPERPARAMETERS = {
+    kind: tuple(f.name for f in fields(cls) if f.name != "seed")
+    + (tuple(_FOREST_DEFAULTS) if kind == "causal_forest" else ())
+    for kind, cls in _CONFIG_TYPES.items()
+}
 
 
 def model_entry(kind: str, name: Optional[str] = None, **hyper) -> ModelEntry:
     """Build a ModelEntry for one of the known kinds.
 
-    Accepted hyperparameters match the underlying spec types: causal_tree and
-    causal_forest take max_depth / min_group_leaf / honest_fraction (the forest
-    also n_trees / subsample_ratio); t_cart takes max_depth / min_leaf;
-    t_forest adds n_trees / features_per_split; t_knn takes k / standardize.
-    Seeds are supplied at fit time, not here.
+    Accepted hyperparameters (:data:`HYPERPARAMETERS`) match the underlying
+    spec types: causal_tree and causal_forest take max_depth / min_group_leaf /
+    honest_fraction (the forest also n_trees / subsample_ratio); t_cart takes
+    max_depth / min_leaf; t_forest adds n_trees / features_per_split; t_knn
+    takes k / standardize.  Seeds are supplied at fit time, not here.
     """
-    label = name or kind
-
-    def take(allowed: tuple[str, ...]) -> dict:
-        unknown = set(hyper) - set(allowed)
-        if unknown:
-            raise ValueError(
-                f"model kind {kind!r} does not accept {sorted(unknown)}"
-            )
-        return dict(hyper)
-
-    def described(template, fit) -> ModelEntry:
-        resolved = ", ".join(f"{k}={v}" for k, v in sorted(template.items()))
-        return ModelEntry(label, fit, f"{kind}({resolved})")
-
-    if kind == "causal_tree":
-        kw = take(("max_depth", "min_group_leaf", "honest_fraction"))
-        probe = CausalTreeParams(seed=0, **kw)
-        return described(
-            {
-                "max_depth": probe.max_depth,
-                "min_group_leaf": probe.min_group_leaf,
-                "honest_fraction": probe.honest_fraction,
-            },
-            lambda d, seed: fit_causal_tree(d, CausalTreeParams(seed=seed, **kw)),
-        )
+    if kind not in HYPERPARAMETERS:
+        raise ValueError(f"unknown model kind {kind!r}; known: {', '.join(MODEL_KINDS)}")
+    unknown = set(hyper) - set(HYPERPARAMETERS[kind])
+    if unknown:
+        raise ValueError(f"model kind {kind!r} does not accept {sorted(unknown)}")
+    kw = dict(hyper)
+    cls = _CONFIG_TYPES[kind]
+    extras = {}
     if kind == "causal_forest":
-        kw = take(
-            ("max_depth", "min_group_leaf", "honest_fraction", "n_trees", "subsample_ratio")
-        )
-        n_trees = int(kw.pop("n_trees", 50))
-        ratio = float(kw.pop("subsample_ratio", 0.7))
-        probe = CausalTreeParams(seed=0, **kw)
-        return described(
-            {
-                "max_depth": probe.max_depth,
-                "min_group_leaf": probe.min_group_leaf,
-                "honest_fraction": probe.honest_fraction,
-                "n_trees": n_trees,
-                "subsample_ratio": ratio,
-            },
-            lambda d, seed: fit_causal_forest(
-                d, CausalTreeParams(seed=seed, **kw), n_trees, ratio
-            ),
-        )
-    if kind == "t_cart":
-        kw = take(("max_depth", "min_leaf"))
-        probe = CartSpec(seed=0, **kw)
-        return described(
-            {"max_depth": probe.max_depth, "min_leaf": probe.min_leaf},
-            lambda d, seed: fit_t_learner(d, CartSpec(seed=seed, **kw)),
-        )
-    if kind == "t_forest":
-        kw = take(("n_trees", "max_depth", "min_leaf", "features_per_split"))
-        probe = ForestSpec(seed=0, **kw)
-        return described(
-            {
-                "n_trees": probe.n_trees,
-                "max_depth": probe.max_depth,
-                "min_leaf": probe.min_leaf,
-                "features_per_split": probe.features_per_split,
-            },
-            lambda d, seed: fit_t_learner(d, ForestSpec(seed=seed, **kw)),
-        )
-    if kind == "t_knn":
-        kw = take(("k", "standardize"))
-        probe = KnnSpec(seed=0, **kw)
-        return described(
-            {"k": probe.k, "standardize": probe.standardize},
-            lambda d, seed: fit_t_learner(d, KnnSpec(seed=seed, **kw)),
-        )
-    raise ValueError(f"unknown model kind {kind!r}; known: {', '.join(MODEL_KINDS)}")
+        n_trees = int(kw.pop("n_trees", _FOREST_DEFAULTS["n_trees"]))
+        ratio = float(kw.pop("subsample_ratio", _FOREST_DEFAULTS["subsample_ratio"]))
+        extras = {"n_trees": n_trees, "subsample_ratio": ratio}
+        fit = lambda d, seed: fit_causal_forest(d, cls(seed=seed, **kw), n_trees, ratio)
+    elif kind == "causal_tree":
+        fit = lambda d, seed: fit_causal_tree(d, cls(seed=seed, **kw))
+    else:
+        fit = lambda d, seed: fit_t_learner(d, cls(seed=seed, **kw))
+
+    resolved = {**asdict(cls(seed=0, **kw)), **extras}
+    del resolved["seed"]
+    text = ", ".join(f"{k}={v}" for k, v in sorted(resolved.items()))
+    return ModelEntry(name or kind, fit, f"{kind}({text})")
 
 
 def bench_config_from_json(text: str) -> BenchConfig:

@@ -53,6 +53,27 @@ class Grid:
         return self.points[i]
 
 
+#: most cell centers a grid may hold before clipping to the semicircle: the x,
+#: y and z axis counts multiplied (the full 0.005 m volume has 576,000)
+MAX_GRID_CELLS = 1_000_000
+
+
+def _axis_count(start: float, stop: float, resolution: float) -> float:
+    """How many centers ``start + i * resolution`` (i = 0, 1, ...) lie below ``stop``.
+
+    Exact up to MAX_GRID_CELLS; a larger count is returned approximately.
+    """
+    n = (stop - start) / resolution
+    if not n <= MAX_GRID_CELLS:
+        return n
+    n = max(0, math.ceil(n))
+    while n > 0 and start + (n - 1) * resolution >= stop:
+        n -= 1
+    while start + n * resolution < stop:
+        n += 1
+    return n
+
+
 def build_grid(
     ws: Workspace, resolution: float, z_slice: Optional[float] = None
 ) -> Grid:
@@ -61,6 +82,8 @@ def build_grid(
     Centers sit at -r + res/2 + i*res laterally and res/2 + j*res forward.
     With ``z_slice`` given, all cells share that height; otherwise layers are
     stacked at res/2 + k*res for every center strictly below the height.
+    Raises InvalidResolution when the unclipped grid would exceed
+    MAX_GRID_CELLS centers, before any center is built.
     """
     if not (0.0 < resolution < ws.radius) or not math.isfinite(resolution):
         raise InvalidResolution(
@@ -72,33 +95,22 @@ def build_grid(
         )
 
     r = ws.radius
-    xs = []
-    i = 0
-    while True:
-        x = -r + resolution / 2 + i * resolution
-        if x >= r:
-            break
-        xs.append(x)
-        i += 1
-    ys = []
-    j = 0
-    while True:
-        y = resolution / 2 + j * resolution
-        if y >= r:
-            break
-        ys.append(y)
-        j += 1
+    x0 = -r + resolution / 2
+    h0 = resolution / 2
+    nx = _axis_count(x0, r, resolution)
+    ny = _axis_count(h0, r, resolution)
+    nz = 1 if z_slice is not None else _axis_count(h0, ws.height, resolution)
+    if nx * ny * nz > MAX_GRID_CELLS:
+        raise InvalidResolution(
+            f"resolution {resolution} needs {nx * ny * nz:.4g} grid cells; "
+            f"at most {MAX_GRID_CELLS} are allowed"
+        )
+    xs = [x0 + i * resolution for i in range(nx)]
+    ys = [h0 + j * resolution for j in range(ny)]
     if z_slice is not None:
         zs = [float(z_slice)]
     else:
-        zs = []
-        k = 0
-        while True:
-            z = resolution / 2 + k * resolution
-            if z >= ws.height:
-                break
-            zs.append(z)
-            k += 1
+        zs = [h0 + k * resolution for k in range(nz)]
 
     points = []
     for z in zs:

@@ -5,7 +5,9 @@ selected by a ``kind`` tag: ``causal_tree``, ``causal_forest``, ``t_cart``,
 ``t_forest``, ``t_knn``.  Tree nodes are stored with their exact field values,
 so a parsed model is structurally equal to the original and predicts
 bit-for-bit identically (JSON's shortest-round-trip float encoding is exact
-for float64).
+for float64).  Causal trees and the baselines' CARTs share one node codec;
+leaves, params and specs are written and read field by field from their
+dataclasses.
 
 Parse failures raise :class:`MalformedModel` with a ``$.dotted.path`` locating
 the offending element.
@@ -13,7 +15,9 @@ the offending element.
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import fields
 from typing import Any, Union
 
 import numpy as np
@@ -25,9 +29,7 @@ from .baselines import (
     ForestSpec,
     KnnRegressor,
     KnnSpec,
-    RegInternal,
     RegLeaf,
-    RegNode,
     Regressor,
     TLearner,
 )
@@ -38,7 +40,6 @@ from .causal_tree import (
     Internal,
     Leaf,
     Split,
-    TreeNode,
 )
 from .domain import FEATURE_NAMES
 from .errors import MalformedModel
@@ -48,98 +49,62 @@ FORMAT_VERSION = 1
 
 Model = Union[CausalTree, CausalForest, TLearner]
 
+#: document kind of each T-learner, by the spec type of its base regressors
+_T_KINDS = {"t_cart": CartSpec, "t_forest": ForestSpec, "t_knn": KnnSpec}
+
+#: spec type of each nested regressor kind
+_REGRESSOR_SPECS = {"cart": CartSpec, "forest": ForestSpec, "knn": KnnSpec}
+
 
 # --- encoding ----------------------------------------------------------------
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
+def _to_dict(obj) -> dict:
+    """Field name -> value of a model dataclass; every field holds a plain value.
+
+    A shallow copy: ``dataclasses.asdict`` gives the same dict but deep-copies
+    each value, which made saving a forest several times slower.
+    """
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _node_to_dict(node) -> dict:
+    """One tree node of either kind: leaves store their dataclass fields."""
+    if isinstance(node, Internal):
         return {
-            "kind": "leaf",
-            "leaf_id": node.leaf_id,
-            "tau_hat": node.tau_hat,
-            "n_individual": node.n_individual,
-            "n_control": node.n_control,
-            "mean_individual": node.mean_individual,
-            "mean_control": node.mean_control,
+            "kind": "internal",
+            **_to_dict(node.split),
+            "left": _node_to_dict(node.left),
+            "right": _node_to_dict(node.right),
         }
-    return {
-        "kind": "internal",
-        "feature_index": node.split.feature_index,
-        "threshold": node.split.threshold,
-        "gain": node.split.gain,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
-
-
-def _params_to_dict(params: CausalTreeParams) -> dict:
-    return {
-        "max_depth": params.max_depth,
-        "min_group_leaf": params.min_group_leaf,
-        "honest_fraction": params.honest_fraction,
-        "seed": params.seed,
-    }
+    return {"kind": "leaf", **_to_dict(node)}
 
 
 def _tree_to_dict(tree: CausalTree) -> dict:
     return {
         "feature_names": list(tree.feature_names),
-        "params": _params_to_dict(tree.params),
+        "params": _to_dict(tree.params),
         "root": _node_to_dict(tree.root),
     }
 
 
-def _reg_node_to_dict(node: RegNode) -> dict:
-    if isinstance(node, RegLeaf):
-        return {"kind": "leaf", "value": node.value, "n": node.n}
-    return {
-        "kind": "internal",
-        "feature_index": node.split.feature_index,
-        "threshold": node.split.threshold,
-        "gain": node.split.gain,
-        "left": _reg_node_to_dict(node.left),
-        "right": _reg_node_to_dict(node.right),
-    }
-
-
 def _regressor_to_dict(r: Regressor) -> dict:
+    doc: dict[str, Any] = {"spec": _to_dict(r.spec)}
     if isinstance(r, CartRegressor):
-        return {
-            "kind": "cart",
-            "spec": {
-                "max_depth": r.spec.max_depth,
-                "min_leaf": r.spec.min_leaf,
-                "seed": r.spec.seed,
-            },
-            "root": _reg_node_to_dict(r.root),
-        }
-    if isinstance(r, ForestRegressor):
-        return {
-            "kind": "forest",
-            "spec": {
-                "n_trees": r.spec.n_trees,
-                "max_depth": r.spec.max_depth,
-                "min_leaf": r.spec.min_leaf,
-                "features_per_split": r.spec.features_per_split,
-                "seed": r.spec.seed,
-            },
-            "roots": [_reg_node_to_dict(root) for root in r.roots],
-        }
-    if isinstance(r, KnnRegressor):
-        return {
-            "kind": "knn",
-            "spec": {
-                "k": r.spec.k,
-                "standardize": r.spec.standardize,
-                "seed": r.spec.seed,
-            },
-            "features": r.features.tolist(),
-            "outcomes": r.outcomes.tolist(),
-            "shift": r.shift.tolist(),
-            "scale": r.scale.tolist(),
-        }
-    raise TypeError(f"unknown regressor {type(r).__name__}")
+        doc.update(kind="cart", root=_node_to_dict(r.root))
+    elif isinstance(r, ForestRegressor):
+        doc.update(kind="forest", roots=[_node_to_dict(root) for root in r.roots])
+    elif isinstance(r, KnnRegressor):
+        doc.update(
+            kind="knn",
+            features=r.features.tolist(),
+            outcomes=r.outcomes.tolist(),
+            shift=r.shift.tolist(),
+            scale=r.scale.tolist(),
+        )
+    else:
+        raise TypeError(f"unknown regressor {type(r).__name__}")
+    return doc
 
 
 def model_kind(model: Model) -> str:
@@ -148,9 +113,9 @@ def model_kind(model: Model) -> str:
     if isinstance(model, CausalForest):
         return "causal_forest"
     if isinstance(model, TLearner):
-        return {CartSpec: "t_cart", ForestSpec: "t_forest", KnnSpec: "t_knn"}[
-            type(model.spec)
-        ]
+        for kind, spec_cls in _T_KINDS.items():
+            if type(model.spec) is spec_cls:
+                return kind
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
@@ -161,33 +126,18 @@ def model_to_dict(model: Model) -> dict:
         doc.update(_tree_to_dict(model))
     elif isinstance(model, CausalForest):
         doc.update(
-            params=_params_to_dict(model.params),
+            params=_to_dict(model.params),
             n_trees=model.n_trees,
             subsample_ratio=model.subsample_ratio,
             trees=[_tree_to_dict(t) for t in model.trees],
         )
     else:
-        spec_dict = _regressor_to_dict_spec_only(model.spec)
         doc.update(
-            spec=spec_dict,
+            spec=_to_dict(model.spec),
             model_individual=_regressor_to_dict(model.model_individual),
             model_control=_regressor_to_dict(model.model_control),
         )
     return doc
-
-
-def _regressor_to_dict_spec_only(spec) -> dict:
-    if isinstance(spec, CartSpec):
-        return {"max_depth": spec.max_depth, "min_leaf": spec.min_leaf, "seed": spec.seed}
-    if isinstance(spec, ForestSpec):
-        return {
-            "n_trees": spec.n_trees,
-            "max_depth": spec.max_depth,
-            "min_leaf": spec.min_leaf,
-            "features_per_split": spec.features_per_split,
-            "seed": spec.seed,
-        }
-    return {"k": spec.k, "standardize": spec.standardize, "seed": spec.seed}
 
 
 def serialize_model(model: Model) -> str:
@@ -230,45 +180,47 @@ def _bool(obj: dict, key: str, path: str) -> bool:
     return v
 
 
-def _node_from_dict(d: Any, path: str) -> TreeNode:
+#: field checker by annotation; the model dataclasses hold only these types
+_CHECKERS = {"int": _int, "float": _num, "bool": _bool}
+
+
+@functools.cache
+def _field_checkers(cls: type) -> tuple:
+    """(name, checker) for each field of dataclass ``cls``."""
+    return tuple(
+        (f.name, _CHECKERS[getattr(f.type, "__name__", f.type)]) for f in fields(cls)
+    )
+
+
+def _from_fields(cls: type, d: Any, path: str):
+    """Build dataclass ``cls`` from the object ``d``, checking each field's type.
+
+    A ValueError from the class's own validation becomes a MalformedModel at
+    ``path``.
+    """
+    d = _expect_dict(d, path)
+    try:
+        return cls(**{name: check(d, name, path) for name, check in _field_checkers(cls)})
+    except ValueError as e:
+        raise MalformedModel(path, str(e)) from None
+
+
+def _node_from_dict(d: Any, path: str, leaf_cls: type):
+    """One tree node of either kind; leaves are parsed as ``leaf_cls``."""
     d = _expect_dict(d, path)
     kind = _get(d, "kind", path)
     if kind == "leaf":
-        return Leaf(
-            leaf_id=_int(d, "leaf_id", path),
-            tau_hat=_num(d, "tau_hat", path),
-            n_individual=_int(d, "n_individual", path),
-            n_control=_int(d, "n_control", path),
-            mean_individual=_num(d, "mean_individual", path),
-            mean_control=_num(d, "mean_control", path),
-        )
+        return _from_fields(leaf_cls, d, path)
     if kind == "internal":
-        split = Split(
-            feature_index=_int(d, "feature_index", path),
-            threshold=_num(d, "threshold", path),
-            gain=_num(d, "gain", path),
-        )
+        split = _from_fields(Split, d, path)
         if not 0 <= split.feature_index < len(FEATURE_NAMES):
             raise MalformedModel(f"{path}.feature_index", f"out of range: {split.feature_index}")
         return Internal(
             split,
-            _node_from_dict(_get(d, "left", path), f"{path}.left"),
-            _node_from_dict(_get(d, "right", path), f"{path}.right"),
+            _node_from_dict(_get(d, "left", path), f"{path}.left", leaf_cls),
+            _node_from_dict(_get(d, "right", path), f"{path}.right", leaf_cls),
         )
     raise MalformedModel(f"{path}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
-
-
-def _params_from_dict(d: Any, path: str) -> CausalTreeParams:
-    d = _expect_dict(d, path)
-    try:
-        return CausalTreeParams(
-            max_depth=_int(d, "max_depth", path),
-            min_group_leaf=_int(d, "min_group_leaf", path),
-            honest_fraction=_num(d, "honest_fraction", path),
-            seed=_int(d, "seed", path),
-        )
-    except ValueError as e:
-        raise MalformedModel(path, str(e)) from None
 
 
 def _tree_from_dict(d: dict, path: str) -> CausalTree:
@@ -278,29 +230,10 @@ def _tree_from_dict(d: dict, path: str) -> CausalTree:
     ) or len(names) != len(FEATURE_NAMES):
         raise MalformedModel(f"{path}.feature_names", f"expected 4 labels, got {names!r}")
     return CausalTree(
-        root=_node_from_dict(_get(d, "root", path), f"{path}.root"),
-        params=_params_from_dict(_get(d, "params", path), f"{path}.params"),
+        root=_node_from_dict(_get(d, "root", path), f"{path}.root", Leaf),
+        params=_from_fields(CausalTreeParams, _get(d, "params", path), f"{path}.params"),
         feature_names=tuple(names),
     )
-
-
-def _reg_node_from_dict(d: Any, path: str) -> RegNode:
-    d = _expect_dict(d, path)
-    kind = _get(d, "kind", path)
-    if kind == "leaf":
-        return RegLeaf(value=_num(d, "value", path), n=_int(d, "n", path))
-    if kind == "internal":
-        split = Split(
-            feature_index=_int(d, "feature_index", path),
-            threshold=_num(d, "threshold", path),
-            gain=_num(d, "gain", path),
-        )
-        return RegInternal(
-            split,
-            _reg_node_from_dict(_get(d, "left", path), f"{path}.left"),
-            _reg_node_from_dict(_get(d, "right", path), f"{path}.right"),
-        )
-    raise MalformedModel(f"{path}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
 
 
 def _float_array(v: Any, path: str, ndim: int) -> np.ndarray:
@@ -317,53 +250,30 @@ def _regressor_from_dict(d: Any, path: str) -> Regressor:
     d = _expect_dict(d, path)
     kind = _get(d, "kind", path)
     spec_d = _expect_dict(_get(d, "spec", path), f"{path}.spec")
-    spath = f"{path}.spec"
-    try:
-        if kind == "cart":
-            spec = CartSpec(
-                max_depth=_int(spec_d, "max_depth", spath),
-                min_leaf=_int(spec_d, "min_leaf", spath),
-                seed=_int(spec_d, "seed", spath),
-            )
-            return CartRegressor(_reg_node_from_dict(_get(d, "root", path), f"{path}.root"), spec)
-        if kind == "forest":
-            spec = ForestSpec(
-                n_trees=_int(spec_d, "n_trees", spath),
-                max_depth=_int(spec_d, "max_depth", spath),
-                min_leaf=_int(spec_d, "min_leaf", spath),
-                features_per_split=_int(spec_d, "features_per_split", spath),
-                seed=_int(spec_d, "seed", spath),
-            )
-            roots_v = _get(d, "roots", path)
-            if not isinstance(roots_v, list) or not roots_v:
-                raise MalformedModel(f"{path}.roots", "expected a non-empty list")
-            roots = tuple(
-                _reg_node_from_dict(r, f"{path}.roots[{i}]") for i, r in enumerate(roots_v)
-            )
-            return ForestRegressor(roots, spec)
-        if kind == "knn":
-            spec = KnnSpec(
-                k=_int(spec_d, "k", spath),
-                standardize=_bool(spec_d, "standardize", spath),
-                seed=_int(spec_d, "seed", spath),
-            )
-            feats = _float_array(_get(d, "features", path), f"{path}.features", 2)
-            if feats.shape[1] != len(FEATURE_NAMES):
-                raise MalformedModel(f"{path}.features", f"expected 4 columns, got {feats.shape}")
-            outs = _float_array(_get(d, "outcomes", path), f"{path}.outcomes", 1)
-            if outs.size != feats.shape[0]:
-                raise MalformedModel(f"{path}.outcomes", "length mismatch with features")
-            shift = _float_array(_get(d, "shift", path), f"{path}.shift", 1)
-            scale = _float_array(_get(d, "scale", path), f"{path}.scale", 1)
-            if shift.size != len(FEATURE_NAMES) or scale.size != len(FEATURE_NAMES):
-                raise MalformedModel(f"{path}.shift", "expected 4 entries")
-            return KnnRegressor(feats, outs, spec, shift, scale)
-    except ValueError as e:
-        raise MalformedModel(spath, str(e)) from None
-    raise MalformedModel(f"{path}.kind", f"unknown regressor kind {kind!r}")
-
-
-_T_KINDS = {"t_cart": CartSpec, "t_forest": ForestSpec, "t_knn": KnnSpec}
+    if not isinstance(kind, str) or kind not in _REGRESSOR_SPECS:
+        raise MalformedModel(f"{path}.kind", f"unknown regressor kind {kind!r}")
+    spec = _from_fields(_REGRESSOR_SPECS[kind], spec_d, f"{path}.spec")
+    if kind == "cart":
+        return CartRegressor(_node_from_dict(_get(d, "root", path), f"{path}.root", RegLeaf), spec)
+    if kind == "forest":
+        roots_v = _get(d, "roots", path)
+        if not isinstance(roots_v, list) or not roots_v:
+            raise MalformedModel(f"{path}.roots", "expected a non-empty list")
+        roots = tuple(
+            _node_from_dict(r, f"{path}.roots[{i}]", RegLeaf) for i, r in enumerate(roots_v)
+        )
+        return ForestRegressor(roots, spec)
+    feats = _float_array(_get(d, "features", path), f"{path}.features", 2)
+    if feats.shape[1] != len(FEATURE_NAMES):
+        raise MalformedModel(f"{path}.features", f"expected 4 columns, got {feats.shape}")
+    outs = _float_array(_get(d, "outcomes", path), f"{path}.outcomes", 1)
+    if outs.size != feats.shape[0]:
+        raise MalformedModel(f"{path}.outcomes", "length mismatch with features")
+    shift = _float_array(_get(d, "shift", path), f"{path}.shift", 1)
+    scale = _float_array(_get(d, "scale", path), f"{path}.scale", 1)
+    if shift.size != len(FEATURE_NAMES) or scale.size != len(FEATURE_NAMES):
+        raise MalformedModel(f"{path}.shift", "expected 4 entries")
+    return KnnRegressor(feats, outs, spec, shift, scale)
 
 
 def model_from_dict(doc: Any) -> Model:
@@ -390,37 +300,13 @@ def model_from_dict(doc: Any) -> Model:
             raise MalformedModel("$.n_trees", f"declared {n_trees}, found {len(trees)} trees")
         return CausalForest(
             trees=trees,
-            params=_params_from_dict(_get(doc, "params", "$"), "$.params"),
+            params=_from_fields(CausalTreeParams, _get(doc, "params", "$"), "$.params"),
             n_trees=n_trees,
             subsample_ratio=ratio,
         )
 
-    if kind in _T_KINDS:
-        spec_cls = _T_KINDS[kind]
-        spec_d = _expect_dict(_get(doc, "spec", "$"), "$.spec")
-        try:
-            if spec_cls is CartSpec:
-                spec = CartSpec(
-                    max_depth=_int(spec_d, "max_depth", "$.spec"),
-                    min_leaf=_int(spec_d, "min_leaf", "$.spec"),
-                    seed=_int(spec_d, "seed", "$.spec"),
-                )
-            elif spec_cls is ForestSpec:
-                spec = ForestSpec(
-                    n_trees=_int(spec_d, "n_trees", "$.spec"),
-                    max_depth=_int(spec_d, "max_depth", "$.spec"),
-                    min_leaf=_int(spec_d, "min_leaf", "$.spec"),
-                    features_per_split=_int(spec_d, "features_per_split", "$.spec"),
-                    seed=_int(spec_d, "seed", "$.spec"),
-                )
-            else:
-                spec = KnnSpec(
-                    k=_int(spec_d, "k", "$.spec"),
-                    standardize=_bool(spec_d, "standardize", "$.spec"),
-                    seed=_int(spec_d, "seed", "$.spec"),
-                )
-        except ValueError as e:
-            raise MalformedModel("$.spec", str(e)) from None
+    if isinstance(kind, str) and kind in _T_KINDS:
+        spec = _from_fields(_T_KINDS[kind], _get(doc, "spec", "$"), "$.spec")
         return TLearner(
             model_individual=_regressor_from_dict(
                 _get(doc, "model_individual", "$"), "$.model_individual"

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from hypothesis import strategies as st
 
 from reachmap import Dataset
 from reachmap.causal_tree import CausalTree, Internal, Leaf
@@ -43,6 +44,28 @@ def random_dataset(
     outcomes = 2.0 + spread * rng.uniform(0.0, 1.0, size=n)
     outcomes[groups == 1] += effect
     return Dataset(feats, groups, outcomes)
+
+
+@st.composite
+def tied_dataset(draw, n_control: st.SearchStrategy, n_individual: st.SearchStrategy) -> Dataset:
+    """Hard split-search input: heavy ties, a duplicated and a mirrored column.
+
+    Group sizes are drawn from the given strategies.  Feature values and
+    outcomes come from coarse grids.  One column is drawn, a second duplicates
+    it and a third mirrors it (same partitions, sides swapped); the fourth is
+    drawn independently.  The columns are shuffled so the tie rule sees the
+    duplicates at any feature index.
+    """
+    n_control = draw(n_control)
+    n_individual = draw(n_individual)
+    n = n_control + n_individual
+    grid = st.sampled_from([0.0, 0.1, 0.2, 0.3])
+    a = np.array(draw(st.lists(grid, min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(grid, min_size=n, max_size=n)))
+    perm = draw(st.permutations(range(4)))
+    feats = np.column_stack([a, a, 0.3 - a, b])[:, perm]
+    outcomes = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=n, max_size=n))
+    return make_dataset(feats, [0] * n_control + [1] * n_individual, outcomes)
 
 
 # --- independent oracles -------------------------------------------------------

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, tied_dataset
 from reachmap import (
     CartSpec,
     ForestSpec,
@@ -15,7 +17,8 @@ from reachmap import (
     predict_base,
     predict_t_learner,
 )
-from reachmap.baselines import RegInternal, RegLeaf
+from reachmap.baselines import RegLeaf
+from reachmap.causal_tree import Internal
 from reachmap.domain import Dataset, GroupLabel
 from reachmap.errors import EmptyDataset, InsufficientSamples, MissingGroup
 
@@ -105,7 +108,22 @@ class TestCart:
         if want is None:
             assert isinstance(r.root, RegLeaf)
         else:
-            assert isinstance(r.root, RegInternal)
+            assert isinstance(r.root, Internal)
+            assert (r.root.split.feature_index, r.root.split.threshold) == (
+                want[0],
+                want[1],
+            )
+            assert r.root.split.gain == pytest.approx(want[2], abs=1e-12)
+
+    @given(tied_dataset(st.integers(4, 16), st.just(0)), st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_tied_inputs_match_exhaustive_enumeration(self, d, min_leaf):
+        r = fit_base_regressor(CartSpec(max_depth=1, min_leaf=min_leaf, seed=0), d)
+        want = oracle_cart_split(d.features, d.outcomes, min_leaf)
+        if want is None:
+            assert isinstance(r.root, RegLeaf)
+        else:
+            assert isinstance(r.root, Internal)
             assert (r.root.split.feature_index, r.root.split.threshold) == (
                 want[0],
                 want[1],
@@ -152,7 +170,7 @@ class TestForest:
         from reachmap.baselines import _route
 
         p = features_from_xyz(0.05, 0.1, 0.2)
-        want = statistics.fmean(_route(root, p.as_array()) for root in r.roots)
+        want = statistics.fmean(_route(root, p.as_array()).value for root in r.roots)
         assert predict_base(r, p) == pytest.approx(want, abs=1e-15)
 
 

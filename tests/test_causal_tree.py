@@ -2,6 +2,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     make_dataset,
@@ -9,6 +11,7 @@ from conftest import (
     oracle_route,
     oracle_two_mean,
     random_dataset,
+    tied_dataset,
     tree_leaf_values,
     tree_skeleton,
 )
@@ -124,6 +127,22 @@ class TestBestSplit:
         m = int(rng.integers(1, 3))
         split_d = random_dataset(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         est_d = random_dataset(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+        got = best_split(split_d, est_d, CausalTreeParams(min_group_leaf=m, seed=0))
+        want = oracle_best_split(split_d, est_d, m)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.feature_index, got.threshold) == (want[0], want[1])
+            assert got.gain == pytest.approx(want[2], abs=1e-12)
+
+    @given(
+        tied_dataset(st.integers(2, 8), st.integers(2, 8)),
+        tied_dataset(st.integers(2, 8), st.integers(2, 8)),
+        st.integers(1, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tied_inputs_match_exhaustive_enumeration(self, split_d, est_d, m):
         got = best_split(split_d, est_d, CausalTreeParams(min_group_leaf=m, seed=0))
         want = oracle_best_split(split_d, est_d, m)
         if want is None:

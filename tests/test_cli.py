@@ -185,6 +185,21 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: MalformedConfig:")
 
+    def test_map_grid_over_cell_bound(self, workdir, capsys):
+        data, model = workdir / "d.csv", workdir / "m.json"
+        run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 30, "--n1", 30,
+             "--seed", 1, "--out", data])
+        run(["fit", "--data", data, "--model", "causal_tree", "--seed", 1,
+             "--out", model])
+        capsys.readouterr()
+        code = run(["map", "--model", model, "--z-slice", 0.1, "--resolution", 1e-4,
+                    "--out-csv", workdir / "map.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidResolution:")
+        assert "\n" not in err.strip()
+        assert not (workdir / "map.csv").exists()
+
     def test_bench_missing_master_seed(self, workdir, capsys):
         cfg = workdir / "bench.json"
         cfg.write_text(json.dumps({
@@ -231,11 +246,6 @@ class TestArgumentValidation:
     def test_non_finite_slice_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             parse_args("map --model m.json --z-slice inf --out-svg a.svg".split())
-        assert exc.value.code == 2
-
-    def test_bad_thread_count_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            parse_args("--threads 0 predict --model m.json --x 0 --y 0 --z 0".split())
         assert exc.value.code == 2
 
     def test_domain_value_errors_are_single_line(self, workdir, capsys):

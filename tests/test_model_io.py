@@ -142,9 +142,22 @@ class TestMalformed:
             parse_model(json.dumps(doc))
         assert "$.root.left" in str(exc.value)
 
-    def test_bad_feature_index(self):
-        doc = json.loads(serialize_model(fitted_tree(max_depth=1)))
-        doc["root"]["feature_index"] = 9
+    @pytest.mark.parametrize("value", [9, -1])
+    @pytest.mark.parametrize("kind", ["causal_tree", "t_cart", "t_forest"])
+    def test_bad_feature_index(self, kind, value):
+        if kind == "causal_tree":
+            doc = json.loads(serialize_model(fitted_tree(max_depth=1)))
+            root = doc["root"]
+        else:
+            d = random_dataset(np.random.default_rng(9), 20, 20, effect=0.3)
+            spec = {"t_cart": CartSpec, "t_forest": ForestSpec}[kind](
+                max_depth=1, min_leaf=2, seed=5
+            )
+            doc = json.loads(serialize_model(fit_t_learner(d, spec)))
+            reg = doc["model_control"]
+            root = reg["root"] if kind == "t_cart" else reg["roots"][0]
+        assert root["kind"] == "internal"
+        root["feature_index"] = value
         with pytest.raises(MalformedModel, match="feature_index"):
             parse_model(json.dumps(doc))
 

@@ -16,11 +16,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from typing import Optional, Union
 
 import numpy as np
 
-from .causal_tree import DifficultyEstimate, Internal, Split, _best_cut, _route
+from .causal_tree import (
+    DifficultyEstimate,
+    Internal,
+    _assemble,
+    _best_cuts,
+    _dyadic,
+    _Fork,
+    _mean,
+    _route,
+    _times_4_pow,
+)
 from .domain import Dataset, GroupLabel, TaskFeatures, canonical_order, validate_dataset
 from .errors import EmptyDataset, InsufficientSamples
 
@@ -79,94 +91,138 @@ class RegLeaf:
 RegNode = Union[Internal, RegLeaf]
 
 
+#: t_forest members grown side by side.  Lockstep growth holds the pending
+#: nodes of this many members at once and scores one node of each per batch;
+#: memory bounds it, and 25 keep a 2000-sample fit's peak below that of
+#: growing one member at a time.
+_LOCKSTEP = 25
+
+
 def _exact_sse_gain(v: np.ndarray, y: np.ndarray, thr: float) -> Fraction:
+    """SSE reduction of a cut in exact rational arithmetic.
+
+    Outcomes are summed as integers over one power-of-two denominator.
+    """
+    ks, e = _dyadic(y)
     left = v < thr
 
-    def sse(values) -> Fraction:
-        total = Fraction(0)
-        total_sq = Fraction(0)
-        count = 0
-        for val in values:
-            fv = Fraction(float(val))
-            total += fv
-            total_sq += fv * fv
-            count += 1
-        return total_sq - total * total / count
+    def sse(ks: list) -> Fraction:  # the SSE of ks, times 2**(-2e)
+        total = sum(ks)
+        return Fraction(len(ks) * sum(map(mul, ks, ks)) - total * total, len(ks))
 
-    return sse(y) - sse(y[left]) - sse(y[~left])
+    left_ks = list(compress(ks, left.tolist()))
+    right_ks = list(compress(ks, (~left).tolist()))
+    return _times_4_pow(sse(ks) - sse(left_ks) - sse(right_ks), e)
 
 
-def _best_cart_cut(
-    X: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    features: np.ndarray,
-    min_leaf: int,
-) -> Optional[Split]:
-    """Max SSE-reduction cut over the given features, or None if no strict gain."""
-    n = idx.size
-    # center at the node mean: keeps the prefix-sum SSE arithmetic stable
-    yc = y - np.mean(y)
-    scale = float(np.max(np.abs(yc)))
-    if scale == 0.0:
-        return None
-    q_total = float(np.dot(yc, yc))
-    s_total = float(np.sum(yc))
-    sse_parent = q_total - s_total * s_total / n
+class _CartNode:
+    """A CART node awaiting its split search."""
 
-    def gains_at(f, order, cuts, thresholds):
-        n_l = cuts + 1
-        n_r = n - n_l
-        valid = (n_l >= min_leaf) & (n_r >= min_leaf)
-        if not valid.any():
-            return None
-        ys = yc[order]
-        s = np.cumsum(ys)[cuts]
-        q = np.cumsum(ys * ys)[cuts]
+    __slots__ = (
+        "rows", "depth", "features", "y", "mean", "yc", "scale",
+        "q_total", "s_total", "sse_parent", "cost", "weight",
+    )
+
+    def __init__(self, rows: np.ndarray, depth: int, y: np.ndarray, features) -> None:
+        self.rows = rows
+        self.depth = depth
+        self.features = features
+        self.y = y
+        n = rows.size
+        # SSE gains grow with the node size, so the near-tie window does too
+        self.cost = self.weight = n
+        self.mean = _mean(y)
+        # center at the node mean: keeps the prefix-sum SSE arithmetic stable
+        self.yc = yc = y - self.mean
+        self.scale = float(np.maximum.reduce(np.abs(yc)))
+        self.q_total = float(np.dot(yc, yc))
+        self.s_total = float(np.add.reduce(yc))  # np.sum's arithmetic
+        self.sse_parent = self.q_total - self.s_total * self.s_total / n
+
+
+def _sse_gains(min_leaf: int):
+    """Block scorer of the SSE reduction."""
+
+    def block_gains(rows, lens, sort, distinct, thresholds):
+        nodes = [node for node, _ in rows]
+        ys = sort(np.concatenate([nd.yc for nd in nodes]), 0.0)
+        s = np.cumsum(ys, axis=1)[:, :-1]
+        q = np.cumsum(ys * ys, axis=1)[:, :-1]
+        del ys
+        n_l = np.arange(1, s.shape[1] + 1)
+        n_r = lens[:, None] - n_l
+        valid = distinct & (n_l >= min_leaf) & (n_r >= min_leaf)
+        q_total = np.array([nd.q_total for nd in nodes])[:, None]
+        s_total = np.array([nd.s_total for nd in nodes])[:, None]
+        sse_parent = np.array([nd.sse_parent for nd in nodes])[:, None]
         sse_l = q - s * s / n_l
         sse_r = (q_total - q) - (s_total - s) ** 2 / n_r
         return np.where(valid, sse_parent - sse_l - sse_r, -np.inf)
 
-    # SSE gains grow with the node size, so the near-tie window does too
-    return _best_cut(
-        X, idx, features, gains_at, lambda v, thr: _exact_sse_gain(v, y, thr), scale, n
-    )
+    return block_gains
 
 
-def _grow_cart(
+def _grow_carts(
     X: np.ndarray,
     y: np.ndarray,
+    roots: list,
     max_depth: int,
     min_leaf: int,
     mtry: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> RegNode:
-    all_features = np.arange(X.shape[1])
+    rngs: Optional[list] = None,
+) -> list[RegNode]:
+    """One CART per entry of ``roots``, the rows of ``X``/``y`` it is grown on.
 
-    def build(idx: np.ndarray, depth: int) -> RegNode:
-        y_node = y[idx]
-        n = idx.size
-        if (
-            depth >= max_depth
-            or n < 2 * min_leaf
-            or y_node.max() == y_node.min()  # pure node: nothing to reduce
-        ):
-            return RegLeaf(float(np.mean(y_node)), n)
-        if mtry is None or mtry >= X.shape[1]:
-            features = all_features
-        else:
-            features = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
-        cut = _best_cart_cut(X, y_node, idx, features, min_leaf)
-        if cut is None:
-            return RegLeaf(float(np.mean(y_node)), n)
-        left_mask = X[idx, cut.feature_index] < cut.threshold
-        return Internal(
-            cut,
-            build(idx[left_mask], depth + 1),
-            build(idx[~left_mask], depth + 1),
-        )
+    Within a node, value ties keep the order of its rows.  With ``mtry``
+    below the feature count, each tree draws a node's features from its own
+    generator in ``rngs``, in depth-first pre-order.  Such trees grow in
+    lockstep: each round searches the next depth-first node of every tree,
+    which keeps each tree's draw order.  Trees that draw nothing search all
+    their pending nodes in each round.  A round's searches are one batch.
+    """
+    n_features = X.shape[1]
+    draws = mtry is not None and mtry < n_features
+    gains = _sse_gains(min_leaf)
 
-    return build(np.arange(X.shape[0]), 0)
+    def exact(node, f, thr):
+        return _exact_sse_gain(X[node.rows, f], node.y, thr)
+
+    records = [[None] for _ in roots]
+    pending = [[(0, rows, 0)] for rows in roots]  # stacks of (record, rows, depth)
+    while any(pending):
+        batch = []
+        for t, stack in enumerate(pending):
+            while stack:
+                i, rows, depth = stack.pop()
+                y_node = y[rows]
+                if (
+                    depth >= max_depth
+                    or rows.size < 2 * min_leaf
+                    # pure node: nothing to reduce
+                    or np.maximum.reduce(y_node) == np.minimum.reduce(y_node)
+                ):
+                    records[t][i] = RegLeaf(float(_mean(y_node)), rows.size)
+                    continue
+                if draws:
+                    drawn = rngs[t].choice(n_features, size=mtry, replace=False)
+                    features = np.sort(drawn).tolist()
+                else:
+                    features = range(n_features)
+                batch.append((t, i, _CartNode(rows, depth, y_node, features)))
+                if draws:
+                    break
+        cuts = _best_cuts(X, [node for _, _, node in batch], gains, exact)
+        for (t, i, node), cut in zip(batch, cuts):
+            if cut is None:
+                records[t][i] = RegLeaf(float(node.mean), node.rows.size)
+                continue
+            left_mask = X[node.rows, cut.feature_index] < cut.threshold
+            left = len(records[t])
+            records[t] += [None, None]
+            records[t][i] = _Fork(cut, left, left + 1)
+            pending[t].append((left + 1, node.rows[~left_mask], node.depth + 1))
+            pending[t].append((left, node.rows[left_mask], node.depth + 1))
+    return [_assemble(r, lambda leaf: leaf) for r in records]
 
 
 @dataclass(frozen=True)
@@ -231,26 +287,22 @@ def fit_base_regressor(spec: RegressorSpec, data: Dataset) -> Regressor:
     if isinstance(spec, CartSpec):
         if n < spec.min_leaf:
             raise InsufficientSamples(f"Cart needs >= {spec.min_leaf} samples, got {n}")
-        return CartRegressor(_grow_cart(X, y, spec.max_depth, spec.min_leaf), spec)
+        root = _grow_carts(X, y, [np.arange(n)], spec.max_depth, spec.min_leaf)[0]
+        return CartRegressor(root, spec)
 
     if isinstance(spec, ForestSpec):
         if n < spec.min_leaf:
             raise InsufficientSamples(
                 f"Forest needs >= {spec.min_leaf} samples, got {n}"
             )
+        children = np.random.SeedSequence(spec.seed).spawn(spec.n_trees)
         roots = []
-        for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trees):
-            rng = np.random.default_rng(child)
-            rows = rng.integers(0, n, size=n)  # bootstrap with replacement
-            roots.append(
-                _grow_cart(
-                    X[rows],
-                    y[rows],
-                    spec.max_depth,
-                    spec.min_leaf,
-                    mtry=spec.features_per_split,
-                    rng=rng,
-                )
+        for start in range(0, spec.n_trees, _LOCKSTEP):
+            rngs = [np.random.default_rng(child) for child in children[start : start + _LOCKSTEP]]
+            # a member's bootstrap rows come from its generator before its split draws
+            boots = [rng.integers(0, n, size=n) for rng in rngs]
+            roots += _grow_carts(
+                X, y, boots, spec.max_depth, spec.min_leaf, spec.features_per_split, rngs
             )
         return ForestRegressor(tuple(roots), spec)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress, count
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
@@ -178,166 +179,322 @@ class _Half:
 #: error bound for n into the millions.
 _GAIN_NOISE = 2.0**-30
 
+#: elements in one padded block of (node, feature) rows.  The scorer's
+#: temporaries are a few dozen arrays of this size, and a node whose rows
+#: do not fit together is scored one row at a time, so its temporaries are
+#: those of a per-node search.
+_BLOCK_CAP = 4096
 
-def _best_cut(
-    X: np.ndarray,
-    rows: np.ndarray,
-    features,
-    gains_at: Callable[[int, np.ndarray, np.ndarray, np.ndarray], Optional[np.ndarray]],
-    exact_gain: Callable[[np.ndarray, float], Fraction],
-    scale: float,
-    weight: int,
-) -> Optional[Split]:
-    """Split search shared by the causal tree and the CART baselines.
 
-    For each feature, candidate thresholds sit at midpoints of consecutive
-    distinct values of ``X[rows, f]``.  ``gains_at(f, order, cuts, thresholds)``
-    scores them: ``order`` sorts the node's rows by the feature, ``cuts[k]`` is
-    the sorted position after which candidate k cuts, and the result holds
-    each candidate's float gain, -inf where it is inadmissible, or None when
-    no candidate of the feature is admissible.  Candidates whose float gain is
-    within ``_GAIN_NOISE * scale**2 * weight`` of the best are re-scored with
-    ``exact_gain(X[rows, f], threshold)``, so that the tie rule (lowest
-    feature index, then lowest threshold) and the strict gain > 0 rule apply
-    to exact values.
+class _Fork(NamedTuple):
+    """Growth record of an internal node: its split and its children's record indices."""
+
+    split: Split
+    left: int
+    right: int
+
+
+def _assemble(records: list, make_leaf: Callable, i: int = 0):
+    """The tree rooted at record ``i``; records are ``_Fork`` or leaf payloads.
+
+    ``make_leaf`` is called in depth-first pre-order, so leaf ids handed out
+    by it follow the left-to-right order of the leaves.
     """
-    per_feature = []
-    g_star = -np.inf
-    for f in features:
-        f = int(f)
-        v = X[rows, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cuts = np.nonzero(vs[1:] > vs[:-1])[0]
-        if cuts.size == 0:
-            continue
-        thresholds = 0.5 * (vs[cuts] + vs[cuts + 1])
-        gains = gains_at(f, order, cuts, thresholds)
-        if gains is None:
-            continue
-        per_feature.append((f, thresholds, gains))
-        g_star = max(g_star, float(np.max(gains)))
+    r = records[i]
+    if isinstance(r, _Fork):
+        left = _assemble(records, make_leaf, r.left)
+        return Internal(r.split, left, _assemble(records, make_leaf, r.right))
+    return make_leaf(r)
 
-    if not per_feature:
-        return None
+
+def _mean(y: np.ndarray) -> np.float64:
+    """``np.mean(y)`` of a 1-d float array, bit for bit, without its Python overhead."""
+    return np.add.reduce(y) / y.size
+
+
+def _layout(flat: np.ndarray, mask: np.ndarray, fill, dtype=np.float64) -> np.ndarray:
+    """Padded block holding ``flat`` in the cells ``mask`` marks, row by row."""
+    out = np.full(mask.shape, fill, dtype)
+    out[mask] = flat
+    return out
+
+
+def _score_block(X: np.ndarray, rows: list, block_gains: Callable):
+    """Gains and thresholds of every cut of the (node, feature) ``rows``.
+
+    Row r holds ``X[node.rows, f]``, padded with +inf, and is sorted stably,
+    so equal values keep the node's row order, as a per-node stable sort
+    does.  Column k is the cut after sorted position k, at the midpoint of
+    positions k and k+1.  ``block_gains(rows, lens, sort, distinct,
+    thresholds)`` scores every column with the kind's float expression and
+    returns -inf where a cut is inadmissible.  ``sort(flat, fill)`` lays out
+    per-row values (the rows' arrays concatenated) in the block's sorted
+    order, ``fill`` in the padding.  Row-wise cumulative sums are sequential,
+    so they carry the same bits as per-node ones.  Cuts between equal values
+    are not ``distinct``; the cuts at and after a row's last value leave no
+    samples on the right, which the kinds' count rules reject.
+    """
+    lens = np.array([node.rows.size for node, _ in rows])
+    mask = np.arange(lens.max()) < lens[:, None]
+    flat = X[np.concatenate([node.rows for node, _ in rows]), np.repeat([f for _, f in rows], lens)]
+    order = np.argsort(_layout(flat, mask, np.inf), axis=1, kind="stable")
+    # the padding sorts last, so sorted position j < lens[r] of row r holds
+    # the row's own value number order[r, j]
+    src = np.where(mask, (np.cumsum(lens) - lens)[:, None] + order, flat.size)
+    del order, mask
+
+    def sort(values: np.ndarray, fill) -> np.ndarray:
+        return np.append(values, fill)[src]
+
+    vs = sort(flat, np.inf)
+    del flat
+    thresholds = 0.5 * (vs[:, :-1] + vs[:, 1:])
+    distinct = vs[:, 1:] > vs[:, :-1]
+    del vs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = block_gains(rows, lens, sort, distinct, thresholds)
+    return gains, thresholds
+
+
+def _pick(
+    batch: list, gains: np.ndarray, thresholds: np.ndarray, exact_gain: Callable, out: list
+) -> None:
+    """Choose the split of each (slot, node) in ``batch`` from its rows' gains.
+
+    The rows of ``gains`` are each node's features in ascending order.
+    Candidates whose float gain is within ``_GAIN_NOISE * scale**2 *
+    weight`` of the node's best are re-scored with ``exact_gain(node, f,
+    threshold)``, so that the tie rule (lowest feature index, then lowest
+    threshold) and the strict gain > 0 rule apply to exact values.
+    """
+    counts = [len(node.features) for _, node in batch]
+    starts = np.cumsum([0] + counts[:-1])
+    # fmax: a feature whose float gains hold a NaN does not set the best
+    node_best = np.fmax.reduceat(gains.max(axis=1), starts).tolist()
+    cutoffs = []
+    for (_, node), g_star in zip(batch, node_best):
+        tol = _GAIN_NOISE * node.scale * node.scale * node.weight
+        if g_star == -math.inf:
+            cutoffs.append(math.inf)  # no admissible candidate
+        elif g_star > tol:
+            cutoffs.append(g_star - (tol + 1e-9 * g_star))
+        else:
+            # everything valid may be an exact tie with zero; a NaN best
+            # (every admissible float gain is NaN) re-checks them all too
+            cutoffs.append(-math.inf)
 
     # Distinct candidates can share a partition (e.g. a duplicated or mirrored
     # column), making their gains mathematically equal while the float values
     # differ in the last bits.  The documented tie rule therefore needs exact
     # arithmetic for candidates whose float gains are within summation error
     # of the max.
-    tol = _GAIN_NOISE * scale * scale * weight
-    if g_star <= tol:
-        cutoff = -np.inf  # everything valid may be an exact tie with zero
-    else:
-        cutoff = g_star - (tol + 1e-9 * g_star)
-    near = []
-    for f, thresholds, gains in per_feature:
-        for k in np.nonzero(gains > cutoff)[0]:
-            near.append((f, float(thresholds[k])))
-    if cutoff > -np.inf and len(near) == 1:
-        return Split(near[0][0], near[0][1], g_star)
+    near: list[list] = [[] for _ in batch]
+    node_of_row = np.repeat(np.arange(len(batch)), counts).tolist()
+    feature_of_row = [f for _, node in batch for f in node.features]
+    flat = np.flatnonzero(gains > np.repeat(cutoffs, counts)[:, None])
+    for r, k in zip(*(a.tolist() for a in np.divmod(flat, gains.shape[1]))):
+        near[node_of_row[r]].append((feature_of_row[r], float(thresholds[r, k])))
 
-    best = None
-    best_exact = Fraction(0)  # strict > 0 required to split at all
-    for f, thr in near:
-        exact = exact_gain(X[rows, f], thr)
-        if exact > best_exact:
-            best_exact = exact
-            best = Split(f, thr, float(exact))
-    return best
+    for (slot, node), g_star, cutoff, cands in zip(batch, node_best, cutoffs, near):
+        if cutoff > -math.inf and len(cands) == 1:
+            out[slot] = Split(cands[0][0], cands[0][1], g_star)
+            continue
+        best = None
+        best_exact = Fraction(0)  # strict > 0 required to split at all
+        for f, thr in cands:
+            exact = exact_gain(node, f, thr)
+            if exact > best_exact:
+                best_exact = exact
+                best = Split(f, thr, float(exact))
+        out[slot] = best
 
 
-def _search_split(
-    split: _Half,
-    est: _Half,
-    s_idx: np.ndarray,
-    e_idx: np.ndarray,
-    min_group_leaf: int,
-) -> Optional[Split]:
-    """Best effect-contrast cut of the split half's rows ``s_idx``.
+def _best_cuts(
+    X: np.ndarray, nodes: list, block_gains: Callable, exact_gain: Callable
+) -> list[Optional[Split]]:
+    """Best admissible cut of each of the independent ``nodes``, or None.
 
-    Group counts on the estimation side are obtained by binary search over
-    each group's sorted feature values.
+    Split search shared by the causal tree and the CART baselines.  A node
+    has ``rows`` (indices into ``X``, in the order that breaks value ties),
+    ascending ``features``, ``scale`` and ``weight`` (the near-tie window),
+    and ``cost``, the elements one of its rows takes in a block.  Candidate
+    thresholds sit at midpoints of consecutive distinct values of
+    ``X[rows, f]``.  Nodes are packed, whole and smallest first, into blocks
+    of about ``_BLOCK_CAP`` elements, and each block is sorted and scored in
+    a few numpy calls.
     """
-    m = min_group_leaf
-    y = split.y[s_idx]
-    g = split.g[s_idx]
-    n = s_idx.size
-    n1 = int(np.count_nonzero(g))
-    n0 = n - n1
+    out: list[Optional[Split]] = [None] * len(nodes)
+    batch: list = []
+    n_rows = 0
 
-    e_g = est.g[e_idx]
-    e1_rows = e_idx[e_g]
-    e0_rows = e_idx[~e_g]
-    n1e = e1_rows.size
-    n0e = e0_rows.size
-    if n1 < 2 * m or n0 < 2 * m or n1e < 2 * m or n0e < 2 * m:
+    def flush() -> None:
+        rows = [(node, f) for _, node in batch for f in node.features]
+        _pick(batch, *_score_block(X, rows, block_gains), exact_gain, out)
+
+    for slot in sorted(range(len(nodes)), key=lambda i: nodes[i].cost):
+        node = nodes[slot]
+        k = len(node.features)
+        if k * node.cost > _BLOCK_CAP:
+            gains = np.empty((k, node.rows.size - 1))
+            thresholds = np.empty_like(gains)
+            for j, f in enumerate(node.features):
+                gains[j], thresholds[j] = _score_block(X, [(node, f)], block_gains)
+            _pick([(slot, node)], gains, thresholds, exact_gain, out)
+            continue
+        if (n_rows + k) * node.cost > _BLOCK_CAP:
+            flush()
+            batch, n_rows = [], 0
+        batch.append((slot, node))
+        n_rows += k
+    if batch:
+        flush()
+    return out
+
+
+class _EffectNode:
+    """A causal-tree node awaiting its split search."""
+
+    __slots__ = (
+        "rows", "e_rows", "features", "g", "yc", "scale", "n1", "n0", "n1e", "n0e", "cost",
+    )
+    weight = 1
+
+
+def _effect_node(
+    split: _Half, est: _Half, s_idx: np.ndarray, e_idx: np.ndarray, m: int
+) -> Optional[_EffectNode]:
+    """The node over split rows ``s_idx`` and estimation rows ``e_idx``, or
+    None when no cut can be admissible or have a gain above zero."""
+    node = _EffectNode()
+    y = split.y[s_idx]
+    node.g = g = split.g[s_idx]
+    node.n1 = int(np.count_nonzero(g))
+    node.n0 = s_idx.size - node.n1
+    node.n1e = int(np.count_nonzero(est.g[e_idx]))
+    node.n0e = e_idx.size - node.n1e
+    if min(node.n1, node.n0, node.n1e, node.n0e) < 2 * m:
         return None  # no candidate can leave m of each group on both sides
-    if y.max() == y.min():
+    if np.maximum.reduce(y) == np.minimum.reduce(y):
         return None  # constant outcomes: every contrast is exactly zero
     # centering leaves every tau_L - tau_R contrast unchanged but keeps the
     # prefix-sum arithmetic well conditioned for offset-heavy outcomes
-    yc = y - np.mean(y)
-    scale = float(np.max(np.abs(yc)))
+    y -= _mean(y)
+    node.yc = y
+    node.scale = float(max(np.maximum.reduce(y), -np.minimum.reduce(y)))
+    node.rows = s_idx
+    node.e_rows = e_idx
+    node.features = range(split.X.shape[1])
+    node.cost = s_idx.size + e_idx.size
+    return node
 
-    def gains_at(f, order, cuts, thresholds):
-        gs = g[order]
-        ys = yc[order]
-        c1 = np.cumsum(gs)[cuts]
-        c0 = (cuts + 1) - c1
-        s1_all = np.cumsum(np.where(gs, ys, 0.0))
-        s0_all = np.cumsum(np.where(gs, 0.0, ys))
-        s1 = s1_all[cuts]
-        s0 = s0_all[cuts]
-        S1 = s1_all[-1]
-        S0 = s0_all[-1]
 
-        n1r = n1 - c1
-        n0r = n0 - c0
-        valid = (c1 >= m) & (c0 >= m) & (n1r >= m) & (n0r >= m)
+def _estimation_counts(est: _Half, rows: list, thresholds: np.ndarray) -> list:
+    """Estimation rows of each group, individual then control, with a value
+    below each threshold.
 
-        c1e = np.searchsorted(np.sort(est.X[e1_rows, f]), thresholds, side="left")
-        c0e = np.searchsorted(np.sort(est.X[e0_rows, f]), thresholds, side="left")
+    A batched ``searchsorted(side="left")``: a row's thresholds and its
+    node's sorted estimation values of the group are sorted together,
+    thresholds first, so a threshold lands before the values equal to it.
+    Both parts are ascending runs, which a stable sort merges in linear
+    time, and the thresholds keep their order, so the k-th found is column
+    k.
+    """
+    n_rows, width = thresholds.shape
+    e_rows = [node.e_rows for node, _ in rows]
+    lens = np.array([part.size for part in e_rows])
+    flat = np.concatenate(e_rows)
+    row_of = np.repeat(np.arange(n_rows), lens)
+    values = est.X[flat, np.repeat([f for _, f in rows], lens)]
+    ind = est.g[flat]
+    counts = []
+    for group in (ind, ~ind):
+        group_lens = np.bincount(row_of[group], minlength=n_rows)
+        mask = np.arange(group_lens.max()) < group_lens[:, None]
+        merged = np.concatenate(
+            [thresholds, np.sort(_layout(values[group], mask, np.inf), axis=1)], axis=1
+        )
+        order = np.argsort(merged, axis=1, kind="stable")
+        del merged
+        found = np.flatnonzero(order < width).reshape(n_rows, width)
+        counts.append(found - (np.arange(n_rows) * order.shape[1])[:, None] - np.arange(width))
+    return counts
+
+
+def _effect_gains(est: _Half, m: int) -> Callable:
+    """Block scorer of the effect contrast (see the module docstring)."""
+
+    def block_gains(rows, lens, sort, distinct, thresholds):
+        nodes = [node for node, _ in rows]
+        gs = sort(np.concatenate([nd.g for nd in nodes]), False)
+        ys = sort(np.concatenate([nd.yc for nd in nodes]), 0.0)
+        s1_all = np.cumsum(np.where(gs, ys, 0.0), axis=1)
+        s0_all = np.cumsum(np.where(gs, 0.0, ys), axis=1)
+        c1 = np.cumsum(gs, axis=1)[:, :-1]
+        del gs, ys
+        last = np.arange(len(rows)), lens - 1
+        S1 = s1_all[last][:, None]
+        S0 = s0_all[last][:, None]
+        s1 = s1_all[:, :-1]
+        s0 = s0_all[:, :-1]
+        c0 = np.arange(1, c1.shape[1] + 1) - c1
+        n1r = np.array([nd.n1 for nd in nodes])[:, None] - c1
+        n0r = np.array([nd.n0 for nd in nodes])[:, None] - c0
+        valid = distinct & (c1 >= m) & (c0 >= m) & (n1r >= m) & (n0r >= m)
+
+        c1e, c0e = _estimation_counts(est, rows, thresholds)
+        n1e = np.array([nd.n1e for nd in nodes])[:, None]
+        n0e = np.array([nd.n0e for nd in nodes])[:, None]
         valid &= (c1e >= m) & (n1e - c1e >= m) & (c0e >= m) & (n0e - c0e >= m)
-        if not valid.any():
-            return None
+        del c1e, c0e
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau_l = s1 / c1 - s0 / c0
-            tau_r = (S1 - s1) / n1r - (S0 - s0) / n0r
-            n_l = cuts + 1.0
-            n_r = n - n_l
-            gains = (n_l * n_r) / float(n * n) * (tau_l - tau_r) ** 2
+        tau_l = s1 / c1 - s0 / c0
+        tau_r = (S1 - s1) / n1r - (S0 - s0) / n0r
+        n = lens[:, None]
+        n_l = np.arange(1.0, c1.shape[1] + 1)
+        n_r = n - n_l
+        gains = (n_l * n_r) / (n * n).astype(np.float64) * (tau_l - tau_r) ** 2
         return np.where(valid, gains, -np.inf)
 
-    return _best_cut(
-        split.X,
-        s_idx,
-        range(split.X.shape[1]),
-        gains_at,
-        lambda v, thr: _exact_effect_gain(v, g, y, thr),
-        scale,
-        1,
-    )
+    return block_gains
+
+
+def _dyadic(y: np.ndarray) -> tuple[list[int], int]:
+    """Integers ``k`` and an exponent ``e`` with ``y[i] == k[i] * 2**e`` exactly.
+
+    Every float is a dyadic rational: frexp's mantissa times 2**53 is an
+    integer, and a common exponent shifts each onto one denominator.
+    """
+    mant, exp = np.frexp(y)
+    ks = (mant * 2.0**53).astype(np.int64)
+    exp = exp.astype(np.int64) - 53
+    nonzero = ks != 0
+    e = int(exp[nonzero].min()) if nonzero.any() else 0
+    shifts = np.where(nonzero, exp - e, 0)
+    return [k << s for k, s in zip(ks.tolist(), shifts.tolist())], e
+
+
+def _times_4_pow(x: Fraction, e: int) -> Fraction:
+    """``x * 2**(2*e)``, exactly."""
+    return x * (1 << 2 * e) if e >= 0 else x / (1 << -2 * e)
 
 
 def _exact_effect_gain(v: np.ndarray, g: np.ndarray, y: np.ndarray, thr: float) -> Fraction:
-    """Candidate gain in exact rational arithmetic (ties and near-zero cases)."""
+    """Candidate gain in exact rational arithmetic (ties and near-zero cases).
+
+    Outcomes are summed as integers over one power-of-two denominator.
+    """
+    ks, e = _dyadic(y)
     left = v < thr
-    sums = {(True, True): Fraction(0), (True, False): Fraction(0),
-            (False, True): Fraction(0), (False, False): Fraction(0)}
-    counts = {k: 0 for k in sums}
-    for i in range(v.size):
-        key = (bool(left[i]), bool(g[i]))
-        sums[key] += Fraction(float(y[i]))
-        counts[key] += 1
-    tau_l = sums[(True, True)] / counts[(True, True)] - sums[(True, False)] / counts[(True, False)]
-    tau_r = sums[(False, True)] / counts[(False, True)] - sums[(False, False)] / counts[(False, False)]
-    n_l = counts[(True, True)] + counts[(True, False)]
-    n_r = counts[(False, True)] + counts[(False, False)]
+    sums, counts = [], []
+    for side in (left & g, left & ~g, ~left & g, ~left & ~g):
+        sums.append(sum(compress(ks, side.tolist())))
+        counts.append(int(np.count_nonzero(side)))
+    tau_l = Fraction(sums[0], counts[0]) - Fraction(sums[1], counts[1])
+    tau_r = Fraction(sums[2], counts[2]) - Fraction(sums[3], counts[3])
+    n_l = counts[0] + counts[1]
+    n_r = counts[2] + counts[3]
     n = n_l + n_r
-    return Fraction(n_l * n_r, n * n) * (tau_l - tau_r) ** 2
+    return _times_4_pow(Fraction(n_l * n_r, n * n) * (tau_l - tau_r) ** 2, e)
 
 
 def best_split(
@@ -348,12 +505,26 @@ def best_split(
     """Best admissible cut of the split half, or None when no candidate has gain > 0."""
     validate_dataset(split_samples, require_both_groups=True)
     validate_dataset(estimation_samples, require_both_groups=True)
-    return _search_split(
-        _Half(split_samples),
-        _Half(estimation_samples),
+    split = _Half(split_samples)
+    est = _Half(estimation_samples)
+    node = _effect_node(
+        split,
+        est,
         np.arange(len(split_samples)),
         np.arange(len(estimation_samples)),
         params.min_group_leaf,
+    )
+    if node is None:
+        return None
+    return _best_cuts(
+        split.X, [node], _effect_gains(est, params.min_group_leaf), _exact_effect(split)
+    )[0]
+
+
+def _exact_effect(split: _Half) -> Callable:
+    """``exact_gain(node, f, threshold)`` of a causal node's cut, for :func:`_best_cuts`."""
+    return lambda node, f, thr: _exact_effect_gain(
+        split.X[node.rows, f], node.g, split.y[node.rows], thr
     )
 
 
@@ -366,6 +537,10 @@ def grow_causal_tree(
     means and counts come from ``estimation_half`` only.  Exposed separately
     from :func:`fit_causal_tree` so the halves can be controlled directly
     (e.g. to check that estimation-side outcomes cannot steer structure).
+
+    The tree draws no random numbers, so it grows breadth-first: each
+    depth's nodes are searched in one batch.  Leaf ids follow the
+    left-to-right order of the leaves.
     """
     for name, half in (("split", split_half), ("estimation", estimation_half)):
         n_ctl, n_ind = validate_dataset(half, require_both_groups=True)
@@ -377,24 +552,37 @@ def grow_causal_tree(
 
     split = _Half(split_half)
     est = _Half(estimation_half)
-    counter = iter(range(1 << 30))
+    m = params.min_group_leaf
+    gains = _effect_gains(est, m)
+    exact = _exact_effect(split)
+    records: list = [None]
+    level = [(0, np.arange(len(split_half)), np.arange(len(estimation_half)))]
+    depth = 0
+    while level:
+        searched = []
+        for i, s_idx, e_idx in level:
+            node = _effect_node(split, est, s_idx, e_idx, m) if depth < params.max_depth else None
+            if node is None:
+                records[i] = leaf_estimate(estimation_half.subset(e_idx))
+            else:
+                searched.append((i, node))
+        cuts = _best_cuts(split.X, [node for _, node in searched], gains, exact)
+        level = []
+        for (i, node), cut in zip(searched, cuts):
+            if cut is None:
+                records[i] = leaf_estimate(estimation_half.subset(node.e_rows))
+                continue
+            s_left = split.X[node.rows, cut.feature_index] < cut.threshold
+            e_left = est.X[node.e_rows, cut.feature_index] < cut.threshold
+            left = len(records)
+            records += [None, None]
+            records[i] = _Fork(cut, left, left + 1)
+            level.append((left, node.rows[s_left], node.e_rows[e_left]))
+            level.append((left + 1, node.rows[~s_left], node.e_rows[~e_left]))
+        depth += 1
 
-    def build(s_idx: np.ndarray, e_idx: np.ndarray, depth: int) -> TreeNode:
-        cut = None
-        if depth < params.max_depth:
-            cut = _search_split(split, est, s_idx, e_idx, params.min_group_leaf)
-        if cut is None:
-            stats = leaf_estimate(estimation_half.subset(e_idx))
-            return Leaf(next(counter), *stats)
-        s_left = split.X[s_idx, cut.feature_index] < cut.threshold
-        e_left = est.X[e_idx, cut.feature_index] < cut.threshold
-        left = build(s_idx[s_left], e_idx[e_left], depth + 1)
-        right = build(s_idx[~s_left], e_idx[~e_left], depth + 1)
-        return Internal(cut, left, right)
-
-    root = build(
-        np.arange(len(split_half)), np.arange(len(estimation_half)), 0
-    )
+    leaf_ids = count()
+    root = _assemble(records, lambda stats: Leaf(next(leaf_ids), *stats))
     return CausalTree(root=root, params=params)
 
 

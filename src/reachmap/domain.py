@@ -252,16 +252,11 @@ def stratified_honest_split(
             raise DegenerateSplit(f"estimation half would have no {g.name} samples")
         quotas[int(g)] = q
 
-    taken = {0: 0, 1: 0}
-    split_idx, est_idx = [], []
-    for i in shuffled:
-        g = int(d.groups[i])
-        if taken[g] < quotas[g]:
-            taken[g] += 1
-            split_idx.append(i)
-        else:
-            est_idx.append(i)
-    return d.subset(np.array(split_idx)), d.subset(np.array(est_idx))
+    # the first quotas[g] rows of each group, in shuffled order, form the split half
+    ind = d.groups[shuffled] == int(GroupLabel.INDIVIDUAL)
+    rank = np.where(ind, np.cumsum(ind), np.cumsum(~ind)) - 1
+    take = rank < np.where(ind, quotas[int(GroupLabel.INDIVIDUAL)], quotas[int(GroupLabel.CONTROL)])
+    return d.subset(shuffled[take]), d.subset(shuffled[~take])
 
 
 def _format_float(v: float) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import fields
 from typing import Any, Union
 
@@ -163,7 +164,13 @@ def _num(obj: dict, key: str, path: str) -> float:
     v = _get(obj, key, path)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise MalformedModel(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond float range
+        x = math.inf
+    if not math.isfinite(x):  # json.loads accepts NaN and +-Infinity
+        raise MalformedModel(f"{path}.{key}", f"expected a finite number, got {v!r}")
+    return x
 
 
 def _int(obj: dict, key: str, path: str) -> int:
@@ -239,10 +246,12 @@ def _tree_from_dict(d: dict, path: str) -> CausalTree:
 def _float_array(v: Any, path: str, ndim: int) -> np.ndarray:
     try:
         arr = np.array(v, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MalformedModel(path, "expected a numeric array") from None
     if arr.ndim != ndim:
         raise MalformedModel(path, f"expected a {ndim}-d array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise MalformedModel(path, "expected finite numbers")
     return arr
 
 

@@ -1,0 +1,115 @@
+"""Batched growth grows the same trees as one-node-at-a-time growth.
+
+The reference growers in ``reference_growers`` search one node at a time,
+depth-first, with a ``Fraction`` per element in the exact re-check.  The
+library scores many nodes per numpy pass: causal trees and CARTs
+breadth-first, t_forest members in lockstep.  Every model must serialize to
+the same text, and the integer exact gains must equal the ``Fraction`` ones.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_growers as ref
+from conftest import random_dataset, tied_dataset
+from reachmap import (
+    CartSpec,
+    CausalTreeParams,
+    ForestSpec,
+    fit_causal_forest,
+    fit_causal_tree,
+    fit_t_learner,
+    serialize_model,
+)
+from reachmap.baselines import _LOCKSTEP, _exact_sse_gain
+from reachmap.causal_tree import _BLOCK_CAP, _exact_effect_gain
+
+KINDS = ("causal_tree", "causal_forest", "t_cart", "t_forest")
+
+
+def assert_same_model(kind, d, seed, max_depth, min_leaf, n_trees=3, mtry=2):
+    if kind in ("causal_tree", "causal_forest"):
+        p = CausalTreeParams(max_depth=max_depth, min_group_leaf=min_leaf, seed=seed)
+        if kind == "causal_tree":
+            new, old = fit_causal_tree(d, p), ref.fit_causal_tree(d, p)
+        else:
+            new = fit_causal_forest(d, p, n_trees, 0.7)
+            old = ref.fit_causal_forest(d, p, n_trees, 0.7)
+    else:
+        if kind == "t_cart":
+            spec = CartSpec(max_depth=max_depth, min_leaf=min_leaf, seed=seed)
+        else:
+            spec = ForestSpec(
+                n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                features_per_split=mtry, seed=seed,
+            )
+        new, old = fit_t_learner(d, spec), ref.fit_t_learner(d, spec)
+    assert serialize_model(new) == serialize_model(old)
+
+
+class TestSameModels:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_dataset(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        d = random_dataset(rng, int(rng.integers(40, 160)), int(rng.integers(40, 160)), effect=0.4)
+        assert_same_model(
+            kind, d, seed, max_depth=3 + seed, min_leaf=1 + seed,
+            n_trees=3 + seed, mtry=1 + seed,
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=tied_dataset(st.integers(20, 50), st.integers(20, 50)),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**31),
+        max_depth=st.integers(3, 6),
+        min_leaf=st.integers(1, 3),
+        n_trees=st.integers(3, 7),
+        mtry=st.integers(1, 4),
+    )
+    def test_tied_dataset(self, d, kind, seed, max_depth, min_leaf, n_trees, mtry):
+        assert_same_model(kind, d, seed, max_depth, min_leaf, n_trees, mtry)
+
+    @pytest.mark.parametrize("kind", ["causal_tree", "t_cart"])
+    def test_nodes_too_large_for_one_block(self, kind):
+        # the root's rows together exceed the block budget and are scored one by one
+        n = _BLOCK_CAP // 2
+        d = random_dataset(np.random.default_rng(5), n, n, effect=0.3)
+        assert_same_model(kind, d, 5, max_depth=4, min_leaf=5)
+
+    def test_forest_over_several_lockstep_groups(self):
+        d = random_dataset(np.random.default_rng(6), 60, 60, effect=0.3)
+        assert_same_model("t_forest", d, 6, max_depth=4, min_leaf=2, n_trees=_LOCKSTEP + 3)
+
+
+# Outcomes whose exact sums need many bits: large offsets with small
+# differences, magnitudes far apart, and values near the bottom of the range.
+outcome = st.one_of(
+    st.floats(0.5, 4.0),
+    st.floats(1e6, 1e6 + 1.0),
+    st.floats(1e-12, 1e-9),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300]),
+)
+
+
+@st.composite
+def cut_sample(draw):
+    """Values, groups, outcomes and threshold 1.5; each (side, group) cell is occupied."""
+    extra = draw(st.integers(0, 40))
+    v = np.array([0.0, 0.0, 3.0, 3.0] + draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=extra, max_size=extra)))
+    g = np.array([True, False, True, False] + draw(st.lists(st.booleans(), min_size=extra, max_size=extra)))
+    y = np.array(draw(st.lists(outcome, min_size=v.size, max_size=v.size)))
+    return v, g, y
+
+
+class TestExactGains:
+    @settings(max_examples=200, deadline=None)
+    @given(sample=cut_sample())
+    def test_integer_sums_equal_fraction_reference(self, sample):
+        v, g, y = sample
+        assert _exact_sse_gain(v, y, 1.5) == ref.exact_sse_gain(v, y, 1.5)
+        assert _exact_effect_gain(v, g, y, 1.5) == ref.exact_effect_gain(v, g, y, 1.5)

@@ -177,6 +177,37 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: MalformedModel:")
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("causal_tree", "threshold", float("nan")),
+            ("causal_tree", "tau_hat", float("inf")),
+            ("t_knn", "outcomes", float("-inf")),
+            ("causal_tree", "threshold", 10**400),  # an integer beyond float range
+        ],
+        ids=["nan-threshold", "inf-tau_hat", "neg-inf-knn-outcome", "huge-int-threshold"],
+    )
+    def test_non_finite_model_number(self, workdir, capsys, kind, field, value):
+        data, model = workdir / "d.csv", workdir / "m.json"
+        run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 60, "--n1", 60,
+             "--seed", 1, "--out", data])
+        run(["fit", "--data", data, "--model", kind, "--seed", 1, "--out", model])
+        doc = json.loads(model.read_text())
+        if kind == "t_knn":
+            doc["model_control"]["outcomes"][0] = value
+        else:
+            node = doc["root"]
+            while field not in node:  # the leftmost leaf holds tau_hat
+                node = node["left"]
+            node[field] = value
+        model.write_text(json.dumps(doc))  # writes NaN, Infinity, -Infinity
+        capsys.readouterr()
+        code = run(["predict", "--model", model, "--x", 0.1, "--y", 0.2, "--z", 0.1])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedModel:")
+        assert "\n" not in err.strip()
+
     def test_malformed_dgp_config(self, workdir, capsys):
         cfg = workdir / "bad.cfg"
         cfg.write_text("effect_preset = haunted\n")

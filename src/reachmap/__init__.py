@@ -15,8 +15,6 @@ from .baselines import (
     TLearner,
     fit_base_regressor,
     fit_t_learner,
-    predict_base,
-    predict_t_learner,
 )
 from .causal_tree import (
     CausalForest,
@@ -31,7 +29,6 @@ from .causal_tree import (
     fit_causal_tree,
     grow_causal_tree,
     leaf_estimate,
-    predict_tau,
 )
 from .domain import (
     FEATURE_NAMES,

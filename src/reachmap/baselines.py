@@ -28,12 +28,13 @@ from .causal_tree import (
     _assemble,
     _best_cuts,
     _dyadic,
+    _feature_rows,
     _Fork,
+    _leaf_values,
     _mean,
-    _route,
     _times_4_pow,
 )
-from .domain import Dataset, GroupLabel, TaskFeatures, canonical_order, validate_dataset
+from .domain import Dataset, GroupLabel, canonical_order, validate_dataset
 from .errors import EmptyDataset, InsufficientSamples
 
 N_FEATURES = 4
@@ -230,8 +231,8 @@ class CartRegressor:
     root: RegNode
     spec: CartSpec
 
-    def predict(self, p: TaskFeatures) -> float:
-        return _route(self.root, p.as_array()).value
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return _leaf_values(self.root, _feature_rows(X), "value")
 
 
 @dataclass(frozen=True)
@@ -239,9 +240,13 @@ class ForestRegressor:
     roots: tuple[RegNode, ...]
     spec: ForestSpec
 
-    def predict(self, p: TaskFeatures) -> float:
-        v = p.as_array()
-        return sum(_route(root, v).value for root in self.roots) / len(self.roots)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Mean member prediction at each row of ``X``, summed in member order."""
+        X = _feature_rows(X)
+        total = np.zeros(X.shape[0])
+        for root in self.roots:
+            total += _leaf_values(root, X, "value")
+        return total / len(self.roots)
 
 
 @dataclass(frozen=True)
@@ -259,13 +264,15 @@ class KnnRegressor:
     shift: np.ndarray
     scale: np.ndarray
 
-    def predict(self, p: TaskFeatures) -> float:
-        q = (p.as_array() - self.shift) / self.scale
-        diff = self.features - q
-        d2 = np.einsum("ij,ij->i", diff, diff)
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        Q = (_feature_rows(X) - self.shift) / self.scale
         k = min(self.spec.k, self.outcomes.size)
-        order = np.lexsort((np.arange(d2.size), d2))[:k]
-        return float(np.mean(self.outcomes[order]))
+        out = np.empty(Q.shape[0])
+        for i, q in enumerate(Q):  # batched distances would hold an (m, n, 4) temporary
+            diff = self.features - q
+            d2 = np.einsum("ij,ij->i", diff, diff)
+            out[i] = np.mean(self.outcomes[np.lexsort((np.arange(d2.size), d2))[:k]])
+        return out
 
 
 Regressor = Union[CartRegressor, ForestRegressor, KnnRegressor]
@@ -319,10 +326,6 @@ def fit_base_regressor(spec: RegressorSpec, data: Dataset) -> Regressor:
     raise TypeError(f"unknown regressor spec {type(spec).__name__}")
 
 
-def predict_base(r: Regressor, p: TaskFeatures) -> float:
-    return r.predict(p)
-
-
 @dataclass(frozen=True)
 class TLearner:
     """Two per-group regressors; the effect estimate is their prediction gap."""
@@ -331,8 +334,9 @@ class TLearner:
     model_control: Regressor
     spec: RegressorSpec
 
-    def predict(self, p: TaskFeatures) -> DifficultyEstimate:
-        return predict_t_learner(self, p)
+    def predict(self, X: np.ndarray) -> DifficultyEstimate:
+        tau = self.model_individual.predict(X) - self.model_control.predict(X)
+        return DifficultyEstimate(tau, None)
 
 
 def _side_seeds(seed: int) -> tuple[int, int]:
@@ -352,8 +356,3 @@ def fit_t_learner(d: Dataset, spec: RegressorSpec) -> TLearner:
         replace(spec, seed=ind_seed), d.restrict_to_group(GroupLabel.INDIVIDUAL)
     )
     return TLearner(model_individual, model_control, spec)
-
-
-def predict_t_learner(t: TLearner, p: TaskFeatures) -> DifficultyEstimate:
-    tau = predict_base(t.model_individual, p) - predict_base(t.model_control, p)
-    return DifficultyEstimate(tau, None)

@@ -32,7 +32,6 @@ from .domain import (
     FEATURE_NAMES,
     Dataset,
     GroupLabel,
-    TaskFeatures,
     canonical_order,
     stratified_honest_split,
     validate_dataset,
@@ -93,14 +92,15 @@ TreeNode = Union[Internal, Leaf]
 
 @dataclass(frozen=True)
 class DifficultyEstimate:
-    """Estimated extra seconds relative to the control baseline at one task point.
+    """Estimated extra seconds relative to the control baseline at m task points.
 
-    ``leaf_id`` identifies the partition cell for tree models and is None for
+    ``tau_hat`` is an (m,) float64 array.  ``leaf_id``, an (m,) integer array,
+    identifies each point's partition cell for tree models and is None for
     ensembles and T-learners, which have no single leaf assignment.
     """
 
-    tau_hat: float
-    leaf_id: Optional[int]
+    tau_hat: np.ndarray
+    leaf_id: Optional[np.ndarray]
 
 
 class LeafStats(NamedTuple):
@@ -138,8 +138,15 @@ class CausalTree:
     params: CausalTreeParams
     feature_names: tuple[str, str, str, str] = FEATURE_NAMES
 
-    def predict(self, p: TaskFeatures) -> DifficultyEstimate:
-        return predict_tau(self, p)
+    def predict(self, X: np.ndarray) -> DifficultyEstimate:
+        """Route each row of the (m, 4) ``X`` to its leaf and return its effect."""
+        X = _feature_rows(X)
+        tau = np.empty(X.shape[0])
+        leaf_id = np.empty(X.shape[0], dtype=np.int64)
+        for leaf, rows in _route(self.root, X):
+            tau[rows] = leaf.tau_hat
+            leaf_id[rows] = leaf.leaf_id
+        return DifficultyEstimate(tau, leaf_id)
 
     def leaves(self) -> Iterator[Leaf]:
         stack: list[TreeNode] = [self.root]
@@ -599,24 +606,39 @@ def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
     return grow_causal_tree(split_half, estimation_half, params)
 
 
-def _route(root, v: np.ndarray):
-    """The leaf that feature vector ``v`` reaches: value < threshold goes left.
+def _feature_rows(X) -> np.ndarray:
+    """``X`` as an (m, 4) float64 array in FEATURE_NAMES order; ValueError otherwise."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(FEATURE_NAMES):
+        raise ValueError(f"expected an (m, {len(FEATURE_NAMES)}) feature array, got shape {X.shape}")
+    return X
+
+
+def _route(root, X: np.ndarray) -> Iterator[tuple]:
+    """(leaf, row indices) for each leaf that rows of ``X`` reach: value < threshold goes left.
 
     Walks causal and CART trees alike; both share the ``Internal`` node type.
+    A stack, not recursion: a loaded tree may nest past the recursion limit.
     """
-    node = root
-    while isinstance(node, Internal):
-        if v[node.split.feature_index] < node.split.threshold:
-            node = node.left
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if not rows.size:
+            continue
+        if isinstance(node, Internal):
+            left = X[rows, node.split.feature_index] < node.split.threshold
+            stack.append((node.right, rows[~left]))
+            stack.append((node.left, rows[left]))
         else:
-            node = node.right
-    return node
+            yield node, rows
 
 
-def predict_tau(tree: CausalTree, p: TaskFeatures) -> DifficultyEstimate:
-    """Route a point to its leaf and return its effect."""
-    leaf = _route(tree.root, p.as_array())
-    return DifficultyEstimate(leaf.tau_hat, leaf.leaf_id)
+def _leaf_values(root, X: np.ndarray, name: str) -> np.ndarray:
+    """The float field ``name`` of the leaf each row of ``X`` reaches."""
+    out = np.empty(X.shape[0])
+    for leaf, rows in _route(root, X):
+        out[rows] = getattr(leaf, name)
+    return out
 
 
 @dataclass(frozen=True)
@@ -628,11 +650,12 @@ class CausalForest:
     n_trees: int
     subsample_ratio: float
 
-    def predict(self, p: TaskFeatures) -> DifficultyEstimate:
-        v = p.as_array()
-        total = 0.0
+    def predict(self, X: np.ndarray) -> DifficultyEstimate:
+        """Mean member effect at each row of the (m, 4) ``X``, summed in member order."""
+        X = _feature_rows(X)
+        total = np.zeros(X.shape[0])
         for t in self.trees:
-            total += _route(t.root, v).tau_hat
+            total += _leaf_values(t.root, X, "tau_hat")
         return DifficultyEstimate(total / len(self.trees), None)
 
 

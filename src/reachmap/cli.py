@@ -215,9 +215,9 @@ def run_command(cmd: Command) -> int:
 
     if isinstance(cmd, Predict):
         model = load_model(cmd.model)
-        est = model.predict(features_from_xyz(cmd.x, cmd.y, cmd.z))
-        leaf = "none" if est.leaf_id is None else str(est.leaf_id)
-        print(f"tau_hat_s={est.tau_hat:.9f} leaf_id={leaf}")
+        est = model.predict(features_from_xyz(cmd.x, cmd.y, cmd.z).as_array()[None, :])
+        leaf = "none" if est.leaf_id is None else str(est.leaf_id[0])
+        print(f"tau_hat_s={est.tau_hat[0]:.9f} leaf_id={leaf}")
         return 0
 
     if isinstance(cmd, Bench):

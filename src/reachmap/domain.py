@@ -290,34 +290,42 @@ def dataset_from_csv(text: str) -> Dataset:
     Strict: the header must match exactly, every cell must be present and
     parseable, blanks are rejected (no missing-value handling), group must be
     0 or 1.  Offending rows raise InvalidSample with their zero-based sample
-    index.
+    index (-1 for the header).  Lines may end in LF, CRLF or a bare CR.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDataset("CSV has no header") from None
-    if tuple(header) != CSV_HEADER:
-        raise InvalidSample(-1, f"bad header {header!r}, expected {list(CSV_HEADER)}")
+    return _parse_csv(io.StringIO(text, newline=""))
 
+
+def _parse_csv(lines: Iterable[str]) -> Dataset:
+    """The dataset in ``lines``, read as a file opened with ``newline=""``."""
+    reader = csv.reader(lines)
+    header = None
     feats, groups, outcomes = [], [], []
-    for i, row in enumerate(reader):
-        if len(row) != len(CSV_HEADER):
-            raise InvalidSample(i, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-        if any(cell.strip() == "" for cell in row):
-            raise InvalidSample(i, "blank field")
-        try:
-            x, y, z, dist = (float(row[j]) for j in range(4))
-            out = float(row[5])
-        except ValueError as e:
-            raise InvalidSample(i, f"unparseable number: {e}") from None
-        if row[4] not in ("0", "1"):
-            raise InvalidSample(i, f"group must be 0 or 1, got {row[4]!r}")
-        if not all(math.isfinite(v) for v in (x, y, z, dist, out)):
-            raise InvalidSample(i, "non-finite value")
-        feats.append((x, y, z, dist))
-        groups.append(int(row[4]))
-        outcomes.append(out)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataset("CSV has no header")
+        if tuple(header) != CSV_HEADER:
+            raise InvalidSample(-1, f"bad header {header!r}, expected {list(CSV_HEADER)}")
+        for i, row in enumerate(reader):
+            if len(row) != len(CSV_HEADER):
+                raise InvalidSample(i, f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+            if any(cell.strip() == "" for cell in row):
+                raise InvalidSample(i, "blank field")
+            try:
+                x, y, z, dist = (float(row[j]) for j in range(4))
+                out = float(row[5])
+            except ValueError as e:
+                raise InvalidSample(i, f"unparseable number: {e}") from None
+            if row[4] not in ("0", "1"):
+                raise InvalidSample(i, f"group must be 0 or 1, got {row[4]!r}")
+            if not all(math.isfinite(v) for v in (x, y, z, dist, out)):
+                raise InvalidSample(i, "non-finite value")
+            feats.append((x, y, z, dist))
+            groups.append(int(row[4]))
+            outcomes.append(out)
+    except csv.Error as e:  # e.g. a field over the csv module's size limit
+        # every row before the failing one was kept
+        raise InvalidSample(-1 if header is None else len(feats), f"unreadable CSV: {e}") from None
     if not feats:
         raise EmptyDataset("CSV has a header but no rows")
     return Dataset(
@@ -329,7 +337,7 @@ def dataset_from_csv(text: str) -> Dataset:
 
 def load_dataset_csv(path) -> Dataset:
     with open(path, "r", encoding="utf-8", newline="") as f:
-        return dataset_from_csv(f.read())
+        return _parse_csv(f)
 
 
 def save_dataset_csv(d: Dataset, path) -> None:

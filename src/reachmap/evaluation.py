@@ -23,14 +23,14 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .baselines import CartSpec, ForestSpec, KnnSpec, fit_t_learner
+from .baselines import CartSpec, ForestSpec, KnnSpec, fit_base_regressor, fit_t_learner
 from .causal_tree import (
     CausalTreeParams,
     DifficultyEstimate,
     fit_causal_forest,
     fit_causal_tree,
 )
-from .domain import Dataset, GroupLabel, TaskFeatures, canonical_order, validate_dataset
+from .domain import Dataset, GroupLabel, validate_dataset
 from .errors import (
     BenchmarkError,
     InsufficientSamples,
@@ -43,7 +43,7 @@ from .synth import DgpSpec, dgp_from_mapping, generate_dataset, sample_workspace
 
 
 class DifficultyPredictor(Protocol):
-    def predict(self, p: TaskFeatures) -> DifficultyEstimate: ...
+    def predict(self, X: np.ndarray) -> DifficultyEstimate: ...
 
 
 # --- metrics -----------------------------------------------------------------
@@ -90,33 +90,22 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> float:
     return float(2.0 * _scipy_stats.t.sf(abs(t), n - 1))
 
 
-def matched_holdout_truth(
-    holdout: Dataset, k: int = 5
-) -> list[tuple[TaskFeatures, float]]:
+def matched_holdout_truth(holdout: Dataset, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """Surrogate ground truth for datasets without a known effect.
 
     For each held-out Individual sample, the surrogate effect is its outcome
-    minus the mean outcome of its k nearest held-out Control samples (Euclidean
-    in feature space; all controls are used when fewer than k exist).  Returns
-    (features, tau) pairs in holdout order of the individual samples.
+    minus the mean outcome of its k nearest held-out Control samples: the
+    prediction of a k-nearest-neighbour regressor fit on the controls
+    (Euclidean in feature space, ties in canonical order; all controls are
+    used when fewer than k exist).  Returns the (m, 4) features and the (m,)
+    effects of the individual samples, in holdout order.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    spec = KnnSpec(k=k, seed=0)
     validate_dataset(holdout, require_both_groups=True)
     controls = holdout.restrict_to_group(GroupLabel.CONTROL)
-    order = canonical_order(controls)
-    ctl_feats = controls.features[order]
-    ctl_outcomes = controls.outcomes[order]
-    kk = min(k, len(controls))
-
-    out: list[tuple[TaskFeatures, float]] = []
-    for i in np.nonzero(holdout.groups == int(GroupLabel.INDIVIDUAL))[0]:
-        s = holdout.sample_at(int(i))
-        diff = ctl_feats - s.features.as_array()
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        nearest = np.lexsort((np.arange(d2.size), d2))[:kk]
-        out.append((s.features, s.outcome - float(np.mean(ctl_outcomes[nearest]))))
-    return out
+    individuals = holdout.restrict_to_group(GroupLabel.INDIVIDUAL)
+    nearest = fit_base_regressor(spec, controls).predict(individuals.features)
+    return individuals.features, individuals.outcomes - nearest
 
 
 # --- benchmark ---------------------------------------------------------------
@@ -199,14 +188,14 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
                 for _ in range(cfg.holdout_points)
             ]
             truth = [true_tau(cfg.dgp, p) for p in points]
+            X = np.array([(p.x, p.y, p.z, p.dist) for p in points])
         except (ReachmapError, ValueError) as e:
             raise BenchmarkError(f"run {run}: {type(e).__name__}: {e}") from e
 
         for i, entry in enumerate(cfg.models):
             try:
                 model = entry.fit(train, fit_seed)
-                preds = [model.predict(p).tau_hat for p in points]
-                per_model_r2[i].append(r_squared(truth, preds))
+                per_model_r2[i].append(r_squared(truth, model.predict(X).tau_hat))
             except (ReachmapError, ValueError) as e:
                 raise BenchmarkError(
                     f"run {run}, model {entry.name!r}: {type(e).__name__}: {e}"
@@ -297,6 +286,8 @@ def bench_config_from_json(text: str) -> BenchConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedConfig(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise MalformedConfig("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise MalformedConfig("top level must be an object")
 

@@ -23,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .causal_tree import DifficultyEstimate
-from .domain import TaskFeatures, Workspace, features_from_xyz
+from .domain import Workspace
 from .errors import (
     InvalidResolution,
     NoLeafIds,
@@ -36,21 +35,15 @@ from .evaluation import DifficultyPredictor
 
 @dataclass(frozen=True)
 class Grid:
-    """Workspace cell centers in (z, y, x) ascending order, with their spacing."""
+    """Workspace cell centers, an (m, 4) array in (z, y, x) ascending order, and their spacing."""
 
-    points: tuple[TaskFeatures, ...]
+    features: np.ndarray
     resolution: float
     z_slice: Optional[float]
     workspace: Workspace
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
+        return self.features.shape[0]
 
 
 #: most cell centers a grid may hold before clipping to the semicircle: the x,
@@ -105,48 +98,36 @@ def build_grid(
             f"resolution {resolution} needs {nx * ny * nz:.4g} grid cells; "
             f"at most {MAX_GRID_CELLS} are allowed"
         )
-    xs = [x0 + i * resolution for i in range(nx)]
-    ys = [h0 + j * resolution for j in range(ny)]
-    if z_slice is not None:
-        zs = [float(z_slice)]
-    else:
-        zs = [h0 + k * resolution for k in range(nz)]
+    xs = x0 + np.arange(nx) * resolution
+    ys = h0 + np.arange(ny) * resolution
+    zs = np.array([float(z_slice)]) if z_slice is not None else h0 + np.arange(nz) * resolution
 
-    points = []
-    for z in zs:
-        for y in ys:
-            for x in xs:
-                if x * x + y * y <= r * r:
-                    points.append(features_from_xyz(x, y, z))
-    return Grid(tuple(points), float(resolution), z_slice, ws)
+    z, y, x = (a.ravel() for a in np.meshgrid(zs, ys, xs, indexing="ij"))
+    keep = x * x + y * y <= r * r
+    x, y, z = x[keep], y[keep], z[keep]
+    features = np.column_stack([x, y, z, np.sqrt(x * x + y * y + z * z)])
+    return Grid(features, float(resolution), z_slice, ws)
 
 
 @dataclass(frozen=True)
 class DifficultyMap:
-    """Model predictions over a grid, in grid order."""
+    """Model predictions over a grid's (m, 4) ``features``, in grid order;
+    ``leaf_id`` is None for models without leaves."""
 
-    points: tuple[TaskFeatures, ...]
-    estimates: tuple[DifficultyEstimate, ...]
+    features: np.ndarray
+    tau_hat: np.ndarray
+    leaf_id: Optional[np.ndarray]
     resolution: float
     z_slice: Optional[float]
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def cells(self):
-        return zip(self.points, self.estimates)
-
-    def tau_values(self) -> np.ndarray:
-        return np.array([e.tau_hat for e in self.estimates], dtype=np.float64)
-
-    def has_leaf_ids(self) -> bool:
-        return all(e.leaf_id is not None for e in self.estimates)
+        return self.features.shape[0]
 
 
 def difficulty_map(model: DifficultyPredictor, grid: Grid) -> DifficultyMap:
     """Evaluate the model at every cell center; no resampling or smoothing."""
-    estimates = tuple(model.predict(p) for p in grid.points)
-    return DifficultyMap(grid.points, estimates, grid.resolution, grid.z_slice)
+    est = model.predict(grid.features)
+    return DifficultyMap(grid.features, est.tau_hat, est.leaf_id, grid.resolution, grid.z_slice)
 
 
 @dataclass(frozen=True)
@@ -162,13 +143,11 @@ class Region:
 def _lattice_coords(m: DifficultyMap) -> list[tuple[int, int, int]]:
     # Cell centers sit on a half-integer lattice of the resolution; doubling
     # makes them integers, so neighbours differ by exactly 2 along one axis.
-    coords = []
-    for p in m.points:
-        qx = round(2.0 * p.x / m.resolution)
-        qy = round(2.0 * p.y / m.resolution)
-        qz = 0 if m.z_slice is not None else round(2.0 * p.z / m.resolution)
-        coords.append((qx, qy, qz))
-    return coords
+    # np.rint rounds half to even, as round() does.
+    q = np.rint(2.0 * m.features[:, :3] / m.resolution).astype(np.int64)
+    if m.z_slice is not None:
+        q[:, 2] = 0
+    return list(map(tuple, q.tolist()))
 
 
 def extract_regions(m: DifficultyMap) -> list[Region]:
@@ -181,18 +160,17 @@ def extract_regions(m: DifficultyMap) -> list[Region]:
     """
     if len(m) == 0:
         return []
-    if not m.has_leaf_ids():
+    if m.leaf_id is None:
         raise NoLeafIds("map was built from a model without leaf assignments")
 
     coords = _lattice_coords(m)
     by_leaf: dict[int, list[int]] = defaultdict(list)
-    for i, est in enumerate(m.estimates):
-        by_leaf[est.leaf_id].append(i)
+    for i, leaf_id in enumerate(m.leaf_id.tolist()):
+        by_leaf[leaf_id].append(i)
 
     regions = []
     for leaf_id, cell_indices in by_leaf.items():
-        cell_set = {coords[i]: i for i in cell_indices}
-        remaining = set(cell_set)
+        remaining = {coords[i] for i in cell_indices}
         components = 0
         while remaining:
             components += 1
@@ -212,7 +190,7 @@ def extract_regions(m: DifficultyMap) -> list[Region]:
         regions.append(
             Region(
                 leaf_id=leaf_id,
-                tau_hat=m.estimates[cell_indices[0]].tau_hat,
+                tau_hat=float(m.tau_hat[cell_indices[0]]),
                 cells=tuple(cell_indices),
                 connected=components == 1,
             )
@@ -260,14 +238,13 @@ def render_svg_slice(
     if len(m) == 0:
         raise NotASlice("cannot render an empty map")
 
-    tau = m.tau_values()
-    vmax = float(np.max(np.abs(tau)))
+    vmax = float(np.max(np.abs(m.tau_hat)))
     scale_max = vmax if vmax > 0 else 1.0
 
     res = m.resolution
-    min_x = min(p.x for p in m.points) - res / 2
-    max_x = max(p.x for p in m.points) + res / 2
-    max_y = max(p.y for p in m.points) + res / 2
+    min_x = float(m.features[:, 0].min()) - res / 2
+    max_x = float(m.features[:, 0].max()) + res / 2
+    max_y = float(m.features[:, 1].max()) + res / 2
     plot_w = (max_x - min_x) * _PX_PER_M
     plot_h = max_y * _PX_PER_M
     width = plot_w + 2 * _MARGIN
@@ -295,12 +272,12 @@ def render_svg_slice(
     )
 
     cell_px = res * _PX_PER_M
-    for p, est in m.cells():
-        color = palette.color(est.tau_hat / scale_max)
+    for x, y, tau in zip(m.features[:, 0].tolist(), m.features[:, 1].tolist(), m.tau_hat.tolist()):
+        color = palette.color(tau / scale_max)
         out.write(
-            f'<rect x="{sx(p.x - res / 2):.2f}" y="{sy(p.y + res / 2):.2f}" '
+            f'<rect x="{sx(x - res / 2):.2f}" y="{sy(y + res / 2):.2f}" '
             f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="{color}">'
-            f"<title>x={p.x:.3f} y={p.y:.3f} tau={est.tau_hat:.4f}</title></rect>\n"
+            f"<title>x={x:.3f} y={y:.3f} tau={tau:.4f}</title></rect>\n"
         )
 
     # axes
@@ -348,9 +325,7 @@ MAP_CSV_HEADER = "x_m,y_m,z_m,dist_m,tau_hat_s,leaf_id"
 def export_map_csv(m: DifficultyMap) -> bytes:
     """Map as CSV in grid order; floats at 9 decimals, leaf_id blank when absent."""
     lines = [MAP_CSV_HEADER]
-    for p, est in m.cells():
-        leaf = "" if est.leaf_id is None else str(est.leaf_id)
-        lines.append(
-            f"{p.x:.9f},{p.y:.9f},{p.z:.9f},{p.dist:.9f},{est.tau_hat:.9f},{leaf}"
-        )
+    leaves = [""] * len(m) if m.leaf_id is None else map(str, m.leaf_id.tolist())
+    for (x, y, z, dist), tau, leaf in zip(m.features.tolist(), m.tau_hat.tolist(), leaves):
+        lines.append(f"{x:.9f},{y:.9f},{z:.9f},{dist:.9f},{tau:.9f},{leaf}")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -282,6 +282,8 @@ def _regressor_from_dict(d: Any, path: str) -> Regressor:
     scale = _float_array(_get(d, "scale", path), f"{path}.scale", 1)
     if shift.size != len(FEATURE_NAMES) or scale.size != len(FEATURE_NAMES):
         raise MalformedModel(f"{path}.shift", "expected 4 entries")
+    if not (scale > 0).all():  # distances divide by it
+        raise MalformedModel(f"{path}.scale", f"expected positive entries, got {scale.tolist()}")
     return KnnRegressor(feats, outs, spec, shift, scale)
 
 
@@ -331,10 +333,11 @@ def model_from_dict(doc: Any) -> Model:
 
 def parse_model(text: str) -> Model:
     try:
-        doc = json.loads(text)
+        return model_from_dict(json.loads(text))
     except json.JSONDecodeError as e:
         raise MalformedModel("$", f"invalid JSON: {e}") from None
-    return model_from_dict(doc)
+    except RecursionError:
+        raise MalformedModel("$", "nested too deeply") from None
 
 
 def save_model(model: Model, path) -> None:

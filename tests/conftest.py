@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from reachmap import Dataset
-from reachmap.causal_tree import CausalTree, Internal, Leaf
+from reachmap.causal_tree import CausalTree, DifficultyEstimate, Internal, Leaf
 
 
 def make_dataset(features, groups, outcomes) -> Dataset:
@@ -66,6 +66,19 @@ def tied_dataset(draw, n_control: st.SearchStrategy, n_individual: st.SearchStra
     feats = np.column_stack([a, a, 0.3 - a, b])[:, perm]
     outcomes = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=n, max_size=n))
     return make_dataset(feats, [0] * n_control + [1] * n_individual, outcomes)
+
+
+def predict_one(model, p):
+    """``model.predict`` at the one task point ``p``, as scalars.
+
+    A float for a base regressor, otherwise a DifficultyEstimate holding a
+    float ``tau_hat`` and an int or None ``leaf_id``.
+    """
+    out = model.predict(p.as_array()[None, :])
+    if isinstance(out, np.ndarray):
+        return float(out[0])
+    leaf_id = None if out.leaf_id is None else int(out.leaf_id[0])
+    return DifficultyEstimate(float(out.tau_hat[0]), leaf_id)
 
 
 # --- independent oracles -------------------------------------------------------

@@ -157,7 +157,7 @@ def test_criterion_4_null_recovery():
     for seed in range(10):
         data, _ = rm.generate_dataset(dgp, 1000, 1000, seed=seed)
         tree = rm.fit_causal_tree(data, rm.CausalTreeParams(seed=seed))
-        means.append(float(np.mean([abs(tree.predict(p).tau_hat) for p in grid])))
+        means.append(float(np.mean(np.abs(tree.predict(grid.features).tau_hat))))
     elapsed = time.perf_counter() - start
     passing = sum(m <= 0.05 for m in means)
     ok = passing >= 9 and elapsed < 60.0

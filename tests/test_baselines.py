@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dataset, tied_dataset
+from conftest import make_dataset, predict_one, random_dataset, tied_dataset
 from reachmap import (
     CartSpec,
     ForestSpec,
@@ -14,8 +14,6 @@ from reachmap import (
     features_from_xyz,
     fit_base_regressor,
     fit_t_learner,
-    predict_base,
-    predict_t_learner,
 )
 from reachmap.baselines import RegLeaf
 from reachmap.causal_tree import Internal
@@ -69,13 +67,13 @@ class TestCart:
     def test_constant_outcome_single_leaf(self):
         r = fit_base_regressor(CartSpec(min_leaf=1, seed=0), single_group([2.5] * 6))
         assert isinstance(r.root, RegLeaf)
-        assert predict_base(r, features_from_xyz(0.1, 0.1, 0.1)) == 2.5
+        assert predict_one(r, features_from_xyz(0.1, 0.1, 0.1)) == 2.5
 
     def test_depth_zero_is_mean(self):
         r = fit_base_regressor(
             CartSpec(max_depth=0, min_leaf=1, seed=0), single_group([1.0, 2.0, 3.0])
         )
-        assert predict_base(r, features_from_xyz(0.2, 0, 0)) == 2.0
+        assert predict_one(r, features_from_xyz(0.2, 0, 0)) == 2.0
 
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(50)
@@ -147,14 +145,14 @@ class TestForest:
         lo, hi = float(d.outcomes.min()), float(d.outcomes.max())
         for _ in range(25):
             p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
-            assert lo <= predict_base(r, p) <= hi
+            assert lo <= predict_one(r, p) <= hi
 
     def test_same_seed_same_predictions(self):
         d = random_dataset(np.random.default_rng(61), 0, 30)
         a = fit_base_regressor(ForestSpec(n_trees=5, seed=3), d)
         b = fit_base_regressor(ForestSpec(n_trees=5, seed=3), d)
         p = features_from_xyz(0.1, 0.1, 0.1)
-        assert predict_base(a, p) == predict_base(b, p)
+        assert predict_one(a, p) == predict_one(b, p)
 
     def test_different_seeds_can_differ(self):
         d = random_dataset(np.random.default_rng(62), 0, 30)
@@ -162,46 +160,46 @@ class TestForest:
         b = fit_base_regressor(ForestSpec(n_trees=5, seed=4), d)
         rng = np.random.default_rng(63)
         points = [features_from_xyz(*rng.uniform(-0.3, 0.3, 3)) for _ in range(20)]
-        assert any(predict_base(a, p) != predict_base(b, p) for p in points)
+        assert any(predict_one(a, p) != predict_one(b, p) for p in points)
 
     def test_prediction_is_tree_mean(self):
         d = random_dataset(np.random.default_rng(64), 0, 25)
         r = fit_base_regressor(ForestSpec(n_trees=7, max_depth=3, seed=5), d)
-        from reachmap.baselines import _route
+        from reference_predictors import route
 
         p = features_from_xyz(0.05, 0.1, 0.2)
-        want = statistics.fmean(_route(root, p.as_array()).value for root in r.roots)
-        assert predict_base(r, p) == pytest.approx(want, abs=1e-15)
+        want = statistics.fmean(route(root, p.as_array()).value for root in r.roots)
+        assert predict_one(r, p) == pytest.approx(want, abs=1e-15)
 
 
 class TestKnn:
     def test_exact_recall_k1(self):
         d = single_group([1.0, 2.0, 3.0], xs=[0.0, 0.1, 0.2])
         r = fit_base_regressor(KnnSpec(k=1, seed=0), d)
-        assert predict_base(r, features_from_xyz(0.1, 0, 0)) == 2.0
+        assert predict_one(r, features_from_xyz(0.1, 0, 0)) == 2.0
 
     def test_k_equals_n_is_global_mean(self):
         d = single_group([1.0, 2.0, 3.0, 4.0, 5.0])
         r = fit_base_regressor(KnnSpec(k=5, seed=0), d)
         for xyz in [(0, 0, 0), (0.3, 0.1, 0.4), (-0.2, 0.0, 0.1)]:
-            assert predict_base(r, features_from_xyz(*xyz)) == 3.0
+            assert predict_one(r, features_from_xyz(*xyz)) == 3.0
 
     def test_two_points_k2(self):
         d = single_group([1.0, 2.0], xs=[0.1, 0.3])
         r = fit_base_regressor(KnnSpec(k=2, seed=0), d)
-        assert predict_base(r, features_from_xyz(0.05, 0.2, 0.0)) == 1.5
+        assert predict_one(r, features_from_xyz(0.05, 0.2, 0.0)) == 1.5
 
     def test_k_exceeding_n_uses_all(self):
         d = single_group([2.0, 4.0])
         r = fit_base_regressor(KnnSpec(k=9, seed=0), d)
-        assert predict_base(r, features_from_xyz(0, 0, 0)) == 3.0
+        assert predict_one(r, features_from_xyz(0, 0, 0)) == 3.0
 
     def test_exact_tie_uses_canonical_order(self):
         # two training points equidistant from the query; the canonically
         # earlier one (smaller x) must be chosen
         d = single_group([10.0, 20.0], xs=[-0.1, 0.1])
         r = fit_base_regressor(KnnSpec(k=1, seed=0), d)
-        assert predict_base(r, features_from_xyz(0.0, 0.0, 0.0)) == 10.0
+        assert predict_one(r, features_from_xyz(0.0, 0.0, 0.0)) == 10.0
 
     @pytest.mark.parametrize("trial", range(25))
     def test_matches_brute_force(self, trial):
@@ -217,7 +215,7 @@ class TestKnn:
         outs = [float(d.outcomes[i]) for i in order]
         for _ in range(5):
             p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
-            assert predict_base(r, p) == pytest.approx(
+            assert predict_one(r, p) == pytest.approx(
                 oracle_knn(feats, outs, p, k), abs=1e-12
             )
 
@@ -228,8 +226,8 @@ class TestKnn:
         raw = fit_base_regressor(KnnSpec(k=1, seed=0), d)
         std = fit_base_regressor(KnnSpec(k=1, standardize=True, seed=0), d)
         p = features_from_xyz(0.0005, 0, 0)
-        assert predict_base(raw, p) in (1.0, 2.0)
-        assert predict_base(std, p) in (1.0, 2.0)
+        assert predict_one(raw, p) in (1.0, 2.0)
+        assert predict_one(std, p) in (1.0, 2.0)
 
 
 def mirrored(ind_outcomes, ctl_outcomes):
@@ -250,12 +248,12 @@ class TestTLearner:
         rng = np.random.default_rng(70)
         for _ in range(10):
             p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
-            assert predict_t_learner(t, p).tau_hat == 0.0
+            assert predict_one(t, p).tau_hat == 0.0
 
     def test_constant_groups_cart(self):
         d = mirrored([2.0] * 5, [1.5] * 5)
         t = fit_t_learner(d, CartSpec(min_leaf=1, seed=0))
-        est = predict_t_learner(t, features_from_xyz(0.1, 0.1, 0.1))
+        est = predict_one(t, features_from_xyz(0.1, 0.1, 0.1))
         assert est.tau_hat == 0.5
         assert est.leaf_id is None
 
@@ -264,7 +262,7 @@ class TestTLearner:
             [[0.1, 0, 0, 0.1], [0.1, 0, 0, 0.1]], [1, 0], [1.9, 1.2]
         )
         t = fit_t_learner(d, KnnSpec(k=1, seed=0))
-        assert predict_t_learner(t, features_from_xyz(0, 0.2, 0)).tau_hat == pytest.approx(
+        assert predict_one(t, features_from_xyz(0, 0.2, 0)).tau_hat == pytest.approx(
             0.7, abs=1e-12
         )
 
@@ -280,7 +278,7 @@ class TestTLearner:
         )
         for _ in range(15):
             p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
-            delta = predict_t_learner(moved, p).tau_hat - predict_t_learner(base, p).tau_hat
+            delta = predict_one(moved, p).tau_hat - predict_one(base, p).tau_hat
             assert abs(delta - c) < 1e-12
 
     def test_sides_fit_on_own_group_only(self):
@@ -288,7 +286,7 @@ class TestTLearner:
         d = mirrored([1.0, 1.0, 1.0, 1.0], [5.0, 6.0, 7.0, 8.0])
         t = fit_t_learner(d, CartSpec(min_leaf=1, seed=0))
         p = features_from_xyz(0.05, 0, 0)
-        assert predict_base(t.model_individual, p) == 1.0
+        assert predict_one(t.model_individual, p) == 1.0
 
     def test_missing_group(self):
         d = single_group([1.0, 2.0], group=0)
@@ -300,7 +298,7 @@ class TestTLearner:
         a = fit_t_learner(d, ForestSpec(n_trees=5, seed=2))
         b = fit_t_learner(d, ForestSpec(n_trees=5, seed=2))
         p = features_from_xyz(0.1, 0.05, 0.2)
-        assert predict_t_learner(a, p).tau_hat == predict_t_learner(b, p).tau_hat
+        assert predict_one(a, p).tau_hat == predict_one(b, p).tau_hat
 
 
 class TestSpecValidation:

@@ -10,6 +10,7 @@ from conftest import (
     oracle_best_split,
     oracle_route,
     oracle_two_mean,
+    predict_one,
     random_dataset,
     tied_dataset,
     tree_leaf_values,
@@ -24,7 +25,6 @@ from reachmap import (
     fit_causal_tree,
     grow_causal_tree,
     leaf_estimate,
-    predict_tau,
     stratified_honest_split,
 )
 from reachmap.causal_tree import Internal, Leaf
@@ -286,7 +286,7 @@ class TestPredict:
         d = two_group([2.4, 2.4], [2.0, 2.0])
         tree = fit_causal_tree(d, CausalTreeParams(max_depth=0, min_group_leaf=1, seed=0))
         for xyz in [(0, 0, 0), (0.2, 0.1, 0.3), (-0.25, 0.01, 0.39)]:
-            est = predict_tau(tree, features_from_xyz(*xyz))
+            est = predict_one(tree, features_from_xyz(*xyz))
             assert est.tau_hat == tree.root.tau_hat
             assert est.leaf_id == 0
 
@@ -294,8 +294,8 @@ class TestPredict:
         tree = fit_causal_tree(
             traced_dataset(repeat=2), CausalTreeParams(max_depth=1, min_group_leaf=1, seed=0)
         )
-        near = predict_tau(tree, features_from_xyz(0.05, 0, 0))
-        far = predict_tau(tree, features_from_xyz(0.35, 0, 0))
+        near = predict_one(tree, features_from_xyz(0.05, 0, 0))
+        far = predict_one(tree, features_from_xyz(0.35, 0, 0))
         assert near.tau_hat == 0.0 and near.leaf_id == 0
         assert far.tau_hat == 1.0 and far.leaf_id == 1
 
@@ -304,7 +304,7 @@ class TestPredict:
             traced_dataset(repeat=2), CausalTreeParams(max_depth=1, min_group_leaf=1, seed=0)
         )
         thr = tree.root.split.threshold
-        at = predict_tau(tree, features_from_xyz(thr, 0, 0))  # dist == threshold
+        at = predict_one(tree, features_from_xyz(thr, 0, 0))  # dist == threshold
         assert at.leaf_id == 1
 
     def test_piecewise_constant(self):
@@ -314,7 +314,7 @@ class TestPredict:
         rng = np.random.default_rng(32)
         for _ in range(50):
             p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
-            est = predict_tau(tree, p)
+            est = predict_one(tree, p)
             assert est.tau_hat == values[est.leaf_id]
             assert oracle_route(tree, p).leaf_id == est.leaf_id
 
@@ -327,8 +327,8 @@ class TestCausalForest:
         rng = np.random.default_rng(42)
         for _ in range(20):
             p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
-            assert forest.predict(p).tau_hat == forest.trees[0].predict(p).tau_hat
-            assert forest.predict(p).leaf_id is None
+            assert predict_one(forest, p).tau_hat == predict_one(forest.trees[0], p).tau_hat
+            assert predict_one(forest, p).leaf_id is None
 
     def test_prediction_is_member_mean(self):
         d = random_dataset(np.random.default_rng(43), 30, 30, effect=0.5)
@@ -336,13 +336,13 @@ class TestCausalForest:
         rng = np.random.default_rng(44)
         for _ in range(20):
             p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
-            member_mean = sum(t.predict(p).tau_hat for t in forest.trees) / 5
-            assert forest.predict(p).tau_hat == pytest.approx(member_mean, abs=1e-15)
+            member_mean = sum(predict_one(t, p).tau_hat for t in forest.trees) / 5
+            assert predict_one(forest, p).tau_hat == pytest.approx(member_mean, abs=1e-15)
 
     def test_constant_outcomes_zero_everywhere(self):
         d = two_group([1.5] * 10, [1.5] * 10)
         forest = fit_causal_forest(d, CausalTreeParams(min_group_leaf=1, seed=7), 3, 1.0)
-        assert forest.predict(features_from_xyz(0.1, 0.1, 0.1)).tau_hat == 0.0
+        assert predict_one(forest, features_from_xyz(0.1, 0.1, 0.1)).tau_hat == 0.0
 
     def test_degenerate_subsample(self):
         d = random_dataset(np.random.default_rng(45), 2, 2)
@@ -355,7 +355,7 @@ class TestCausalForest:
         f1 = fit_causal_forest(d, params, 4, 0.8)
         f2 = fit_causal_forest(d, params, 4, 0.8)
         p = features_from_xyz(0.1, 0.05, 0.2)
-        assert f1.predict(p).tau_hat == f2.predict(p).tau_hat
+        assert predict_one(f1, p).tau_hat == predict_one(f2, p).tau_hat
 
 
 class TestParamsValidation:

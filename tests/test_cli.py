@@ -231,6 +231,50 @@ class TestErrors:
         assert "\n" not in err.strip()
         assert not (workdir / "map.csv").exists()
 
+    def test_deeply_nested_model_document(self, workdir, capsys):
+        model = workdir / "deep.json"
+        leaf = json.dumps({"kind": "leaf", "leaf_id": 0, "tau_hat": 0.0, "n_individual": 5,
+                           "n_control": 5, "mean_individual": 1.0, "mean_control": 1.0})
+        # an internal node whose left child is the next level, 3,000 levels deep
+        node = ('{"kind": "internal", "feature_index": 0, "threshold": 0.0, "gain": 1.0, '
+                f'"right": {leaf}, "left": ')
+        model.write_text(
+            '{"format_version": 1, "kind": "causal_tree", "feature_names": '
+            '["x", "y", "z", "dist"], "params": {"max_depth": 6, "min_group_leaf": 5, '
+            '"honest_fraction": 0.5, "seed": 0}, "root": '
+            + node * 3000 + leaf + "}" * 3000 + "}"
+        )
+        code = run(["predict", "--model", model, "--x", 0, "--y", 0, "--z", 0])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedModel:")
+        assert "\n" not in err.strip()
+
+    def test_deeply_nested_bench_config(self, workdir, capsys):
+        cfg = workdir / "bench.json"
+        cfg.write_text(
+            '{"dgp": {"effect_preset": "regional", "noise_sigma": '
+            + "[" * 5000 + "]" * 5000
+            + '}, "models": [{"kind": "t_knn"}], "n_control": 10, '
+            '"n_individual": 10, "master_seed": 1}'
+        )
+        code = run(["bench", "--config", cfg, "--out", workdir / "out.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedConfig:")
+        assert "\n" not in err.strip()
+
+    def test_oversized_csv_field(self, workdir, capsys):
+        data = workdir / "d.csv"
+        text = dataset_to_csv(random_dataset(np.random.default_rng(2), 10, 10))
+        data.write_text(text + "1" * 200_000 + ",0,0,0,0,1\n")
+        code = run(["fit", "--data", data, "--model", "causal_tree", "--seed", 1,
+                    "--out", workdir / "m.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidSample:")
+        assert "\n" not in err.strip()
+
     def test_bench_missing_master_seed(self, workdir, capsys):
         cfg = workdir / "bench.json"
         cfg.write_text(json.dumps({
@@ -256,6 +300,17 @@ class TestDeterminism:
             run(["fit", "--data", data, "--model", "causal_tree", "--seed", 4,
                  "--out", model])
         assert model_a.read_bytes() == model_b.read_bytes()
+
+    def test_bare_cr_line_endings_fit_like_lf(self, workdir):
+        text = dataset_to_csv(random_dataset(np.random.default_rng(3), 30, 30, effect=0.4))
+        models = []
+        for name, ending in (("lf", "\n"), ("cr", "\r"), ("crlf", "\r\n")):
+            data, model = workdir / f"{name}.csv", workdir / f"{name}.json"
+            data.write_bytes(text.replace("\n", ending).encode())
+            assert run(["fit", "--data", data, "--model", "causal_tree", "--seed", 4,
+                        "--out", model]) == 0
+            models.append(model.read_bytes())
+        assert models[1] == models[0] and models[2] == models[0]
 
     def test_inputs_never_mutated(self, workdir):
         data = workdir / "d.csv"

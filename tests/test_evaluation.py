@@ -158,7 +158,7 @@ class TestMatchedHoldoutTruth:
     def test_matching_neighbours_share_outcome(self):
         feats = [[0.1, 0, 0, 0.1]] * 4 + [[0.1, 0.01, 0, 0.1]]
         d = make_dataset(feats, [0, 0, 0, 0, 1], [2.0, 2.0, 2.0, 2.0, 2.0])
-        [(_, tau)] = matched_holdout_truth(d, k=5)
+        _, [tau] = matched_holdout_truth(d, k=5)
         assert tau == 0.0
 
     def test_nearest_five_mean(self):
@@ -170,9 +170,9 @@ class TestMatchedHoldoutTruth:
             [0] * 6 + [1],
             [1.3, 1.4, 1.5, 1.6, 1.7, 9.9, 2.0],
         )
-        [(features, tau)] = matched_holdout_truth(d, k=5)
+        [features], [tau] = matched_holdout_truth(d, k=5)
         assert tau == pytest.approx(0.5, abs=1e-12)  # 2.0 - mean(1.3..1.7); far control excluded
-        assert features.y == 0.01
+        assert features[1] == 0.01
 
     def test_fewer_controls_than_k_uses_all(self):
         d = make_dataset(
@@ -180,7 +180,7 @@ class TestMatchedHoldoutTruth:
             [0, 0, 0, 1],
             [1.0, 2.0, 3.0, 2.5],
         )
-        [(_, tau)] = matched_holdout_truth(d, k=5)
+        _, [tau] = matched_holdout_truth(d, k=5)
         assert tau == 0.5  # 2.5 - mean(1, 2, 3)
 
     def test_ordered_by_holdout_position(self):
@@ -189,8 +189,8 @@ class TestMatchedHoldoutTruth:
             [1, 0, 1],
             [2.0, 1.0, 3.0],
         )
-        taus = [tau for _, tau in matched_holdout_truth(d, k=1)]
-        assert taus == [1.0, 2.0]
+        _, taus = matched_holdout_truth(d, k=1)
+        assert taus.tolist() == [1.0, 2.0]
 
     def test_missing_group(self):
         d = make_dataset([[0.1, 0, 0, 0.1]], [0], [1.0])
@@ -231,10 +231,10 @@ class RecordingModel:
         probe = self
 
         class _Predictor:
-            def predict(self, p):
-                run_queries.append((p.x, p.y, p.z))
+            def predict(self, X):
+                run_queries.extend(map(tuple, X[:, :3].tolist()))
                 # vary with position so r^2 is well defined but data-free
-                return DifficultyEstimate(p.x + probe_salt, None)
+                return DifficultyEstimate(X[:, 0] + probe_salt, None)
 
         probe_salt = 0.0
         return _Predictor()

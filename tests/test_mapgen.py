@@ -6,10 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import predict_one, random_dataset
 from reachmap import (
     CausalTreeParams,
     DivergingPalette,
+    TaskFeatures,
     Workspace,
     build_grid,
     difficulty_map,
@@ -67,16 +68,16 @@ class TestBuildGrid:
 
     def test_all_points_inside_workspace(self):
         ws = Workspace()
-        for p in build_grid(ws, 0.04, z_slice=0.05):
-            assert ws.contains(p)
-        for p in build_grid(ws, 0.09):
-            assert ws.contains(p)
+        for row in build_grid(ws, 0.04, z_slice=0.05).features.tolist():
+            assert ws.contains(TaskFeatures(*row))
+        for row in build_grid(ws, 0.09).features.tolist():
+            assert ws.contains(TaskFeatures(*row))
 
     def test_layered_grid(self):
         ws = Workspace()
         grid = build_grid(ws, 0.1)
         # layers at z = 0.05, 0.15, 0.25, 0.35
-        assert sorted({p.z for p in grid}) == pytest.approx([0.05, 0.15, 0.25, 0.35])
+        assert sorted(set(grid.features[:, 2].tolist())) == pytest.approx([0.05, 0.15, 0.25, 0.35])
         assert len(grid) == oracle_grid_count(0.3, 0.1, n_layers=4)
 
     def test_slice_metadata(self):
@@ -85,12 +86,12 @@ class TestBuildGrid:
 
     def test_grid_order_is_z_y_x(self):
         grid = build_grid(Workspace(), 0.1)
-        keys = [(p.z, p.y, p.x) for p in grid]
+        keys = [(z, y, x) for x, y, z, _ in grid.features.tolist()]
         assert keys == sorted(keys)
 
     def test_dist_is_derived(self):
-        for p in build_grid(Workspace(), 0.07, z_slice=0.3):
-            assert p.dist == pytest.approx(math.sqrt(p.x**2 + p.y**2 + p.z**2), abs=1e-12)
+        for x, y, z, dist in build_grid(Workspace(), 0.07, z_slice=0.3).features.tolist():
+            assert dist == pytest.approx(math.sqrt(x**2 + y**2 + z**2), abs=1e-12)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 0.3, 0.5])
     def test_invalid_resolution(self, bad):
@@ -109,14 +110,14 @@ class TestDifficultyMap:
         grid = build_grid(Workspace(), 0.05, z_slice=0.1)
         m = difficulty_map(tree, grid)
         assert len(m) == len(grid)
-        assert set(m.tau_values()) == {0.4}
-        assert {e.leaf_id for e in m.estimates} == {0}
+        assert set(m.tau_hat.tolist()) == {0.4}
+        assert set(m.leaf_id.tolist()) == {0}
 
     def test_grid_order_preserved(self):
         tree = manual_tree(leaf(0, 0.4))
         grid = build_grid(Workspace(), 0.07, z_slice=0.2)
         m = difficulty_map(tree, grid)
-        assert m.points == grid.points
+        assert np.array_equal(m.features, grid.features)
 
     def test_two_leaf_tree_two_values(self):
         tree = manual_tree(
@@ -124,16 +125,16 @@ class TestDifficultyMap:
         )
         grid = build_grid(Workspace(), 0.05, z_slice=0.1)
         m = difficulty_map(tree, grid)
-        assert sorted(set(m.tau_values())) == [0.0, 1.0]
+        assert sorted(set(m.tau_hat.tolist())) == [0.0, 1.0]
 
     def test_values_match_model_predictions(self):
         d = random_dataset(np.random.default_rng(1), 40, 40, effect=0.6)
         tree = fit_causal_tree(d, CausalTreeParams(max_depth=3, min_group_leaf=2, seed=2))
         grid = build_grid(Workspace(), 0.06, z_slice=0.15)
         m = difficulty_map(tree, grid)
-        for p, est in m.cells():
-            direct = tree.predict(p)
-            assert est.tau_hat == direct.tau_hat and est.leaf_id == direct.leaf_id
+        for row, tau, leaf_id in zip(m.features.tolist(), m.tau_hat.tolist(), m.leaf_id.tolist()):
+            direct = predict_one(tree, TaskFeatures(*row))
+            assert tau == direct.tau_hat and leaf_id == direct.leaf_id
 
 
 class TestExtractRegions:
@@ -175,7 +176,7 @@ class TestExtractRegions:
         assert regions[2].connected is True
         # flood-fill oracle: count 4-neighbourhood components over cell centers
         cells = {
-            (round(m.points[i].x / 0.025), round(m.points[i].y / 0.025))
+            (round(m.features[i, 0] / 0.025), round(m.features[i, 1] / 0.025))
             for i in pocket.cells
         }
         components = 0
@@ -270,10 +271,12 @@ class TestExportCsv:
     def test_round_trip_within_1e9(self):
         m = self.tree_map()
         reader = csv.DictReader(io.StringIO(export_map_csv(m).decode("utf-8")))
-        for row, (p, est) in zip(reader, m.cells()):
-            assert abs(float(row["tau_hat_s"]) - est.tau_hat) <= 1e-9
-            assert abs(float(row["x_m"]) - p.x) <= 1e-9
-            assert int(row["leaf_id"]) == est.leaf_id
+        for row, x, tau, leaf_id in zip(
+            reader, m.features[:, 0].tolist(), m.tau_hat.tolist(), m.leaf_id.tolist()
+        ):
+            assert abs(float(row["tau_hat_s"]) - tau) <= 1e-9
+            assert abs(float(row["x_m"]) - x) <= 1e-9
+            assert int(row["leaf_id"]) == leaf_id
 
     def test_leaf_id_blank_without_leaves(self):
         d = random_dataset(np.random.default_rng(8), 12, 12)

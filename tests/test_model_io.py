@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import predict_one, random_dataset
 from reachmap import (
     CartSpec,
     CausalTreeParams,
@@ -37,15 +37,15 @@ class TestTreeRoundTrip:
         back = parse_model(serialize_model(tree))
         assert back == tree
         p = features_from_xyz(0.1, 0.1, 0.1)
-        assert back.predict(p) == tree.predict(p)
+        assert predict_one(back, p) == predict_one(tree, p)
 
     def test_structural_equality_and_bitwise_predictions(self):
         tree = fitted_tree()
         back = parse_model(serialize_model(tree))
         assert back == tree
         for p in random_points(2):
-            assert back.predict(p).tau_hat == tree.predict(p).tau_hat
-            assert back.predict(p).leaf_id == tree.predict(p).leaf_id
+            assert predict_one(back, p).tau_hat == predict_one(tree, p).tau_hat
+            assert predict_one(back, p).leaf_id == predict_one(tree, p).leaf_id
 
     def test_document_shape(self):
         doc = json.loads(serialize_model(fitted_tree()))
@@ -76,7 +76,7 @@ class TestForestRoundTrip:
         back = parse_model(serialize_model(forest))
         assert back == forest
         for p in random_points(4):
-            assert back.predict(p).tau_hat == forest.predict(p).tau_hat
+            assert predict_one(back, p).tau_hat == predict_one(forest, p).tau_hat
 
 
 class TestTLearnerRoundTrip:
@@ -96,7 +96,7 @@ class TestTLearnerRoundTrip:
         back = parse_model(serialize_model(model))
         assert back.spec == model.spec
         for p in random_points(7):
-            assert back.predict(p).tau_hat == model.predict(p).tau_hat
+            assert predict_one(back, p).tau_hat == predict_one(model, p).tau_hat
 
     def test_kind_tags(self):
         d = random_dataset(np.random.default_rng(8), 15, 15)
@@ -182,3 +182,11 @@ class TestMalformed:
     def test_non_object_document(self):
         with pytest.raises(MalformedModel):
             parse_model("[1, 2, 3]")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_non_positive_knn_scale(self, value):
+        d = random_dataset(np.random.default_rng(10), 15, 15)
+        doc = json.loads(serialize_model(fit_t_learner(d, KnnSpec(seed=0))))
+        doc["model_control"]["scale"][0] = value
+        with pytest.raises(MalformedModel, match=r"model_control\.scale"):
+            parse_model(json.dumps(doc))

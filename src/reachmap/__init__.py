@@ -34,7 +34,6 @@ from .domain import (
     FEATURE_NAMES,
     Dataset,
     GroupLabel,
-    Sample,
     TaskFeatures,
     Workspace,
     dataset_from_csv,
@@ -62,7 +61,6 @@ from .evaluation import (
 )
 from .mapgen import (
     DifficultyMap,
-    DivergingPalette,
     Grid,
     Region,
     build_grid,

@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import __version__
 from .domain import (
@@ -39,49 +38,6 @@ from .mapgen import build_grid, difficulty_map, export_map_csv, render_svg_slice
 from .model_io import load_model, save_model
 from .synth import generate_dataset, load_dgp_config, save_dgp_config
 
-
-@dataclass(frozen=True)
-class Generate:
-    dgp_config: str
-    n0: int
-    n1: int
-    seed: Optional[int]
-    out: str
-
-
-@dataclass(frozen=True)
-class Fit:
-    data: str
-    model: str
-    hyper: dict
-    seed: Optional[int]
-    out: str
-
-
-@dataclass(frozen=True)
-class Predict:
-    model: str
-    x: float
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
-class Bench:
-    config: str
-    out: str
-
-
-@dataclass(frozen=True)
-class MapCmd:
-    model: str
-    z_slice: float
-    resolution: float
-    out_svg: Optional[str]
-    out_csv: Optional[str]
-
-
-Command = Union[Generate, Fit, Predict, Bench, MapCmd]
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -147,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> Command:
-    """Strict argv parsing into a Command; usage problems exit with code 2."""
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """Strict argv parsing into the checked namespace; usage problems exit with code 2."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
 
@@ -158,30 +114,16 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> Command:
         if value is not None and not math.isfinite(value):
             parser.error(f"--{flag.replace('_', '-')} must be finite, got {value}")
 
-    if ns.command == "gen":
-        return Generate(ns.dgp, ns.n0, ns.n1, ns.seed, ns.out)
     if ns.command == "fit":
-        hyper = {}
         # every fit flag, in the order the model kinds first accept them
         for flag in dict.fromkeys(f for names in HYPERPARAMETERS.values() for f in names):
-            value = getattr(ns, flag)
-            if value is None:
-                continue
-            if flag not in HYPERPARAMETERS[ns.model]:
+            if getattr(ns, flag) is not None and flag not in HYPERPARAMETERS[ns.model]:
                 parser.error(
                     f"--{flag.replace('_', '-')} does not apply to model {ns.model!r}"
                 )
-            hyper[flag] = value
-        return Fit(ns.data, ns.model, hyper, ns.seed, ns.out)
-    if ns.command == "predict":
-        return Predict(ns.model, ns.x, ns.y, ns.z)
-    if ns.command == "bench":
-        return Bench(ns.config, ns.out)
-    if ns.command == "map":
-        if ns.out_svg is None and ns.out_csv is None:
-            parser.error("map needs at least one of --out-svg / --out-csv")
-        return MapCmd(ns.model, ns.z_slice, ns.resolution, ns.out_svg, ns.out_csv)
-    raise AssertionError(f"unhandled command {ns.command!r}")  # pragma: no cover
+    if ns.command == "map" and ns.out_svg is None and ns.out_csv is None:
+        parser.error("map needs at least one of --out-svg / --out-csv")
+    return ns
 
 
 def _require_seed(seed: Optional[int], what: str) -> int:
@@ -193,62 +135,63 @@ def _require_seed(seed: Optional[int], what: str) -> int:
     return seed
 
 
-def run_command(cmd: Command) -> int:
-    if isinstance(cmd, Generate):
-        seed = _require_seed(cmd.seed, "dataset generation")
-        spec = load_dgp_config(cmd.dgp_config)
-        dataset, truth = generate_dataset(spec, cmd.n0, cmd.n1, seed)
-        save_dataset_csv(dataset, cmd.out)
-        save_dgp_config(truth.spec, Path(cmd.out).with_suffix(".truth.cfg"))
-        print(f"wrote {len(dataset)} samples to {cmd.out}")
+def run_command(ns: argparse.Namespace) -> int:
+    if ns.command == "gen":
+        seed = _require_seed(ns.seed, "dataset generation")
+        spec = load_dgp_config(ns.dgp)
+        dataset, truth = generate_dataset(spec, ns.n0, ns.n1, seed)
+        save_dataset_csv(dataset, ns.out)
+        save_dgp_config(truth.spec, Path(ns.out).with_suffix(".truth.cfg"))
+        print(f"wrote {len(dataset)} samples to {ns.out}")
         return 0
 
-    if isinstance(cmd, Fit):
-        seed = _require_seed(cmd.seed, "model fitting")
-        dataset = load_dataset_csv(cmd.data)
+    if ns.command == "fit":
+        seed = _require_seed(ns.seed, "model fitting")
+        dataset = load_dataset_csv(ns.data)
         validate_dataset(dataset, require_both_groups=True)
-        entry = model_entry(cmd.model, **cmd.hyper)
+        hyper = {f: v for f in HYPERPARAMETERS[ns.model] if (v := getattr(ns, f)) is not None}
+        entry = model_entry(ns.model, **hyper)
         model = entry.fit(dataset, seed)
-        save_model(model, cmd.out)
-        print(f"wrote {cmd.model} model to {cmd.out}")
+        save_model(model, ns.out)
+        print(f"wrote {ns.model} model to {ns.out}")
         return 0
 
-    if isinstance(cmd, Predict):
-        model = load_model(cmd.model)
-        est = model.predict(features_from_xyz(cmd.x, cmd.y, cmd.z).as_array()[None, :])
+    if ns.command == "predict":
+        model = load_model(ns.model)
+        est = model.predict(features_from_xyz(ns.x, ns.y, ns.z).as_array()[None, :])
         leaf = "none" if est.leaf_id is None else str(est.leaf_id[0])
         print(f"tau_hat_s={est.tau_hat[0]:.9f} leaf_id={leaf}")
         return 0
 
-    if isinstance(cmd, Bench):
-        with open(cmd.config, "r", encoding="utf-8") as f:
+    if ns.command == "bench":
+        with open(ns.config, "r", encoding="utf-8") as f:
             cfg = bench_config_from_json(f.read())
         rows = run_benchmark(cfg)
-        write_text_atomic(cmd.out, bench_rows_to_csv(rows))
+        write_text_atomic(ns.out, bench_rows_to_csv(rows))
         sys.stdout.write(
             format_bench_table(rows, [e.describe for e in cfg.models])
         )
         return 0
 
-    if isinstance(cmd, MapCmd):
-        model = load_model(cmd.model)
+    if ns.command == "map":
+        model = load_model(ns.model)
         # model documents carry no workspace; maps use the standard region
-        grid = build_grid(Workspace(), cmd.resolution, cmd.z_slice)
+        grid = build_grid(Workspace(), ns.resolution, ns.z_slice)
         m = difficulty_map(model, grid)
-        if cmd.out_svg is not None:
-            write_bytes_atomic(cmd.out_svg, render_svg_slice(m))
-        if cmd.out_csv is not None:
-            write_bytes_atomic(cmd.out_csv, export_map_csv(m))
-        print(f"mapped {len(m)} cells at z={cmd.z_slice}")
+        if ns.out_svg is not None:
+            write_bytes_atomic(ns.out_svg, render_svg_slice(m))
+        if ns.out_csv is not None:
+            write_bytes_atomic(ns.out_csv, export_map_csv(m))
+        print(f"mapped {len(m)} cells at z={ns.z_slice}")
         return 0
 
-    raise AssertionError(f"unhandled command {cmd!r}")  # pragma: no cover
+    raise AssertionError(f"unhandled command {ns.command!r}")  # pragma: no cover
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    cmd = parse_args(argv)
+    ns = parse_args(argv)
     try:
-        return run_command(cmd)
+        return run_command(ns)
     except ReachmapError as e:
         print(f"error: {e.kind}: {e}", file=sys.stderr)
         return 1

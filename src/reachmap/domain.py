@@ -1,11 +1,10 @@
-"""Core data model: task features, samples, datasets, workspace geometry.
+"""Core data model: task features, datasets, workspace geometry.
 
 Tasks live in a 4-feature space (x, y, z, dist) measured in meters from the
 home position, which sits at the coordinate origin at table height.  Outcomes
 are reach times in seconds, labelled by participant group (control vs. the
 individual being assessed).  Datasets are stored column-wise as numpy arrays
-so the tree learners can stay vectorised; :class:`Sample` objects are cheap
-views for row-level access.
+so the tree learners can stay vectorised.
 
 All types are immutable after construction; every operation here is a pure
 function of its inputs and, where applicable, an explicit seed.
@@ -65,15 +64,6 @@ class TaskFeatures:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One observed reach: target features, group label, outcome time in seconds."""
-
-    features: TaskFeatures
-    group: GroupLabel
-    outcome: float
-
-
-@dataclass(frozen=True)
 class Workspace:
     """Reachable region: half-cylinder of given radius (XY semicircle, y >= 0) and height."""
 
@@ -97,13 +87,17 @@ class Workspace:
 def features_from_xyz(x: float, y: float, z: float) -> TaskFeatures:
     """Build features for a point, deriving dist from the home origin.
 
-    Raises InvalidFeature when any coordinate is non-finite.
+    Raises InvalidFeature when any coordinate is non-finite, or when the
+    derived dist overflows (a coordinate beyond about 1e154).
     """
     for name, v in (("x", x), ("y", y), ("z", z)):
         if not math.isfinite(v):
             raise InvalidFeature(f"{name} must be finite, got {v!r}")
     x, y, z = float(x), float(y), float(z)
-    return TaskFeatures(x, y, z, math.sqrt(x * x + y * y + z * z))
+    dist = math.sqrt(x * x + y * y + z * z)
+    if not math.isfinite(dist):
+        raise InvalidFeature(f"dist of ({x!r}, {y!r}, {z!r}) is not finite")
+    return TaskFeatures(x, y, z, dist)
 
 
 class Dataset:
@@ -135,29 +129,8 @@ class Dataset:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Dataset is immutable")
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[Sample]) -> "Dataset":
-        rows = list(samples)
-        feats = np.array([s.features.as_array() for s in rows], dtype=np.float64)
-        feats = feats.reshape(len(rows), len(FEATURE_NAMES))
-        groups = np.array([int(s.group) for s in rows], dtype=np.int8)
-        outcomes = np.array([s.outcome for s in rows], dtype=np.float64)
-        return cls(feats, groups, outcomes)
-
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield self.sample_at(i)
-
-    def sample_at(self, i: int) -> Sample:
-        x, y, z, dist = self.features[i]
-        return Sample(
-            TaskFeatures(float(x), float(y), float(z), float(dist)),
-            GroupLabel(int(self.groups[i])),
-            float(self.outcomes[i]),
-        )
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.groups[indices], self.outcomes[indices])
@@ -205,13 +178,15 @@ def validate_dataset(d: Dataset, require_both_groups: bool = True) -> tuple[int,
 
 
 def canonical_order(d: Dataset) -> np.ndarray:
-    """Index array sorting samples by (group, x, y, z, outcome).
+    """Index array sorting samples by (group, x, y, z, outcome, dist).
 
     This is the canonical ordering used before any seeded shuffling, making
-    seeded operations invariant to the dataset's row order.
+    seeded operations invariant to the dataset's row order.  Rows equal on
+    all six keys are identical, so their relative order cannot matter.
     """
     return np.lexsort(
         (
+            d.features[:, 3],
             d.outcomes,
             d.features[:, 2],
             d.features[:, 1],
@@ -259,29 +234,31 @@ def stratified_honest_split(
     return d.subset(shuffled[take]), d.subset(shuffled[~take])
 
 
-def _format_float(v: float) -> str:
-    # repr round-trips float64 exactly and is deterministic
-    return repr(float(v))
+#: rows per ``.tolist()`` and per piece of CSV text; converting every row at
+#: once would hold the whole dataset as Python objects
+_CSV_CHUNK = 4096
+
+
+def _csv_pieces(d: Dataset) -> Iterator[str]:
+    """The dataset CSV text, header first, then _CSV_CHUNK rows per piece.
+
+    Floats are written as their repr, which round-trips float64 exactly.
+    """
+    yield ",".join(CSV_HEADER) + "\n"
+    for lo in range(0, len(d), _CSV_CHUNK):
+        rows = zip(
+            d.features[lo:lo + _CSV_CHUNK].tolist(),
+            d.groups[lo:lo + _CSV_CHUNK].tolist(),
+            d.outcomes[lo:lo + _CSV_CHUNK].tolist(),
+        )
+        yield "".join(
+            f"{x!r},{y!r},{z!r},{dist!r},{g},{t!r}\n" for (x, y, z, dist), g, t in rows
+        )
 
 
 def dataset_to_csv(d: Dataset) -> str:
     """Serialize to the dataset CSV format (header x_m,y_m,z_m,dist_m,group,time_s)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for i in range(len(d)):
-        x, y, z, dist = d.features[i]
-        writer.writerow(
-            [
-                _format_float(x),
-                _format_float(y),
-                _format_float(z),
-                _format_float(dist),
-                int(d.groups[i]),
-                _format_float(d.outcomes[i]),
-            ]
-        )
-    return buf.getvalue()
+    return "".join(_csv_pieces(d))
 
 
 def dataset_from_csv(text: str) -> Dataset:
@@ -341,6 +318,7 @@ def load_dataset_csv(path) -> Dataset:
 
 
 def save_dataset_csv(d: Dataset, path) -> None:
-    from .fileio import write_text_atomic
+    """Write the dataset CSV piece by piece, never holding its whole text."""
+    from .fileio import write_chunks_atomic
 
-    write_text_atomic(path, dataset_to_csv(d))
+    write_chunks_atomic(path, (piece.encode("utf-8") for piece in _csv_pieces(d)))

@@ -40,7 +40,6 @@ class Grid:
     features: np.ndarray
     resolution: float
     z_slice: Optional[float]
-    workspace: Workspace
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -106,7 +105,7 @@ def build_grid(
     keep = x * x + y * y <= r * r
     x, y, z = x[keep], y[keep], z[keep]
     features = np.column_stack([x, y, z, np.sqrt(x * x + y * y + z * z)])
-    return Grid(features, float(resolution), z_slice, ws)
+    return Grid(features, float(resolution), z_slice)
 
 
 @dataclass(frozen=True)
@@ -202,21 +201,18 @@ def extract_regions(m: DifficultyMap) -> list[Region]:
 # --- rendering ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DivergingPalette:
-    """Three-anchor diverging colour scale, linear in tau, centered at 0."""
+_NEGATIVE = (33, 102, 172)
+_CENTER = (247, 247, 247)
+_POSITIVE = (178, 24, 43)
 
-    negative: tuple[int, int, int] = (33, 102, 172)
-    center: tuple[int, int, int] = (247, 247, 247)
-    positive: tuple[int, int, int] = (178, 24, 43)
 
-    def color(self, t: float) -> str:
-        """Hex colour for t in [-1, 1]; t = 0 is the center anchor."""
-        t = max(-1.0, min(1.0, t))
-        lo, hi = (self.center, self.positive) if t >= 0 else (self.center, self.negative)
-        u = abs(t)
-        rgb = tuple(round(a + (b - a) * u) for a, b in zip(lo, hi))
-        return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _color(t: float) -> str:
+    """Hex colour of a diverging scale linear in t, clamped to [-1, 1]; t = 0 is the center."""
+    t = max(-1.0, min(1.0, t))
+    hi = _POSITIVE if t >= 0 else _NEGATIVE
+    u = abs(t)
+    rgb = tuple(round(a + (b - a) * u) for a, b in zip(_CENTER, hi))
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
 _PX_PER_M = 1000.0
@@ -224,9 +220,7 @@ _MARGIN = 70.0
 _LEGEND_H = 70.0
 
 
-def render_svg_slice(
-    m: DifficultyMap, palette: DivergingPalette = DivergingPalette()
-) -> bytes:
+def render_svg_slice(m: DifficultyMap) -> bytes:
     """Render one z slice as an SVG heatmap; byte-deterministic per input.
 
     One rect per cell; the colour scale is symmetric around 0 out to the
@@ -273,7 +267,7 @@ def render_svg_slice(
 
     cell_px = res * _PX_PER_M
     for x, y, tau in zip(m.features[:, 0].tolist(), m.features[:, 1].tolist(), m.tau_hat.tolist()):
-        color = palette.color(tau / scale_max)
+        color = _color(tau / scale_max)
         out.write(
             f'<rect x="{sx(x - res / 2):.2f}" y="{sy(y + res / 2):.2f}" '
             f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="{color}">'
@@ -304,7 +298,7 @@ def render_svg_slice(
     # legend: min / 0 / max swatches
     ly = height - _LEGEND_H + 10
     swatch = 24.0
-    entries = [(-scale_max, palette.color(-1.0)), (0.0, palette.color(0.0)), (scale_max, palette.color(1.0))]
+    entries = [(-scale_max, _color(-1.0)), (0.0, _color(0.0)), (scale_max, _color(1.0))]
     for idx, (value, color) in enumerate(entries):
         lx = _MARGIN + idx * 130.0
         out.write(

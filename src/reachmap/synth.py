@@ -117,6 +117,11 @@ def sample_workspace_point(ws: Workspace, rng: np.random.Generator) -> TaskFeatu
     return features_from_xyz(x, y, z)
 
 
+#: most samples generate_dataset draws per group; samples are drawn one at a
+#: time in Python, so this bounds a generation's run time as well as its memory
+MAX_GROUP_SAMPLES = 1_000_000
+
+
 def generate_dataset(
     spec: DgpSpec, n_control: int, n_individual: int, seed: int
 ) -> tuple[Dataset, GroundTruth]:
@@ -126,10 +131,15 @@ def generate_dataset(
     Individual outcome = max(floor, mu0(p) + tau(p) + eps)
 
     with eps ~ Normal(0, noise_sigma^2) independent per sample.  Deterministic
-    given the seed.
+    given the seed.  Each group holds 1 to MAX_GROUP_SAMPLES samples.
     """
     if n_control < 1 or n_individual < 1:
         raise ValueError("need at least one sample per group")
+    if max(n_control, n_individual) > MAX_GROUP_SAMPLES:
+        raise ValueError(
+            f"at most {MAX_GROUP_SAMPLES} samples per group, "
+            f"got {n_control} control and {n_individual} individual"
+        )
     rng = np.random.default_rng(seed)
     n = n_control + n_individual
     feats = np.empty((n, 4), dtype=np.float64)

@@ -19,6 +19,7 @@ from conftest import (
 from reachmap import (
     CausalTreeParams,
     Dataset,
+    TaskFeatures,
     best_split,
     features_from_xyz,
     fit_causal_forest,
@@ -221,13 +222,12 @@ class TestFitCausalTree:
         tree = fit_causal_tree(d, params)
         _, est = stratified_honest_split(d, params.honest_fraction, params.seed)
         routed = {}
-        for i in range(len(est)):
-            s = est.sample_at(i)
-            routed.setdefault(oracle_route(tree, s.features).leaf_id, []).append(s)
+        for row, group, outcome in zip(est.features.tolist(), est.groups.tolist(), est.outcomes.tolist()):
+            routed.setdefault(oracle_route(tree, TaskFeatures(*row)).leaf_id, []).append((group, outcome))
         for leaf in tree.leaves():
             samples = routed[leaf.leaf_id]
-            ind = [s.outcome for s in samples if s.group == 1]
-            ctl = [s.outcome for s in samples if s.group == 0]
+            ind = [t for g, t in samples if g == 1]
+            ctl = [t for g, t in samples if g == 0]
             assert abs(leaf.tau_hat - (statistics.fmean(ind) - statistics.fmean(ctl))) < 1e-12
 
     def test_shift_equivariance(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reachmap import dataset_to_csv, load_dataset_csv, load_model
-from reachmap.cli import Bench, Fit, Generate, MapCmd, Predict, main, parse_args
+from reachmap.cli import main, parse_args
 from conftest import random_dataset
 
 REGIONAL_CFG = "effect_preset = regional\nnoise_sigma = 0.1\n"
@@ -12,31 +12,36 @@ REGIONAL_CFG = "effect_preset = regional\nnoise_sigma = 0.1\n"
 
 class TestParseArgs:
     def test_gen_command(self):
-        cmd = parse_args(
+        ns = parse_args(
             "gen --dgp regional.cfg --n0 1000 --n1 1000 --seed 3 --out d.csv".split()
         )
-        assert cmd == Generate("regional.cfg", 1000, 1000, 3, "d.csv")
+        assert vars(ns) == {"command": "gen", "dgp": "regional.cfg", "n0": 1000,
+                            "n1": 1000, "seed": 3, "out": "d.csv"}
 
     def test_fit_command_without_seed_parses(self):
-        cmd = parse_args(
+        ns = parse_args(
             "fit --data d.csv --model causal_tree --max-depth 6 --out m.json".split()
         )
-        assert cmd == Fit("d.csv", "causal_tree", {"max_depth": 6}, None, "m.json")
+        given = {k: v for k, v in vars(ns).items() if v is not None}
+        assert given == {"command": "fit", "data": "d.csv", "model": "causal_tree",
+                         "max_depth": 6, "out": "m.json"}
+        assert ns.seed is None
 
     def test_predict_command(self):
-        cmd = parse_args("predict --model m.json --x 0.1 --y 0.2 --z 0.0".split())
-        assert cmd == Predict("m.json", 0.1, 0.2, 0.0)
+        ns = parse_args("predict --model m.json --x 0.1 --y 0.2 --z 0.0".split())
+        assert vars(ns) == {"command": "predict", "model": "m.json",
+                            "x": 0.1, "y": 0.2, "z": 0.0}
 
     def test_bench_command(self):
-        assert parse_args("bench --config b.json --out t.csv".split()) == Bench(
-            "b.json", "t.csv"
-        )
+        ns = parse_args("bench --config b.json --out t.csv".split())
+        assert vars(ns) == {"command": "bench", "config": "b.json", "out": "t.csv"}
 
     def test_map_command(self):
-        cmd = parse_args(
+        ns = parse_args(
             "map --model m.json --z-slice 0.1 --out-svg m.svg --out-csv m.csv".split()
         )
-        assert cmd == MapCmd("m.json", 0.1, 0.05, "m.svg", "m.csv")
+        assert vars(ns) == {"command": "map", "model": "m.json", "z_slice": 0.1,
+                            "resolution": 0.05, "out_svg": "m.svg", "out_csv": "m.csv"}
 
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -274,6 +279,43 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidSample:")
         assert "\n" not in err.strip()
+
+    def test_predict_overflowing_dist(self, workdir, capsys):
+        data, model = workdir / "d.csv", workdir / "m.json"
+        run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 30, "--n1", 30,
+             "--seed", 1, "--out", data])
+        run(["fit", "--data", data, "--model", "causal_tree", "--seed", 1,
+             "--out", model])
+        capsys.readouterr()
+        code = run(["predict", "--model", model, "--x", 1e200, "--y", 0, "--z", 0])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: InvalidFeature:")
+        assert "\n" not in captured.err.strip()
+
+    def test_gen_over_sample_bound(self, workdir, capsys):
+        code = run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 10**13,
+                    "--n1", 10, "--seed", 1, "--out", workdir / "d.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidValue:")
+        assert "\n" not in err.strip()
+        assert not (workdir / "d.csv").exists()
+
+    def test_bench_over_sample_bound(self, workdir, capsys):
+        cfg = workdir / "bench.json"
+        cfg.write_text(json.dumps({
+            "dgp": {"effect_preset": "regional"},
+            "models": [{"kind": "t_knn"}],
+            "n_control": 10, "n_individual": 10**13, "master_seed": 1,
+        }))
+        code = run(["bench", "--config", cfg, "--out", workdir / "out.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: BenchmarkError:") and "at most" in err
+        assert "\n" not in err.strip()
+        assert not (workdir / "out.csv").exists()
 
     def test_bench_missing_master_seed(self, workdir, capsys):
         cfg = workdir / "bench.json"

@@ -9,12 +9,13 @@ from conftest import make_dataset, random_dataset
 from reachmap import (
     Dataset,
     GroupLabel,
-    Sample,
     TaskFeatures,
     Workspace,
     dataset_from_csv,
     dataset_to_csv,
     features_from_xyz,
+    load_dataset_csv,
+    save_dataset_csv,
     stratified_honest_split,
     validate_dataset,
 )
@@ -25,6 +26,7 @@ from reachmap.errors import (
     InvalidSample,
     MissingGroup,
 )
+from reachmap.fileio import write_chunks_atomic
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -47,6 +49,11 @@ class TestFeatures:
             features_from_xyz(0, bad, 0)
         with pytest.raises(InvalidFeature):
             features_from_xyz(0, 0, bad)
+
+    @pytest.mark.parametrize("xyz", [(1e200, 0, 0), (0, -1e200, 0), (0, 0, 1e155), (1e154, 1e154, 1e154)])
+    def test_overflowing_dist_rejected(self, xyz):
+        with pytest.raises(InvalidFeature, match="dist"):
+            features_from_xyz(*xyz)
 
     @given(finite, finite, finite)
     def test_dist_matches_euclidean_norm(self, x, y, z):
@@ -81,12 +88,10 @@ class TestWorkspace:
 
 
 def _pair_dataset(n_control=2, n_individual=2):
-    samples = []
-    for i in range(n_control):
-        samples.append(Sample(features_from_xyz(0.1 * (i + 1), 0, 0), GroupLabel.CONTROL, 1.0))
-    for i in range(n_individual):
-        samples.append(Sample(features_from_xyz(0, 0.1 * (i + 1), 0), GroupLabel.INDIVIDUAL, 1.5))
-    return Dataset.from_samples(samples)
+    feats = [features_from_xyz(0.1 * (i + 1), 0, 0).as_array() for i in range(n_control)]
+    feats += [features_from_xyz(0, 0.1 * (i + 1), 0).as_array() for i in range(n_individual)]
+    groups = [GroupLabel.CONTROL] * n_control + [GroupLabel.INDIVIDUAL] * n_individual
+    return make_dataset(feats, groups, [1.0] * n_control + [1.5] * n_individual)
 
 
 class TestValidateDataset:
@@ -197,6 +202,28 @@ class TestCsv:
         assert np.array_equal(back.features, d.features)
         assert np.array_equal(back.groups, d.groups)
         assert np.array_equal(back.outcomes, d.outcomes)
+
+    def test_saved_file_is_the_text_across_pieces(self, tmp_path):
+        # more rows than one piece of the streamed writer, and a partial last piece
+        d = random_dataset(np.random.default_rng(8), 5000, 3000)
+        save_dataset_csv(d, tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == dataset_to_csv(d).encode("utf-8")
+        back = load_dataset_csv(tmp_path / "d.csv")
+        assert back.features.tobytes() == d.features.tobytes()
+        assert back.outcomes.tobytes() == d.outcomes.tobytes()
+
+    def test_failed_streamed_write_leaves_target_unchanged(self, tmp_path):
+        target = tmp_path / "d.csv"
+        target.write_bytes(b"before")
+
+        def pieces():
+            yield b"partial"
+            raise RuntimeError("write failed")
+
+        with pytest.raises(RuntimeError):
+            write_chunks_atomic(target, pieces())
+        assert target.read_bytes() == b"before"
+        assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
 
     def test_header_exact(self):
         d = random_dataset(np.random.default_rng(7), 2, 2)

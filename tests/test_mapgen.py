@@ -9,7 +9,6 @@ import pytest
 from conftest import predict_one, random_dataset
 from reachmap import (
     CausalTreeParams,
-    DivergingPalette,
     TaskFeatures,
     Workspace,
     build_grid,
@@ -23,6 +22,7 @@ from reachmap import (
     KnnSpec,
 )
 from reachmap.causal_tree import CausalTree, Internal, Leaf, Split
+from reachmap.mapgen import _color
 from reachmap.errors import (
     InvalidResolution,
     NoLeafIds,
@@ -248,11 +248,10 @@ class TestRenderSvg:
             render_svg_slice(m)
 
     def test_palette_interpolation(self):
-        pal = DivergingPalette()
-        assert pal.color(0.0) == "#f7f7f7"
-        assert pal.color(1.0) == "#b2182b"
-        assert pal.color(-1.0) == "#2166ac"
-        assert pal.color(2.0) == pal.color(1.0)  # clamped
+        assert _color(0.0) == "#f7f7f7"
+        assert _color(1.0) == "#b2182b"
+        assert _color(-1.0) == "#2166ac"
+        assert _color(2.0) == _color(1.0)  # clamped
 
 
 class TestExportCsv:

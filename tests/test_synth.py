@@ -7,6 +7,7 @@ from reachmap import (
     BaselineParams,
     DgpSpec,
     EffectPreset,
+    TaskFeatures,
     Workspace,
     baseline_time,
     dgp_from_config,
@@ -20,6 +21,7 @@ from reachmap import (
 )
 from reachmap.domain import Dataset
 from reachmap.errors import MalformedConfig, OutOfWorkspace
+from reachmap.synth import MAX_GROUP_SAMPLES
 
 
 def dgp(preset=EffectPreset.NULL, **kw):
@@ -106,12 +108,12 @@ class TestGenerateDataset:
     def test_zero_noise_outcomes_are_exact(self):
         spec = dgp(EffectPreset.REGIONAL, noise_sigma=0.0)
         d, _ = generate_dataset(spec, 40, 40, seed=3)
-        for i in range(len(d)):
-            s = d.sample_at(i)
-            want = baseline_time(spec, s.features)
-            if s.group == 1:
-                want += true_tau(spec, s.features)
-            assert s.outcome == max(spec.floor, want)
+        for row, group, outcome in zip(d.features.tolist(), d.groups.tolist(), d.outcomes.tolist()):
+            p = TaskFeatures(*row)
+            want = baseline_time(spec, p)
+            if group == 1:
+                want += true_tau(spec, p)
+            assert outcome == max(spec.floor, want)
 
     def test_floor_clamps(self):
         spec = dgp(baseline=BaselineParams(a=0.0, b=0.0), noise_sigma=0.0)
@@ -127,6 +129,11 @@ class TestGenerateDataset:
     def test_counts_validation(self):
         with pytest.raises(ValueError):
             generate_dataset(dgp(), 0, 5, seed=1)
+
+    @pytest.mark.parametrize("n0, n1", [(MAX_GROUP_SAMPLES + 1, 5), (5, MAX_GROUP_SAMPLES + 1)])
+    def test_group_size_bound(self, n0, n1):
+        with pytest.raises(ValueError, match="at most"):
+            generate_dataset(dgp(), n0, n1, seed=1)
 
     def test_regional_leaf_recovery_with_paired_points(self):
         # same task points offered to both groups, no noise: the two-mean

@@ -23,6 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .causal_tree import (
+    MAX_TREES,
     DifficultyEstimate,
     Internal,
     _assemble,
@@ -60,8 +61,10 @@ class ForestSpec:
     seed: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
-        if self.n_trees < 1 or self.max_depth < 0 or self.min_leaf < 1:
-            raise ValueError("n_trees, max_depth, min_leaf must be positive")
+        if not 1 <= self.n_trees <= MAX_TREES:
+            raise ValueError(f"n_trees must be in 1..{MAX_TREES}, got {self.n_trees}")
+        if self.max_depth < 0 or self.min_leaf < 1:
+            raise ValueError("max_depth must be >= 0 and min_leaf >= 1")
         if not 1 <= self.features_per_split <= N_FEATURES:
             raise ValueError(
                 f"features_per_split must be in 1..{N_FEATURES}, "

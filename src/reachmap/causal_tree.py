@@ -659,6 +659,24 @@ class CausalForest:
         return DifficultyEstimate(total / len(self.trees), None)
 
 
+#: most members a forest of either kind holds; checked before any member is seeded
+MAX_TREES = 1_000
+
+
+@dataclass(frozen=True)
+class CausalForestSettings:
+    """A causal forest's ensemble settings beside its tree params."""
+
+    n_trees: int = 50
+    subsample_ratio: float = 0.7
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n_trees <= MAX_TREES:
+            raise ValueError(f"n_trees must be in 1..{MAX_TREES}, got {self.n_trees}")
+        if not 0.0 < self.subsample_ratio <= 1.0:
+            raise ValueError(f"subsample_ratio must be in (0, 1], got {self.subsample_ratio}")
+
+
 def _member_seeds(seed: int, n_trees: int) -> list[tuple[int, int]]:
     """Per-member (subsample_seed, fit_seed) pairs, derived by spawning SeedSequences."""
     children = np.random.SeedSequence(seed).spawn(n_trees)
@@ -682,10 +700,7 @@ def fit_causal_forest(
     result is invariant to input row order.  Raises DegenerateSplit when a
     subsample cannot host a root leaf.
     """
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be >= 1, got {n_trees}")
-    if not 0.0 < subsample_ratio <= 1.0:
-        raise ValueError(f"subsample_ratio must be in (0, 1], got {subsample_ratio}")
+    CausalForestSettings(n_trees, subsample_ratio)  # range checks, before any seeding
     validate_dataset(d, require_both_groups=True)
 
     order = canonical_order(d)

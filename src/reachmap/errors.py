@@ -56,11 +56,9 @@ class ZeroVariance(ReachmapError):
     """A variance-normalised metric received constant ground truth."""
 
 
-class MalformedModel(ReachmapError):
-    """A model document failed to parse or validate.
-
-    ``path`` locates the offending element inside the document.
-    """
+class MalformedDocument(ReachmapError):
+    """An input document failed to parse or validate at ``path``, a
+    ``$.dotted.path`` or the ``line N`` of a text config."""
 
     def __init__(self, path: str, reason: str):
         super().__init__(f"{path}: {reason}")
@@ -68,7 +66,11 @@ class MalformedModel(ReachmapError):
         self.reason = reason
 
 
-class MalformedConfig(ReachmapError):
+class MalformedModel(MalformedDocument):
+    """A model document failed to parse or validate."""
+
+
+class MalformedConfig(MalformedDocument):
     """A DGP or benchmark config file failed to parse or validate."""
 
 

@@ -15,9 +15,8 @@ each held-out individual outcome to its k nearest held-out control outcomes.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from scipy import stats as _scipy_stats
 
 from .baselines import CartSpec, ForestSpec, KnnSpec, fit_base_regressor, fit_t_learner
 from .causal_tree import (
+    CausalForestSettings,
     CausalTreeParams,
     DifficultyEstimate,
     fit_causal_forest,
@@ -39,6 +39,7 @@ from .errors import (
     ReachmapError,
     ZeroVariance,
 )
+from .fileio import decode_json, expect_dict, from_fields, get, reject_unknown
 from .synth import DgpSpec, dgp_from_mapping, generate_dataset, sample_workspace_point, true_tau
 
 
@@ -125,6 +126,11 @@ class ModelEntry:
     describe: str = ""
 
 
+#: most runs, and holdout points per run, a bench may ask for
+MAX_RUNS = 1_000
+MAX_HOLDOUT_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     dgp: DgpSpec
@@ -138,12 +144,13 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not self.models:
             raise ValueError("at least one model is required")
-        if self.runs < 2:
-            raise ValueError(f"runs must be >= 2 for significance tests, got {self.runs}")
+        if not 2 <= self.runs <= MAX_RUNS:  # >= 2 for significance tests
+            raise ValueError(f"runs must be in 2..{MAX_RUNS}, got {self.runs}")
         if self.n_control < 1 or self.n_individual < 1:
             raise ValueError("per-group sample counts must be >= 1")
-        if self.holdout_points < 2:
-            raise ValueError(f"holdout_points must be >= 2, got {self.holdout_points}")
+        if not 2 <= self.holdout_points <= MAX_HOLDOUT_POINTS:
+            raise ValueError(f"holdout_points must be in 2..{MAX_HOLDOUT_POINTS}, "
+                             f"got {self.holdout_points}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
 
 # --- model registry ----------------------------------------------------------
 
-#: the dataclass each model kind's hyperparameters configure
+#: the seeded config dataclass each model kind's fits take
 _CONFIG_TYPES = {
     "causal_tree": CausalTreeParams,
     "causal_forest": CausalTreeParams,
@@ -229,48 +236,76 @@ _CONFIG_TYPES = {
 
 MODEL_KINDS = tuple(_CONFIG_TYPES)
 
-#: causal_forest's ensemble settings beside its tree params, with defaults
-_FOREST_DEFAULTS = {"n_trees": 50, "subsample_ratio": 0.7}
-
-#: hyperparameters each model kind accepts: its config fields except the seed
+#: hyperparameters each model kind accepts: its config fields except the seed,
+#: and the causal forest's ensemble settings
 HYPERPARAMETERS = {
     kind: tuple(f.name for f in fields(cls) if f.name != "seed")
-    + (tuple(_FOREST_DEFAULTS) if kind == "causal_forest" else ())
+    + (tuple(f.name for f in fields(CausalForestSettings)) if kind == "causal_forest" else ())
     for kind, cls in _CONFIG_TYPES.items()
 }
 
 
-def model_entry(kind: str, name: Optional[str] = None, **hyper) -> ModelEntry:
-    """Build a ModelEntry for one of the known kinds.
-
-    Accepted hyperparameters (:data:`HYPERPARAMETERS`) match the underlying
-    spec types: causal_tree and causal_forest take max_depth / min_group_leaf /
-    honest_fraction (the forest also n_trees / subsample_ratio); t_cart takes
-    max_depth / min_leaf; t_forest adds n_trees / features_per_split; t_knn
-    takes k / standardize.  Seeds are supplied at fit time, not here.
-    """
-    if kind not in HYPERPARAMETERS:
+def _entry(kind, name: Optional[str], hyper: dict, build: Callable) -> ModelEntry:
+    """The entry fitting ``kind``; ``build(cls, **given)`` makes each config
+    dataclass from ``hyper``, with a placeholder seed that each fit replaces."""
+    if not isinstance(kind, str) or kind not in HYPERPARAMETERS:
         raise ValueError(f"unknown model kind {kind!r}; known: {', '.join(MODEL_KINDS)}")
     unknown = set(hyper) - set(HYPERPARAMETERS[kind])
     if unknown:
         raise ValueError(f"model kind {kind!r} does not accept {sorted(unknown)}")
-    kw = dict(hyper)
-    cls = _CONFIG_TYPES[kind]
-    extras = {}
-    if kind == "causal_forest":
-        n_trees = int(kw.pop("n_trees", _FOREST_DEFAULTS["n_trees"]))
-        ratio = float(kw.pop("subsample_ratio", _FOREST_DEFAULTS["subsample_ratio"]))
-        extras = {"n_trees": n_trees, "subsample_ratio": ratio}
-        fit = lambda d, seed: fit_causal_forest(d, cls(seed=seed, **kw), n_trees, ratio)
-    elif kind == "causal_tree":
-        fit = lambda d, seed: fit_causal_tree(d, cls(seed=seed, **kw))
-    else:
-        fit = lambda d, seed: fit_t_learner(d, cls(seed=seed, **kw))
-
-    resolved = {**asdict(cls(seed=0, **kw)), **extras}
+    params = build(_CONFIG_TYPES[kind], seed=0)
+    resolved = asdict(params)
     del resolved["seed"]
+    if kind == "causal_forest":
+        ensemble = build(CausalForestSettings)
+        resolved.update(asdict(ensemble))
+        fit = lambda d, seed: fit_causal_forest(
+            d, replace(params, seed=seed), ensemble.n_trees, ensemble.subsample_ratio
+        )
+    elif kind == "causal_tree":
+        fit = lambda d, seed: fit_causal_tree(d, replace(params, seed=seed))
+    else:
+        fit = lambda d, seed: fit_t_learner(d, replace(params, seed=seed))
     text = ", ".join(f"{k}={v}" for k, v in sorted(resolved.items()))
     return ModelEntry(name or kind, fit, f"{kind}({text})")
+
+
+def model_entry(kind: str, name: Optional[str] = None, **hyper) -> ModelEntry:
+    """A ModelEntry for one of :data:`MODEL_KINDS`, taking the kind's
+    :data:`HYPERPARAMETERS`; seeds are supplied at fit time, not here."""
+    def build(cls, **given):
+        return cls(**{f.name: hyper[f.name] for f in fields(cls) if f.name in hyper}, **given)
+
+    return _entry(kind, name, hyper, build)
+
+
+def _entry_from_dict(m, path: str) -> ModelEntry:
+    """One bench model: its kind, an optional name and typed hyperparameters."""
+    hyper = dict(expect_dict(m, path, MalformedConfig))
+    kind, name = hyper.pop("kind", None), hyper.pop("name", None)
+    if name is not None and not isinstance(name, str):
+        raise MalformedConfig(f"{path}.name", f"expected a string, got {name!r}")
+
+    def build(cls, **given):
+        return from_fields(cls, hyper, path, MalformedConfig, defaults=True, **given)
+
+    try:
+        return _entry(kind, name, hyper, build)
+    except ValueError as e:
+        raise MalformedConfig(path, str(e)) from None
+
+
+def _bench_config_from_dict(doc) -> BenchConfig:
+    doc = expect_dict(doc, "$", MalformedConfig)
+    reject_unknown(doc, (f.name for f in fields(BenchConfig)), "$", MalformedConfig)
+    models = get(doc, "models", "$", MalformedConfig)
+    if not isinstance(models, list):
+        raise MalformedConfig("$.models", f"expected a list, got {type(models).__name__}")
+    return from_fields(
+        BenchConfig, doc, "$", MalformedConfig, defaults=True,
+        dgp=dgp_from_mapping(get(doc, "dgp", "$", MalformedConfig), "$.dgp"),
+        models=tuple(_entry_from_dict(m, f"$.models[{i}]") for i, m in enumerate(models)),
+    )
 
 
 def bench_config_from_json(text: str) -> BenchConfig:
@@ -280,71 +315,9 @@ def bench_config_from_json(text: str) -> BenchConfig:
     <hyperparameters>}, ...], "n_control": int, "n_individual": int,
     "runs": int, "holdout_points": int, "master_seed": int}.  The first model
     is the reference row.  Per-run fitting seeds are derived from master_seed,
-    so model entries carry no seeds.
+    so model entries carry no seeds.  Absent keys take their defaults.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise MalformedConfig(f"invalid JSON: {e}") from None
-    except RecursionError:
-        raise MalformedConfig("invalid JSON: nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise MalformedConfig("top level must be an object")
-
-    known = {
-        "dgp",
-        "models",
-        "n_control",
-        "n_individual",
-        "runs",
-        "holdout_points",
-        "master_seed",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise MalformedConfig(f"unknown keys {sorted(unknown)}")
-    for key in ("dgp", "models", "n_control", "n_individual", "master_seed"):
-        if key not in doc:
-            raise MalformedConfig(f"missing required key {key!r}")
-    if not isinstance(doc["dgp"], dict):
-        raise MalformedConfig("'dgp' must be an object")
-    if not isinstance(doc["models"], list) or not doc["models"]:
-        raise MalformedConfig("'models' must be a non-empty list")
-
-    def req_int(key: str, default=None) -> int:
-        v = doc.get(key, default)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise MalformedConfig(f"{key!r} must be an integer, got {v!r}")
-        return v
-
-    entries = []
-    for i, m in enumerate(doc["models"]):
-        if not isinstance(m, dict):
-            raise MalformedConfig(f"models[{i}] must be an object")
-        m = dict(m)
-        kind = m.pop("kind", None)
-        if not isinstance(kind, str):
-            raise MalformedConfig(f"models[{i}]: missing string 'kind'")
-        name = m.pop("name", None)
-        if name is not None and not isinstance(name, str):
-            raise MalformedConfig(f"models[{i}]: 'name' must be a string")
-        try:
-            entries.append(model_entry(kind, name, **m))
-        except (TypeError, ValueError) as e:
-            raise MalformedConfig(f"models[{i}]: {e}") from None
-
-    try:
-        return BenchConfig(
-            dgp=dgp_from_mapping(doc["dgp"]),
-            models=tuple(entries),
-            n_control=req_int("n_control"),
-            n_individual=req_int("n_individual"),
-            runs=req_int("runs", 10),
-            holdout_points=req_int("holdout_points", 500),
-            master_seed=req_int("master_seed"),
-        )
-    except ValueError as e:
-        raise MalformedConfig(str(e)) from None
+    return decode_json(text, _bench_config_from_dict, MalformedConfig)
 
 
 # --- output formats ----------------------------------------------------------

@@ -15,9 +15,7 @@ the offending element.
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 from dataclasses import fields
 from typing import Any, Union
 
@@ -36,6 +34,7 @@ from .baselines import (
 )
 from .causal_tree import (
     CausalForest,
+    CausalForestSettings,
     CausalTree,
     CausalTreeParams,
     Internal,
@@ -44,7 +43,7 @@ from .causal_tree import (
 )
 from .domain import FEATURE_NAMES
 from .errors import MalformedModel
-from .fileio import write_text_atomic
+from .fileio import decode_json, expect_dict, from_fields, get, write_text_atomic
 
 FORMAT_VERSION = 1
 
@@ -148,97 +147,35 @@ def serialize_model(model: Model) -> str:
 # --- decoding ----------------------------------------------------------------
 
 
-def _expect_dict(v: Any, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise MalformedModel(path, f"expected an object, got {type(v).__name__}")
-    return v
-
-
-def _get(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
-        raise MalformedModel(f"{path}.{key}", "missing required field")
-    return obj[key]
-
-
-def _num(obj: dict, key: str, path: str) -> float:
-    v = _get(obj, key, path)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise MalformedModel(f"{path}.{key}", f"expected a number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:  # an integer beyond float range
-        x = math.inf
-    if not math.isfinite(x):  # json.loads accepts NaN and +-Infinity
-        raise MalformedModel(f"{path}.{key}", f"expected a finite number, got {v!r}")
-    return x
-
-
-def _int(obj: dict, key: str, path: str) -> int:
-    v = _get(obj, key, path)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise MalformedModel(f"{path}.{key}", f"expected an integer, got {v!r}")
-    return v
-
-
-def _bool(obj: dict, key: str, path: str) -> bool:
-    v = _get(obj, key, path)
-    if not isinstance(v, bool):
-        raise MalformedModel(f"{path}.{key}", f"expected a boolean, got {v!r}")
-    return v
-
-
-#: field checker by annotation; the model dataclasses hold only these types
-_CHECKERS = {"int": _int, "float": _num, "bool": _bool}
-
-
-@functools.cache
-def _field_checkers(cls: type) -> tuple:
-    """(name, checker) for each field of dataclass ``cls``."""
-    return tuple(
-        (f.name, _CHECKERS[getattr(f.type, "__name__", f.type)]) for f in fields(cls)
-    )
-
-
-def _from_fields(cls: type, d: Any, path: str):
-    """Build dataclass ``cls`` from the object ``d``, checking each field's type.
-
-    A ValueError from the class's own validation becomes a MalformedModel at
-    ``path``.
-    """
-    d = _expect_dict(d, path)
-    try:
-        return cls(**{name: check(d, name, path) for name, check in _field_checkers(cls)})
-    except ValueError as e:
-        raise MalformedModel(path, str(e)) from None
-
-
 def _node_from_dict(d: Any, path: str, leaf_cls: type):
     """One tree node of either kind; leaves are parsed as ``leaf_cls``."""
-    d = _expect_dict(d, path)
-    kind = _get(d, "kind", path)
+    d = expect_dict(d, path, MalformedModel)
+    kind = get(d, "kind", path, MalformedModel)
     if kind == "leaf":
-        return _from_fields(leaf_cls, d, path)
+        return from_fields(leaf_cls, d, path, MalformedModel)
     if kind == "internal":
-        split = _from_fields(Split, d, path)
+        split = from_fields(Split, d, path, MalformedModel)
         if not 0 <= split.feature_index < len(FEATURE_NAMES):
             raise MalformedModel(f"{path}.feature_index", f"out of range: {split.feature_index}")
         return Internal(
             split,
-            _node_from_dict(_get(d, "left", path), f"{path}.left", leaf_cls),
-            _node_from_dict(_get(d, "right", path), f"{path}.right", leaf_cls),
+            _node_from_dict(get(d, "left", path, MalformedModel), f"{path}.left", leaf_cls),
+            _node_from_dict(get(d, "right", path, MalformedModel), f"{path}.right", leaf_cls),
         )
     raise MalformedModel(f"{path}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
 
 
-def _tree_from_dict(d: dict, path: str) -> CausalTree:
-    names = _get(d, "feature_names", path)
+def _tree_from_dict(d: Any, path: str) -> CausalTree:
+    d = expect_dict(d, path, MalformedModel)
+    names = get(d, "feature_names", path, MalformedModel)
     if not (
         isinstance(names, list) and all(isinstance(s, str) for s in names)
     ) or len(names) != len(FEATURE_NAMES):
         raise MalformedModel(f"{path}.feature_names", f"expected 4 labels, got {names!r}")
     return CausalTree(
-        root=_node_from_dict(_get(d, "root", path), f"{path}.root", Leaf),
-        params=_from_fields(CausalTreeParams, _get(d, "params", path), f"{path}.params"),
+        root=_node_from_dict(get(d, "root", path, MalformedModel), f"{path}.root", Leaf),
+        params=from_fields(CausalTreeParams, get(d, "params", path, MalformedModel),
+                           f"{path}.params", MalformedModel),
         feature_names=tuple(names),
     )
 
@@ -256,30 +193,31 @@ def _float_array(v: Any, path: str, ndim: int) -> np.ndarray:
 
 
 def _regressor_from_dict(d: Any, path: str) -> Regressor:
-    d = _expect_dict(d, path)
-    kind = _get(d, "kind", path)
-    spec_d = _expect_dict(_get(d, "spec", path), f"{path}.spec")
+    d = expect_dict(d, path, MalformedModel)
+    kind = get(d, "kind", path, MalformedModel)
     if not isinstance(kind, str) or kind not in _REGRESSOR_SPECS:
         raise MalformedModel(f"{path}.kind", f"unknown regressor kind {kind!r}")
-    spec = _from_fields(_REGRESSOR_SPECS[kind], spec_d, f"{path}.spec")
+    spec_d = get(d, "spec", path, MalformedModel)
+    spec = from_fields(_REGRESSOR_SPECS[kind], spec_d, f"{path}.spec", MalformedModel)
     if kind == "cart":
-        return CartRegressor(_node_from_dict(_get(d, "root", path), f"{path}.root", RegLeaf), spec)
+        root = get(d, "root", path, MalformedModel)
+        return CartRegressor(_node_from_dict(root, f"{path}.root", RegLeaf), spec)
     if kind == "forest":
-        roots_v = _get(d, "roots", path)
+        roots_v = get(d, "roots", path, MalformedModel)
         if not isinstance(roots_v, list) or not roots_v:
             raise MalformedModel(f"{path}.roots", "expected a non-empty list")
         roots = tuple(
             _node_from_dict(r, f"{path}.roots[{i}]", RegLeaf) for i, r in enumerate(roots_v)
         )
         return ForestRegressor(roots, spec)
-    feats = _float_array(_get(d, "features", path), f"{path}.features", 2)
+    feats = _float_array(get(d, "features", path, MalformedModel), f"{path}.features", 2)
     if feats.shape[1] != len(FEATURE_NAMES):
         raise MalformedModel(f"{path}.features", f"expected 4 columns, got {feats.shape}")
-    outs = _float_array(_get(d, "outcomes", path), f"{path}.outcomes", 1)
+    outs = _float_array(get(d, "outcomes", path, MalformedModel), f"{path}.outcomes", 1)
     if outs.size != feats.shape[0]:
         raise MalformedModel(f"{path}.outcomes", "length mismatch with features")
-    shift = _float_array(_get(d, "shift", path), f"{path}.shift", 1)
-    scale = _float_array(_get(d, "scale", path), f"{path}.scale", 1)
+    shift = _float_array(get(d, "shift", path, MalformedModel), f"{path}.shift", 1)
+    scale = _float_array(get(d, "scale", path, MalformedModel), f"{path}.scale", 1)
     if shift.size != len(FEATURE_NAMES) or scale.size != len(FEATURE_NAMES):
         raise MalformedModel(f"{path}.shift", "expected 4 entries")
     if not (scale > 0).all():  # distances divide by it
@@ -288,56 +226,46 @@ def _regressor_from_dict(d: Any, path: str) -> Regressor:
 
 
 def model_from_dict(doc: Any) -> Model:
-    doc = _expect_dict(doc, "$")
-    version = _get(doc, "format_version", "$")
+    doc = expect_dict(doc, "$", MalformedModel)
+    version = get(doc, "format_version", "$", MalformedModel)
     if version != FORMAT_VERSION:
         raise MalformedModel("$.format_version", f"unsupported version {version!r}")
-    kind = _get(doc, "kind", "$")
+    kind = get(doc, "kind", "$", MalformedModel)
 
     if kind == "causal_tree":
         return _tree_from_dict(doc, "$")
 
     if kind == "causal_forest":
-        trees_v = _get(doc, "trees", "$")
-        if not isinstance(trees_v, list) or not trees_v:
-            raise MalformedModel("$.trees", "expected a non-empty list")
-        trees = tuple(
-            _tree_from_dict(_expect_dict(t, f"$.trees[{i}]"), f"$.trees[{i}]")
-            for i, t in enumerate(trees_v)
-        )
-        n_trees = _int(doc, "n_trees", "$")
-        ratio = _num(doc, "subsample_ratio", "$")
-        if n_trees != len(trees):
-            raise MalformedModel("$.n_trees", f"declared {n_trees}, found {len(trees)} trees")
+        ensemble = from_fields(CausalForestSettings, doc, "$", MalformedModel)
+        trees_v = get(doc, "trees", "$", MalformedModel)
+        if not isinstance(trees_v, list) or len(trees_v) != ensemble.n_trees:
+            raise MalformedModel("$.trees", f"expected a list of {ensemble.n_trees} trees")
+        trees = tuple(_tree_from_dict(t, f"$.trees[{i}]") for i, t in enumerate(trees_v))
         return CausalForest(
             trees=trees,
-            params=_from_fields(CausalTreeParams, _get(doc, "params", "$"), "$.params"),
-            n_trees=n_trees,
-            subsample_ratio=ratio,
+            params=from_fields(CausalTreeParams, get(doc, "params", "$", MalformedModel),
+                               "$.params", MalformedModel),
+            n_trees=ensemble.n_trees,
+            subsample_ratio=ensemble.subsample_ratio,
         )
 
     if isinstance(kind, str) and kind in _T_KINDS:
-        spec = _from_fields(_T_KINDS[kind], _get(doc, "spec", "$"), "$.spec")
         return TLearner(
             model_individual=_regressor_from_dict(
-                _get(doc, "model_individual", "$"), "$.model_individual"
+                get(doc, "model_individual", "$", MalformedModel), "$.model_individual"
             ),
             model_control=_regressor_from_dict(
-                _get(doc, "model_control", "$"), "$.model_control"
+                get(doc, "model_control", "$", MalformedModel), "$.model_control"
             ),
-            spec=spec,
+            spec=from_fields(_T_KINDS[kind], get(doc, "spec", "$", MalformedModel), "$.spec",
+                             MalformedModel),
         )
 
     raise MalformedModel("$.kind", f"unknown model kind {kind!r}")
 
 
 def parse_model(text: str) -> Model:
-    try:
-        return model_from_dict(json.loads(text))
-    except json.JSONDecodeError as e:
-        raise MalformedModel("$", f"invalid JSON: {e}") from None
-    except RecursionError:
-        raise MalformedModel("$", "nested too deeply") from None
+    return decode_json(text, model_from_dict, MalformedModel)
 
 
 def save_model(model: Model, path) -> None:

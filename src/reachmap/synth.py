@@ -30,6 +30,7 @@ import numpy as np
 
 from .domain import Dataset, GroupLabel, TaskFeatures, Workspace, features_from_xyz
 from .errors import MalformedConfig, OutOfWorkspace
+from .fileio import expect_dict, from_fields, reject_unknown, write_text_atomic
 
 
 class EffectPreset(Enum):
@@ -47,8 +48,10 @@ class BaselineParams:
     w: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0 or self.w < 0:
-            raise ValueError("baseline parameters must be non-negative")
+        if self.a < 0 or self.b < 0:
+            raise ValueError("baseline a and b must be >= 0")
+        if self.w <= 0:  # baseline_time divides by it
+            raise ValueError(f"baseline w must be > 0, got {self.w}")
 
 
 @dataclass(frozen=True)
@@ -163,79 +166,40 @@ def generate_dataset(
 # --- text config ------------------------------------------------------------
 #
 # Flat "key = value" lines; '#' starts a comment.  Keys flatten the DgpSpec
-# fields: workspace_radius, workspace_height, baseline_a, baseline_b,
-# baseline_w, effect_preset, noise_sigma, floor.  Omitted keys take the
-# defaults above; unknown keys are rejected.
+# fields as listed in _DGP_KEYS.  Omitted keys take the defaults above;
+# unknown keys are rejected.
 
-_FLOAT_KEYS = (
-    "workspace_radius",
-    "workspace_height",
-    "baseline_a",
-    "baseline_b",
-    "baseline_w",
-    "noise_sigma",
-    "floor",
-)
+#: the flat config keys in file order: key -> (DgpSpec part, or None for
+#: DgpSpec's own field; field name).  A part's key is "<part>_<field>".
+_DGP_KEYS = {
+    "workspace_radius": ("workspace", "radius"),
+    "workspace_height": ("workspace", "height"),
+    "baseline_a": ("baseline", "a"),
+    "baseline_b": ("baseline", "b"),
+    "baseline_w": ("baseline", "w"),
+    "effect_preset": (None, "effect_preset"),
+    "noise_sigma": (None, "noise_sigma"),
+    "floor": (None, "floor"),
+}
 
 
 def dgp_to_config(spec: DgpSpec) -> str:
-    lines = [
-        f"workspace_radius = {spec.workspace.radius!r}",
-        f"workspace_height = {spec.workspace.height!r}",
-        f"baseline_a = {spec.baseline.a!r}",
-        f"baseline_b = {spec.baseline.b!r}",
-        f"baseline_w = {spec.baseline.w!r}",
-        f"effect_preset = {spec.effect_preset.value}",
-        f"noise_sigma = {spec.noise_sigma!r}",
-        f"floor = {spec.floor!r}",
-    ]
+    lines = []
+    for key, (part, name) in _DGP_KEYS.items():
+        value = getattr(spec if part is None else getattr(spec, part), name)
+        lines.append(f"{key} = {value.value if isinstance(value, Enum) else repr(value)}")
     return "\n".join(lines) + "\n"
 
 
-def dgp_from_mapping(mapping: dict) -> DgpSpec:
-    """Build a DgpSpec from the documented flat key set (floats, plus effect_preset)."""
-    values = dict(mapping)
-    if "effect_preset" not in values:
-        raise MalformedConfig("missing required key 'effect_preset'")
-    try:
-        preset = EffectPreset(values.pop("effect_preset"))
-    except ValueError:
-        raise MalformedConfig(
-            "effect_preset must be one of: "
-            + ", ".join(p.value for p in EffectPreset)
-        ) from None
-
-    floats: dict[str, float] = {}
-    for key, value in values.items():
-        if key not in _FLOAT_KEYS:
-            raise MalformedConfig(f"unknown key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedConfig(f"key {key!r}: expected a number, got {value!r}")
-        floats[key] = float(value)
-
-    try:
-        ws_kwargs = {}
-        if "workspace_radius" in floats:
-            ws_kwargs["radius"] = floats["workspace_radius"]
-        if "workspace_height" in floats:
-            ws_kwargs["height"] = floats["workspace_height"]
-        base_kwargs = {}
-        for short in ("a", "b", "w"):
-            if f"baseline_{short}" in floats:
-                base_kwargs[short] = floats[f"baseline_{short}"]
-        spec_kwargs = {}
-        if "noise_sigma" in floats:
-            spec_kwargs["noise_sigma"] = floats["noise_sigma"]
-        if "floor" in floats:
-            spec_kwargs["floor"] = floats["floor"]
-        return DgpSpec(
-            workspace=Workspace(**ws_kwargs),
-            baseline=BaselineParams(**base_kwargs),
-            effect_preset=preset,
-            **spec_kwargs,
-        )
-    except ValueError as e:
-        raise MalformedConfig(str(e)) from None
+def dgp_from_mapping(mapping, path: str = "$") -> DgpSpec:
+    """Build a DgpSpec from the flat keys of _DGP_KEYS: finite numbers, plus effect_preset."""
+    d = expect_dict(mapping, path, MalformedConfig)
+    reject_unknown(d, _DGP_KEYS, path, MalformedConfig)
+    parts = {
+        part: from_fields(cls, d, path, MalformedConfig, defaults=True, prefix=f"{part}_")
+        for part, cls in (("workspace", Workspace), ("baseline", BaselineParams))
+    }
+    return from_fields(DgpSpec, d, path, MalformedConfig, defaults=True, **parts)
 
 
 def dgp_from_config(text: str) -> DgpSpec:
@@ -244,23 +208,18 @@ def dgp_from_config(text: str) -> DgpSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise MalformedConfig(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+        where = f"line {lineno}"
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            raise MalformedConfig(where, f"expected 'key = value', got {raw!r}")
         if key in values:
-            raise MalformedConfig(f"line {lineno}: duplicate key {key!r}")
-        if key == "effect_preset":
-            values[key] = value
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise MalformedConfig(
-                    f"line {lineno}: key {key!r}: unparseable number {value!r}"
-                ) from None
-        else:
-            raise MalformedConfig(f"line {lineno}: unknown key {key!r}")
+            raise MalformedConfig(where, f"duplicate key {key!r}")
+        if key not in _DGP_KEYS:
+            raise MalformedConfig(where, f"unknown key {key!r}")
+        try:
+            values[key] = value if key == "effect_preset" else float(value)
+        except ValueError:
+            raise MalformedConfig(where, f"key {key!r}: unparseable number {value!r}") from None
     return dgp_from_mapping(values)
 
 
@@ -270,6 +229,4 @@ def load_dgp_config(path) -> DgpSpec:
 
 
 def save_dgp_config(spec: DgpSpec, path) -> None:
-    from .fileio import write_text_atomic
-
     write_text_atomic(path, dgp_to_config(spec))

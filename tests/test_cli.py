@@ -328,6 +328,90 @@ class TestErrors:
         assert code == 1
         assert "master_seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, dgp, where",
+        [
+            ({"kind": "t_forest", "n_trees": 2, "features_per_split": 2.0}, {},
+             "$.models[0].features_per_split"),
+            ({"kind": "t_knn", "k": 2.0}, {}, "$.models[0].k"),
+            ({"kind": "causal_tree", "max_depth": 2.5}, {}, "$.models[0].max_depth"),
+            ({"kind": "causal_tree", "max_depth": True}, {}, "$.models[0].max_depth"),
+            ({"kind": "t_knn", "standardize": "no"}, {}, "$.models[0].standardize"),
+            ({"kind": "causal_forest", "n_trees": 2.7}, {}, "$.models[0].n_trees"),
+            ({"kind": "causal_tree"}, {"noise_sigma": float("nan")}, "$.dgp.noise_sigma"),
+        ],
+        ids=["features_per_split", "k", "max_depth-float", "max_depth-bool", "standardize",
+             "forest-n_trees", "dgp-nan"],
+    )
+    def test_bench_config_value_of_wrong_type(self, workdir, capsys, model, dgp, where):
+        cfg = workdir / "bench.json"
+        cfg.write_text(json.dumps({
+            "dgp": {"effect_preset": "regional", **dgp}, "models": [model],
+            "n_control": 20, "n_individual": 20, "runs": 2, "holdout_points": 10,
+            "master_seed": 1,
+        }))
+        code = run(["bench", "--config", cfg, "--out", workdir / "out.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MalformedConfig: {where}:")
+        assert "\n" not in err.strip()
+        assert not (workdir / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line, where",
+        [("noise_sigma = nan", "$.noise_sigma"), ("baseline_a = nan", "$.baseline_a"),
+         ("floor = inf", "$.floor"), ("baseline_w = 0", "baseline w must be > 0")],
+    )
+    def test_dgp_config_bad_value(self, workdir, capsys, line, where):
+        cfg = workdir / "bad.cfg"
+        cfg.write_text(f"effect_preset = regional\n{line}\n")
+        code = run(["gen", "--dgp", cfg, "--n0", 10, "--n1", 10, "--seed", 1,
+                    "--out", workdir / "d.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedConfig:") and where in err
+        assert "\n" not in err.strip()
+        assert not (workdir / "d.csv").exists()
+
+    @pytest.mark.parametrize("model", ["causal_forest", "t_forest"])
+    def test_fit_over_tree_bound(self, workdir, capsys, model):
+        data = workdir / "d.csv"
+        run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 30, "--n1", 30,
+             "--seed", 1, "--out", data])
+        capsys.readouterr()
+        code = run(["fit", "--data", data, "--model", model, "--n-trees", 1001,
+                    "--seed", 1, "--out", workdir / "m.json"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidValue: n_trees must be in 1..1000")
+        assert "\n" not in err.strip()
+        assert not (workdir / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "change, where",
+        [
+            ({"runs": 1001}, "runs must be in 2..1000"),
+            ({"holdout_points": 1_000_001}, "holdout_points must be in 2..1000000"),
+            ({"models": [{"kind": "causal_forest", "n_trees": 1001}]},
+             "$.models[0]: n_trees must be in 1..1000"),
+            ({"models": [{"kind": "t_forest", "n_trees": 1001}]},
+             "$.models[0]: n_trees must be in 1..1000"),
+        ],
+        ids=["runs", "holdout_points", "causal_forest", "t_forest"],
+    )
+    def test_bench_over_bound(self, workdir, capsys, change, where):
+        cfg = workdir / "bench.json"
+        cfg.write_text(json.dumps({
+            "dgp": {"effect_preset": "regional"}, "models": [{"kind": "t_knn"}],
+            "n_control": 10, "n_individual": 10, "master_seed": 1, **change,
+        }))
+        code = run(["bench", "--config", cfg, "--out", workdir / "out.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedConfig:") and where in err
+        assert "\n" not in err.strip()
+        assert not (workdir / "out.csv").exists()
+
 
 class TestDeterminism:
     def test_gen_and_fit_are_reproducible(self, workdir):

@@ -386,6 +386,36 @@ class TestBenchConfigJson:
             bench_config_from_json(json.dumps(doc))
 
 
+    def test_absent_hyperparameters_keep_their_defaults(self):
+        doc = dict(self.GOOD, models=[{"kind": "t_forest", "n_trees": 3}])
+        cfg = bench_config_from_json(json.dumps(doc))
+        assert cfg.models[0].describe == (
+            "t_forest(features_per_split=2, max_depth=8, min_leaf=5, n_trees=3)"
+        )
+
+    @pytest.mark.parametrize("kind, hyper", [
+        ("causal_tree", dict(max_depth=3, min_group_leaf=4, honest_fraction=0.4)),
+        ("causal_forest", dict(max_depth=2, n_trees=7, subsample_ratio=0.9)),
+        ("t_cart", dict(max_depth=5, min_leaf=3)),
+        ("t_forest", dict(n_trees=9, features_per_split=3)),
+        ("t_knn", dict(k=7, standardize=True)),
+    ])
+    def test_entries_match_model_entry(self, kind, hyper):
+        doc = dict(self.GOOD, models=[{"kind": kind, **hyper}])
+        entry = bench_config_from_json(json.dumps(doc)).models[0]
+        assert entry.describe == model_entry(kind, **hyper).describe
+
+    def test_name_must_be_a_string(self):
+        doc = dict(self.GOOD, models=[{"kind": "t_knn", "name": 3}])
+        with pytest.raises(MalformedConfig, match=r"\$\.models\[0\]\.name"):
+            bench_config_from_json(json.dumps(doc))
+
+    def test_models_must_be_a_list(self):
+        doc = dict(self.GOOD, models={"kind": "t_knn"})
+        with pytest.raises(MalformedConfig, match=r"\$\.models: expected a list"):
+            bench_config_from_json(json.dumps(doc))
+
+
 class TestOutputFormats:
     def rows(self):
         return run_benchmark(

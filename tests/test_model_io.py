@@ -190,3 +190,20 @@ class TestMalformed:
         doc["model_control"]["scale"][0] = value
         with pytest.raises(MalformedModel, match=r"model_control\.scale"):
             parse_model(json.dumps(doc))
+
+    def test_forest_over_tree_bound(self):
+        d = random_dataset(np.random.default_rng(11), 15, 15)
+        params = CausalTreeParams(max_depth=1, min_group_leaf=2, seed=1)
+        forest = fit_causal_forest(d, params, 2, 0.9)
+        doc = json.loads(serialize_model(forest))
+        doc["n_trees"] = 1001
+        with pytest.raises(MalformedModel, match=r"\$: n_trees must be in 1\.\.1000"):
+            parse_model(json.dumps(doc))
+
+    def test_t_forest_spec_over_tree_bound(self):
+        d = random_dataset(np.random.default_rng(12), 15, 15)
+        model = fit_t_learner(d, ForestSpec(n_trees=2, min_leaf=2, seed=0))
+        doc = json.loads(serialize_model(model))
+        doc["spec"]["n_trees"] = 1001
+        with pytest.raises(MalformedModel, match=r"\$\.spec: n_trees must be in 1\.\.1000"):
+            parse_model(json.dumps(doc))

@@ -198,6 +198,24 @@ class TestDgpConfig:
             dgp_from_config("effect_preset = null\nfloor = 0\n")
 
 
+    @pytest.mark.parametrize(
+        "line, where",
+        [("noise_sigma = nan", "$.noise_sigma"), ("baseline_a = nan", "$.baseline_a"),
+         ("floor = inf", "$.floor"), ("workspace_radius = -inf", "$.workspace_radius"),
+         ("baseline_b = 1e400", "$.baseline_b")],
+    )
+    def test_non_finite_rejected(self, line, where):
+        with pytest.raises(MalformedConfig, match=rf"^\{where}: expected a finite number"):
+            dgp_from_config(f"effect_preset = null\n{line}\n")
+
+    def test_text_lists_every_key_in_order(self):
+        assert dgp_to_config(dgp(EffectPreset.SMOOTH)) == (
+            "workspace_radius = 0.3\nworkspace_height = 0.4\nbaseline_a = 0.4\n"
+            "baseline_b = 0.3\nbaseline_w = 0.05\neffect_preset = smooth\n"
+            "noise_sigma = 0.1\nfloor = 0.05\n"
+        )
+
+
 class TestDgpSpecValidation:
     def test_bad_params(self):
         with pytest.raises(ValueError):
@@ -206,3 +224,8 @@ class TestDgpSpecValidation:
             dgp(floor=0.0)
         with pytest.raises(ValueError):
             DgpSpec(baseline=BaselineParams(a=-1), effect_preset=EffectPreset.NULL)
+
+    def test_zero_baseline_width_rejected(self):
+        # baseline_time divides by w
+        with pytest.raises(ValueError, match="w must be > 0"):
+            BaselineParams(w=0.0)

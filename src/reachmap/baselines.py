@@ -350,7 +350,7 @@ def _side_seeds(seed: int) -> tuple[int, int]:
 
 def fit_t_learner(d: Dataset, spec: RegressorSpec) -> TLearner:
     """Fit the control-side and individual-side regressors on their own samples."""
-    validate_dataset(d, require_both_groups=True)
+    validate_dataset(d)
     ctl_seed, ind_seed = _side_seeds(spec.seed)
     model_control = fit_base_regressor(
         replace(spec, seed=ctl_seed), d.restrict_to_group(GroupLabel.CONTROL)

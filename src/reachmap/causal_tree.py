@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress, count
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Protocol, Union
 
 import numpy as np
 
@@ -101,6 +101,10 @@ class DifficultyEstimate:
 
     tau_hat: np.ndarray
     leaf_id: Optional[np.ndarray]
+
+
+class DifficultyPredictor(Protocol):
+    def predict(self, X: np.ndarray) -> DifficultyEstimate: ...
 
 
 class LeafStats(NamedTuple):
@@ -510,8 +514,8 @@ def best_split(
     params: CausalTreeParams,
 ) -> Optional[Split]:
     """Best admissible cut of the split half, or None when no candidate has gain > 0."""
-    validate_dataset(split_samples, require_both_groups=True)
-    validate_dataset(estimation_samples, require_both_groups=True)
+    validate_dataset(split_samples)
+    validate_dataset(estimation_samples)
     split = _Half(split_samples)
     est = _Half(estimation_samples)
     node = _effect_node(
@@ -550,7 +554,7 @@ def grow_causal_tree(
     left-to-right order of the leaves.
     """
     for name, half in (("split", split_half), ("estimation", estimation_half)):
-        n_ctl, n_ind = validate_dataset(half, require_both_groups=True)
+        n_ctl, n_ind = validate_dataset(half)
         if n_ctl < params.min_group_leaf or n_ind < params.min_group_leaf:
             raise DegenerateSplit(
                 f"{name} half has {n_ctl} control / {n_ind} individual samples; "
@@ -599,7 +603,7 @@ def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
     Deterministic given the dataset as a multiset and the params.  Raises
     DegenerateSplit when either honest half cannot host a root leaf.
     """
-    validate_dataset(d, require_both_groups=True)
+    validate_dataset(d)
     split_half, estimation_half = stratified_honest_split(
         d, params.honest_fraction, params.seed
     )
@@ -701,7 +705,7 @@ def fit_causal_forest(
     subsample cannot host a root leaf.
     """
     CausalForestSettings(n_trees, subsample_ratio)  # range checks, before any seeding
-    validate_dataset(d, require_both_groups=True)
+    validate_dataset(d)
 
     order = canonical_order(d)
     groups_in_order = d.groups[order]

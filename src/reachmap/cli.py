@@ -148,7 +148,7 @@ def run_command(ns: argparse.Namespace) -> int:
     if ns.command == "fit":
         seed = _require_seed(ns.seed, "model fitting")
         dataset = load_dataset_csv(ns.data)
-        validate_dataset(dataset, require_both_groups=True)
+        validate_dataset(dataset)
         hyper = {f: v for f in HYPERPARAMETERS[ns.model] if (v := getattr(ns, f)) is not None}
         entry = model_entry(ns.model, **hyper)
         model = entry.fit(dataset, seed)

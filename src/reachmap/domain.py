@@ -28,6 +28,7 @@ from .errors import (
     InvalidSample,
     MissingGroup,
 )
+from .fileio import write_chunks_atomic
 
 #: Column order of the feature space used everywhere in the package.
 FEATURE_NAMES: tuple[str, str, str, str] = ("x", "y", "z", "dist")
@@ -144,11 +145,11 @@ class Dataset:
         return self.subset(np.nonzero(self.groups == int(group))[0])
 
 
-def validate_dataset(d: Dataset, require_both_groups: bool = True) -> tuple[int, int]:
+def validate_dataset(d: Dataset) -> tuple[int, int]:
     """Check dataset invariants; return (n_control, n_individual) on success.
 
     Raises EmptyDataset, InvalidSample(index, reason) for the first offending
-    row, or MissingGroup when ``require_both_groups`` and a group is absent.
+    row, or MissingGroup when a group is absent.
     """
     if len(d) == 0:
         raise EmptyDataset("dataset has no samples")
@@ -169,11 +170,10 @@ def validate_dataset(d: Dataset, require_both_groups: bool = True) -> tuple[int,
             reason = f"outcome must be > 0, got {d.outcomes[i]!r}"
         raise InvalidSample(i, reason)
     n_control, n_individual = d.group_counts()
-    if require_both_groups:
-        if n_control == 0:
-            raise MissingGroup("no Control samples")
-        if n_individual == 0:
-            raise MissingGroup("no Individual samples")
+    if n_control == 0:
+        raise MissingGroup("no Control samples")
+    if n_individual == 0:
+        raise MissingGroup("no Individual samples")
     return n_control, n_individual
 
 
@@ -211,7 +211,7 @@ def stratified_honest_split(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    validate_dataset(d, require_both_groups=True)
+    validate_dataset(d)
 
     order = canonical_order(d)
     rng = np.random.default_rng(seed)
@@ -319,6 +319,4 @@ def load_dataset_csv(path) -> Dataset:
 
 def save_dataset_csv(d: Dataset, path) -> None:
     """Write the dataset CSV piece by piece, never holding its whole text."""
-    from .fileio import write_chunks_atomic
-
     write_chunks_atomic(path, (piece.encode("utf-8") for piece in _csv_pieces(d)))

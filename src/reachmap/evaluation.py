@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtr
 
 from .baselines import CartSpec, ForestSpec, KnnSpec, fit_base_regressor, fit_t_learner
 from .causal_tree import (
     CausalForestSettings,
     CausalTreeParams,
-    DifficultyEstimate,
+    DifficultyPredictor,
     fit_causal_forest,
     fit_causal_tree,
 )
@@ -41,10 +41,6 @@ from .errors import (
 )
 from .fileio import decode_json, expect_dict, from_fields, get, reject_unknown
 from .synth import DgpSpec, dgp_from_mapping, generate_dataset, sample_workspace_point, true_tau
-
-
-class DifficultyPredictor(Protocol):
-    def predict(self, X: np.ndarray) -> DifficultyEstimate: ...
 
 
 # --- metrics -----------------------------------------------------------------
@@ -88,7 +84,7 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> float:
         return 1.0 if d[0] == 0.0 else 0.0
     n = d.size
     t = float(np.mean(d) / (np.std(d, ddof=1) / math.sqrt(n)))
-    return float(2.0 * _scipy_stats.t.sf(abs(t), n - 1))
+    return float(2.0 * stdtr(n - 1, -abs(t)))  # stdtr: Student's t CDF
 
 
 def matched_holdout_truth(holdout: Dataset, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +98,7 @@ def matched_holdout_truth(holdout: Dataset, k: int = 5) -> tuple[np.ndarray, np.
     effects of the individual samples, in holdout order.
     """
     spec = KnnSpec(k=k, seed=0)
-    validate_dataset(holdout, require_both_groups=True)
+    validate_dataset(holdout)
     controls = holdout.restrict_to_group(GroupLabel.CONTROL)
     individuals = holdout.restrict_to_group(GroupLabel.INDIVIDUAL)
     nearest = fit_base_regressor(spec, controls).predict(individuals.features)
@@ -250,6 +246,9 @@ def _entry(kind, name: Optional[str], hyper: dict, build: Callable) -> ModelEntr
     dataclass from ``hyper``, with a placeholder seed that each fit replaces."""
     if not isinstance(kind, str) or kind not in HYPERPARAMETERS:
         raise ValueError(f"unknown model kind {kind!r}; known: {', '.join(MODEL_KINDS)}")
+    if name is not None and (not name.isprintable() or "," in name or '"' in name):
+        # the name is written as is into a bench CSV field and a table row
+        raise ValueError(f"model name {name!r} must be printable, without ',' or '\"'")
     unknown = set(hyper) - set(HYPERPARAMETERS[kind])
     if unknown:
         raise ValueError(f"model kind {kind!r} does not accept {sorted(unknown)}")

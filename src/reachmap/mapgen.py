@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .causal_tree import DifficultyPredictor
 from .domain import Workspace
 from .errors import (
     InvalidResolution,
@@ -30,7 +31,6 @@ from .errors import (
     NotASlice,
     SliceOutOfRange,
 )
-from .evaluation import DifficultyPredictor
 
 
 @dataclass(frozen=True)

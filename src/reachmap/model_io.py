@@ -187,6 +187,10 @@ def _float_array(v: Any, path: str, ndim: int) -> np.ndarray:
         raise MalformedModel(path, "expected a numeric array") from None
     if arr.ndim != ndim:
         raise MalformedModel(path, f"expected a {ndim}-d array, got shape {arr.shape}")
+    # numpy reads true as 1.0 and "2" as 2.0; a number field takes neither
+    elements = v if ndim == 1 else [x for row in v for x in row]
+    if not set(map(type, elements)) <= {int, float}:
+        raise MalformedModel(path, "expected numbers only")
     if not np.isfinite(arr).all():
         raise MalformedModel(path, "expected finite numbers")
     return arr

@@ -71,12 +71,10 @@ class DgpSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Evaluates the generating process's true effect at any workspace point."""
+    """The generating process a dataset was drawn from; ``true_tau(spec, p)``
+    gives its effect at any workspace point."""
 
     spec: DgpSpec
-
-    def tau(self, p: TaskFeatures) -> float:
-        return true_tau(self.spec, p)
 
 
 _SMOOTH_CENTER = (0.15, 0.15, 0.10)

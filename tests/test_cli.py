@@ -412,6 +412,23 @@ class TestErrors:
         assert "\n" not in err.strip()
         assert not (workdir / "out.csv").exists()
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb", 'a"b'],
+                             ids=["comma", "newline", "carriage-return", "quote"])
+    def test_bench_model_name_breaking_csv(self, workdir, capsys, name):
+        cfg = workdir / "bench.json"
+        cfg.write_text(json.dumps({
+            "dgp": {"effect_preset": "regional"},
+            "models": [{"kind": "t_knn"}, {"kind": "t_knn", "name": name}],
+            "n_control": 10, "n_individual": 10, "runs": 2, "holdout_points": 10,
+            "master_seed": 1,
+        }))
+        code = run(["bench", "--config", cfg, "--out", workdir / "out.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MalformedConfig: $.models[1]:")
+        assert "\n" not in err.strip()
+        assert not (workdir / "out.csv").exists()
+
 
 class TestDeterminism:
     def test_gen_and_fit_are_reproducible(self, workdir):

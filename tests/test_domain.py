@@ -106,9 +106,6 @@ class TestValidateDataset:
         with pytest.raises(MissingGroup, match="Individual"):
             validate_dataset(_pair_dataset(3, 0))
 
-    def test_single_group_allowed_when_not_required(self):
-        assert validate_dataset(_pair_dataset(3, 0), require_both_groups=False) == (3, 0)
-
     def test_nonpositive_outcome(self):
         d = make_dataset([[0.1, 0, 0, 0.1], [0.2, 0, 0, 0.2]], [0, 1], [1.0, 0.0])
         with pytest.raises(InvalidSample) as exc:

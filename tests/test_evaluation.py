@@ -1,12 +1,21 @@
 import hashlib
 import json
+import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dataset, random_dataset
+import reachmap
 from reachmap import (
     BenchConfig,
     DgpSpec,
@@ -152,6 +161,44 @@ class TestPairedTTest:
     def test_too_short(self):
         with pytest.raises(InsufficientSamples):
             paired_t_test([1.0], [2.0])
+
+    @given(
+        n=st.integers(2, 1000),
+        t_target=st.one_of(st.just(0.0), st.floats(1e-3, 2.0), st.floats(2.0, 1e3),
+                           st.floats(1e3, 1e12)),
+        sign=st.sampled_from([1.0, -1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_scipy_stats(self, n, t_target, sign, seed):
+        """The p-value equals scipy.stats' Student t survival function bit for bit."""
+        rng = np.random.default_rng(seed)
+        if t_target == 0.0:  # integer differences summing to exactly zero: t == 0
+            d = rng.integers(1, 6, size=n) * rng.choice([-1.0, 1.0], size=n)
+            d[-1] = -d[:-1].sum()
+        else:  # mean shifted so that t is near sign * t_target
+            e = rng.normal(size=n)
+            e -= e.mean()
+            d = e + sign * t_target * e.std(ddof=1) / math.sqrt(n)
+        b = rng.integers(-5, 6, size=n).astype(np.float64)  # a - b is d exactly at t == 0
+        a = b + d
+        x = a - b
+        assume(not np.all(x == x[0]))  # the degenerate rule is tested above
+        t = float(np.mean(x) / (np.std(x, ddof=1) / math.sqrt(n)))
+        assert (t == 0.0) == (t_target == 0.0)
+        want = float(2.0 * scipy.stats.t.sf(abs(t), n - 1))
+        assert np.float64(paired_t_test(a, b)).tobytes() == np.float64(want).tobytes()
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    """The CLI needs only scipy.special; scipy.stats pulls in hundreds of modules."""
+    src = str(Path(reachmap.__file__).parents[1])
+    code = ("import sys; import reachmap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'sparse'])))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
 
 
 class TestMatchedHoldoutTruth:

@@ -191,6 +191,22 @@ class TestMalformed:
         with pytest.raises(MalformedModel, match=r"model_control\.scale"):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [("features", (0, 0), True), ("outcomes", (1,), False),
+         ("shift", (2,), True), ("scale", (3,), True), ("scale", (0,), "2")],
+        ids=["features", "outcomes", "shift", "scale", "scale-string"],
+    )
+    def test_non_number_in_knn_array(self, field, index, value):
+        d = random_dataset(np.random.default_rng(10), 15, 15)
+        doc = json.loads(serialize_model(fit_t_learner(d, KnnSpec(seed=0))))
+        target = doc["model_control"][field]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+        with pytest.raises(MalformedModel, match=rf"model_control\.{field}: expected numbers"):
+            parse_model(json.dumps(doc))
+
     def test_forest_over_tree_bound(self):
         d = random_dataset(np.random.default_rng(11), 15, 15)
         params = CausalTreeParams(max_depth=1, min_group_leaf=2, seed=1)

@@ -21,7 +21,6 @@ from .causal_tree import (
     CausalTree,
     CausalTreeParams,
     DifficultyEstimate,
-    Internal,
     Leaf,
     Split,
     best_split,

@@ -5,11 +5,11 @@ one to the control group's, then report the difference of the two predictions
 at a task point.  Base learners are a variance-reduction CART, a bagged forest
 of CARTs with per-split feature sampling, and k-nearest-neighbours averaging.
 
-The CART shares the causal tree's split search, internal node type and router
-(:mod:`reachmap.causal_tree`): thresholds at midpoints of consecutive distinct
-values, ties to the lowest feature index then lowest threshold, values <
-threshold route left, and a split must strictly reduce the sum of squared
-errors.
+The CART shares the causal tree's split search, pre-order node layout and
+router (:mod:`reachmap.causal_tree`): thresholds at midpoints of consecutive
+distinct values, ties to the lowest feature index then lowest threshold,
+values < threshold route left, and a split must strictly reduce the sum of
+squared errors.
 """
 
 from __future__ import annotations
@@ -25,14 +25,13 @@ import numpy as np
 from .causal_tree import (
     MAX_TREES,
     DifficultyEstimate,
-    Internal,
-    _assemble,
     _best_cuts,
     _dyadic,
     _feature_rows,
     _Fork,
     _leaf_values,
     _mean,
+    _preorder,
     _times_4_pow,
 )
 from .domain import Dataset, GroupLabel, canonical_order, validate_dataset
@@ -90,9 +89,6 @@ RegressorSpec = Union[CartSpec, ForestSpec, KnnSpec]
 class RegLeaf:
     value: float
     n: int
-
-
-RegNode = Union[Internal, RegLeaf]
 
 
 #: t_forest members grown side by side.  Lockstep growth holds the pending
@@ -174,8 +170,9 @@ def _grow_carts(
     min_leaf: int,
     mtry: Optional[int] = None,
     rngs: Optional[list] = None,
-) -> list[RegNode]:
-    """One CART per entry of ``roots``, the rows of ``X``/``y`` it is grown on.
+) -> list[tuple]:
+    """The pre-order nodes of one CART per entry of ``roots``, the rows of
+    ``X``/``y`` it is grown on.
 
     Within a node, value ties keep the order of its rows.  With ``mtry``
     below the feature count, each tree draws a node's features from its own
@@ -226,30 +223,30 @@ def _grow_carts(
             records[t][i] = _Fork(cut, left, left + 1)
             pending[t].append((left + 1, node.rows[~left_mask], node.depth + 1))
             pending[t].append((left, node.rows[left_mask], node.depth + 1))
-    return [_assemble(r, lambda leaf: leaf) for r in records]
+    return [_preorder(r) for r in records]
 
 
 @dataclass(frozen=True)
 class CartRegressor:
-    root: RegNode
+    nodes: tuple  # splits and ``RegLeaf``s in depth-first pre-order
     spec: CartSpec
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return _leaf_values(self.root, _feature_rows(X), "value")
+        return _leaf_values(self.nodes, _feature_rows(X), "value")
 
 
 @dataclass(frozen=True)
 class ForestRegressor:
-    roots: tuple[RegNode, ...]
+    trees: tuple[tuple, ...]  # each member's pre-order nodes
     spec: ForestSpec
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean member prediction at each row of ``X``, summed in member order."""
         X = _feature_rows(X)
         total = np.zeros(X.shape[0])
-        for root in self.roots:
-            total += _leaf_values(root, X, "value")
-        return total / len(self.roots)
+        for nodes in self.trees:
+            total += _leaf_values(nodes, X, "value")
+        return total / len(self.trees)
 
 
 @dataclass(frozen=True)
@@ -297,8 +294,8 @@ def fit_base_regressor(spec: RegressorSpec, data: Dataset) -> Regressor:
     if isinstance(spec, CartSpec):
         if n < spec.min_leaf:
             raise InsufficientSamples(f"Cart needs >= {spec.min_leaf} samples, got {n}")
-        root = _grow_carts(X, y, [np.arange(n)], spec.max_depth, spec.min_leaf)[0]
-        return CartRegressor(root, spec)
+        nodes = _grow_carts(X, y, [np.arange(n)], spec.max_depth, spec.min_leaf)[0]
+        return CartRegressor(nodes, spec)
 
     if isinstance(spec, ForestSpec):
         if n < spec.min_leaf:
@@ -306,15 +303,15 @@ def fit_base_regressor(spec: RegressorSpec, data: Dataset) -> Regressor:
                 f"Forest needs >= {spec.min_leaf} samples, got {n}"
             )
         children = np.random.SeedSequence(spec.seed).spawn(spec.n_trees)
-        roots = []
+        trees = []
         for start in range(0, spec.n_trees, _LOCKSTEP):
             rngs = [np.random.default_rng(child) for child in children[start : start + _LOCKSTEP]]
             # a member's bootstrap rows come from its generator before its split draws
             boots = [rng.integers(0, n, size=n) for rng in rngs]
-            roots += _grow_carts(
+            trees += _grow_carts(
                 X, y, boots, spec.max_depth, spec.min_leaf, spec.features_per_split, rngs
             )
-        return ForestRegressor(tuple(roots), spec)
+        return ForestRegressor(tuple(trees), spec)
 
     if isinstance(spec, KnnSpec):
         if spec.standardize:

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress, count
-from typing import Callable, Iterator, NamedTuple, Optional, Protocol, Union
+from itertools import compress
+from typing import Callable, Iterator, NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -70,24 +70,13 @@ class Split:
 
 @dataclass(frozen=True)
 class Leaf:
-    leaf_id: int
+    """A causal-tree leaf; its leaf id is its rank among the tree's leaves."""
+
     tau_hat: float
     n_individual: int
     n_control: int
     mean_individual: float
     mean_control: float
-
-
-@dataclass(frozen=True)
-class Internal:
-    """Internal node of a causal tree, and of the baselines' CARTs."""
-
-    split: Split
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Union[Internal, Leaf]
 
 
 @dataclass(frozen=True)
@@ -107,15 +96,7 @@ class DifficultyPredictor(Protocol):
     def predict(self, X: np.ndarray) -> DifficultyEstimate: ...
 
 
-class LeafStats(NamedTuple):
-    tau_hat: float
-    n_individual: int
-    n_control: int
-    mean_individual: float
-    mean_control: float
-
-
-def leaf_estimate(samples: Dataset) -> LeafStats:
+def leaf_estimate(samples: Dataset) -> Leaf:
     """Two-mean effect estimate over one cell: mean individual - mean control.
 
     Requires at least one sample of each group; raises MissingGroup otherwise.
@@ -131,47 +112,44 @@ def leaf_estimate(samples: Dataset) -> LeafStats:
         raise MissingGroup("leaf estimate needs Control samples")
     mean_ind = float(np.mean(samples.outcomes[ind]))
     mean_ctl = float(np.mean(samples.outcomes[ctl]))
-    return LeafStats(mean_ind - mean_ctl, n_ind, n_ctl, mean_ind, mean_ctl)
+    return Leaf(mean_ind - mean_ctl, n_ind, n_ctl, mean_ind, mean_ctl)
 
 
 @dataclass(frozen=True)
 class CausalTree:
-    """A fitted honest causal tree."""
+    """A fitted honest causal tree: its splits and leaves in depth-first
+    pre-order, each split followed by its left subtree, then its right one."""
 
-    root: TreeNode
+    nodes: tuple
     params: CausalTreeParams
-    feature_names: tuple[str, str, str, str] = FEATURE_NAMES
 
     def predict(self, X: np.ndarray) -> DifficultyEstimate:
         """Route each row of the (m, 4) ``X`` to its leaf and return its effect."""
         X = _feature_rows(X)
         tau = np.empty(X.shape[0])
         leaf_id = np.empty(X.shape[0], dtype=np.int64)
-        for leaf, rows in _route(self.root, X):
+        for rank, leaf, rows in _route(self.nodes, X):
             tau[rows] = leaf.tau_hat
-            leaf_id[rows] = leaf.leaf_id
+            leaf_id[rows] = rank
         return DifficultyEstimate(tau, leaf_id)
 
-    def leaves(self) -> Iterator[Leaf]:
-        stack: list[TreeNode] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                yield node
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
+    def leaves(self) -> tuple[Leaf, ...]:
+        """The leaves from left to right: ``leaves()[k]`` is leaf k."""
+        return tuple(node for node in self.nodes if isinstance(node, Leaf))
 
     def depth(self) -> int:
-        def rec(node: TreeNode) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + max(rec(node.left), rec(node.right))
-
-        return rec(self.root)
+        deepest = 0
+        pending = [0]  # depths of the nodes still to come, next on top
+        for node in self.nodes:
+            d = pending.pop()
+            if isinstance(node, Split):
+                pending += [d + 1, d + 1]
+            else:
+                deepest = max(deepest, d)
+        return deepest
 
     def n_leaves(self) -> int:
-        return sum(1 for _ in self.leaves())
+        return len(self.leaves())
 
 
 class _Half:
@@ -205,17 +183,19 @@ class _Fork(NamedTuple):
     right: int
 
 
-def _assemble(records: list, make_leaf: Callable, i: int = 0):
-    """The tree rooted at record ``i``; records are ``_Fork`` or leaf payloads.
-
-    ``make_leaf`` is called in depth-first pre-order, so leaf ids handed out
-    by it follow the left-to-right order of the leaves.
-    """
-    r = records[i]
-    if isinstance(r, _Fork):
-        left = _assemble(records, make_leaf, r.left)
-        return Internal(r.split, left, _assemble(records, make_leaf, r.right))
-    return make_leaf(r)
+def _preorder(records: list) -> tuple:
+    """The nodes of the tree rooted at record 0 in depth-first pre-order;
+    records are ``_Fork`` or leaves."""
+    nodes = []
+    stack = [0]
+    while stack:
+        r = records[stack.pop()]
+        if isinstance(r, _Fork):
+            nodes.append(r.split)
+            stack += [r.right, r.left]
+        else:
+            nodes.append(r)
+    return tuple(nodes)
 
 
 def _mean(y: np.ndarray) -> np.float64:
@@ -550,8 +530,7 @@ def grow_causal_tree(
     (e.g. to check that estimation-side outcomes cannot steer structure).
 
     The tree draws no random numbers, so it grows breadth-first: each
-    depth's nodes are searched in one batch.  Leaf ids follow the
-    left-to-right order of the leaves.
+    depth's nodes are searched in one batch.
     """
     for name, half in (("split", split_half), ("estimation", estimation_half)):
         n_ctl, n_ind = validate_dataset(half)
@@ -592,9 +571,7 @@ def grow_causal_tree(
             level.append((left + 1, node.rows[~s_left], node.e_rows[~e_left]))
         depth += 1
 
-    leaf_ids = count()
-    root = _assemble(records, lambda stats: Leaf(next(leaf_ids), *stats))
-    return CausalTree(root=root, params=params)
+    return CausalTree(_preorder(records), params)
 
 
 def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
@@ -618,29 +595,38 @@ def _feature_rows(X) -> np.ndarray:
     return X
 
 
-def _route(root, X: np.ndarray) -> Iterator[tuple]:
-    """(leaf, row indices) for each leaf that rows of ``X`` reach: value < threshold goes left.
+def _route(nodes: tuple, X: np.ndarray) -> Iterator[tuple]:
+    """(leaf rank, leaf, row indices) for each leaf that rows of ``X`` reach.
 
-    Walks causal and CART trees alike; both share the ``Internal`` node type.
-    A stack, not recursion: a loaded tree may nest past the recursion limit.
+    One pass over the pre-order ``nodes`` of a causal or CART tree: value <
+    threshold goes left.  ``pending`` holds the rows of the subtrees still to
+    come, the next on top; the node after a finished subtree is the right
+    child whose rows are on top.  An empty row set costs no numpy work.
+    Raises ValueError when ``nodes`` are not exactly one tree.
     """
-    stack = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if not rows.size:
-            continue
-        if isinstance(node, Internal):
-            left = X[rows, node.split.feature_index] < node.split.threshold
-            stack.append((node.right, rows[~left]))
-            stack.append((node.left, rows[left]))
+    pending = [np.arange(X.shape[0])]
+    rank = 0
+    for node in nodes:
+        if not pending:
+            raise ValueError(f"{len(nodes)} nodes hold more than one tree")
+        rows = pending.pop()
+        if not isinstance(node, Split):
+            if rows.size:
+                yield rank, node, rows
+            rank += 1
+        elif rows.size:
+            left = X[rows, node.feature_index] < node.threshold
+            pending += [rows[~left], rows[left]]
         else:
-            yield node, rows
+            pending += [rows, rows]
+    if pending:
+        raise ValueError(f"{len(nodes)} nodes end before their tree does")
 
 
-def _leaf_values(root, X: np.ndarray, name: str) -> np.ndarray:
+def _leaf_values(nodes: tuple, X: np.ndarray, name: str) -> np.ndarray:
     """The float field ``name`` of the leaf each row of ``X`` reaches."""
     out = np.empty(X.shape[0])
-    for leaf, rows in _route(root, X):
+    for _, leaf, rows in _route(nodes, X):
         out[rows] = getattr(leaf, name)
     return out
 
@@ -659,7 +645,7 @@ class CausalForest:
         X = _feature_rows(X)
         total = np.zeros(X.shape[0])
         for t in self.trees:
-            total += _leaf_values(t.root, X, "tau_hat")
+            total += _leaf_values(t.nodes, X, "tau_hat")
         return DifficultyEstimate(total / len(self.trees), None)
 
 

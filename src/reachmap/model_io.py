@@ -5,9 +5,9 @@ selected by a ``kind`` tag: ``causal_tree``, ``causal_forest``, ``t_cart``,
 ``t_forest``, ``t_knn``.  Tree nodes are stored with their exact field values,
 so a parsed model is structurally equal to the original and predicts
 bit-for-bit identically (JSON's shortest-round-trip float encoding is exact
-for float64).  Causal trees and the baselines' CARTs share one node codec;
-leaves, params and specs are written and read field by field from their
-dataclasses.
+for float64).  Causal trees and the baselines' CARTs share one node codec,
+which nests their pre-order nodes; a causal leaf's ``leaf_id`` is its rank.
+Leaves, params and specs are written and read field by field.
 
 Parse failures raise :class:`MalformedModel` with a ``$.dotted.path`` locating
 the offending element.
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
-from typing import Any, Union
+from itertools import count
+from typing import Any, Iterator, Union
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .causal_tree import (
     CausalForestSettings,
     CausalTree,
     CausalTreeParams,
-    Internal,
     Leaf,
     Split,
 )
@@ -68,32 +68,40 @@ def _to_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _node_to_dict(node) -> dict:
-    """One tree node of either kind: leaves store their dataclass fields."""
-    if isinstance(node, Internal):
-        return {
-            "kind": "internal",
-            **_to_dict(node.split),
-            "left": _node_to_dict(node.left),
-            "right": _node_to_dict(node.right),
-        }
+def _node_to_dict(nodes: Iterator, ranks: Iterator) -> dict:
+    """The subtree whose pre-order nodes come next in ``nodes``, nested.
+
+    Leaves store their dataclass fields; a causal leaf also stores its
+    ``leaf_id``, the next of ``ranks``.
+    """
+    node = next(nodes)
+    if isinstance(node, Split):
+        left = _node_to_dict(nodes, ranks)
+        return {"kind": "internal", **_to_dict(node), "left": left,
+                "right": _node_to_dict(nodes, ranks)}
+    if isinstance(node, Leaf):
+        return {"kind": "leaf", "leaf_id": next(ranks), **_to_dict(node)}
     return {"kind": "leaf", **_to_dict(node)}
+
+
+def _root_to_dict(nodes: tuple) -> dict:
+    return _node_to_dict(iter(nodes), count())
 
 
 def _tree_to_dict(tree: CausalTree) -> dict:
     return {
-        "feature_names": list(tree.feature_names),
+        "feature_names": list(FEATURE_NAMES),
         "params": _to_dict(tree.params),
-        "root": _node_to_dict(tree.root),
+        "root": _root_to_dict(tree.nodes),
     }
 
 
 def _regressor_to_dict(r: Regressor) -> dict:
     doc: dict[str, Any] = {"spec": _to_dict(r.spec)}
     if isinstance(r, CartRegressor):
-        doc.update(kind="cart", root=_node_to_dict(r.root))
+        doc.update(kind="cart", root=_root_to_dict(r.nodes))
     elif isinstance(r, ForestRegressor):
-        doc.update(kind="forest", roots=[_node_to_dict(root) for root in r.roots])
+        doc.update(kind="forest", roots=[_root_to_dict(nodes) for nodes in r.trees])
     elif isinstance(r, KnnRegressor):
         doc.update(
             kind="knn",
@@ -147,36 +155,46 @@ def serialize_model(model: Model) -> str:
 # --- decoding ----------------------------------------------------------------
 
 
-def _node_from_dict(d: Any, path: str, leaf_cls: type):
-    """One tree node of either kind; leaves are parsed as ``leaf_cls``."""
-    d = expect_dict(d, path, MalformedModel)
-    kind = get(d, "kind", path, MalformedModel)
-    if kind == "leaf":
-        return from_fields(leaf_cls, d, path, MalformedModel)
-    if kind == "internal":
-        split = from_fields(Split, d, path, MalformedModel)
-        if not 0 <= split.feature_index < len(FEATURE_NAMES):
-            raise MalformedModel(f"{path}.feature_index", f"out of range: {split.feature_index}")
-        return Internal(
-            split,
-            _node_from_dict(get(d, "left", path, MalformedModel), f"{path}.left", leaf_cls),
-            _node_from_dict(get(d, "right", path, MalformedModel), f"{path}.right", leaf_cls),
-        )
-    raise MalformedModel(f"{path}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
+def _nodes_from_dict(root: Any, path: str, leaf_cls: type) -> tuple:
+    """The pre-order nodes of the nested tree ``root``; leaves are parsed as
+    ``leaf_cls``, and a causal leaf's ``leaf_id`` must be its rank."""
+    nodes: list = []
+    ranks = count()
+    stack = [(root, path)]
+    while stack:
+        d, path = stack.pop()
+        d = expect_dict(d, path, MalformedModel)
+        kind = get(d, "kind", path, MalformedModel)
+        if kind == "leaf":
+            nodes.append(from_fields(leaf_cls, d, path, MalformedModel))
+            if leaf_cls is Leaf:
+                leaf_id, rank = get(d, "leaf_id", path, MalformedModel), next(ranks)
+                if type(leaf_id) is not int or leaf_id != rank:
+                    raise MalformedModel(f"{path}.leaf_id",
+                                         f"expected {rank}, the leaf's rank, got {leaf_id!r}")
+        elif kind == "internal":
+            split = from_fields(Split, d, path, MalformedModel)
+            if not 0 <= split.feature_index < len(FEATURE_NAMES):
+                raise MalformedModel(f"{path}.feature_index",
+                                     f"out of range: {split.feature_index}")
+            nodes.append(split)
+            stack.append((get(d, "right", path, MalformedModel), f"{path}.right"))
+            stack.append((get(d, "left", path, MalformedModel), f"{path}.left"))
+        else:
+            raise MalformedModel(f"{path}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
+    return tuple(nodes)
 
 
 def _tree_from_dict(d: Any, path: str) -> CausalTree:
     d = expect_dict(d, path, MalformedModel)
     names = get(d, "feature_names", path, MalformedModel)
-    if not (
-        isinstance(names, list) and all(isinstance(s, str) for s in names)
-    ) or len(names) != len(FEATURE_NAMES):
-        raise MalformedModel(f"{path}.feature_names", f"expected 4 labels, got {names!r}")
+    if names != list(FEATURE_NAMES):
+        raise MalformedModel(f"{path}.feature_names",
+                             f"expected {list(FEATURE_NAMES)}, got {names!r}")
     return CausalTree(
-        root=_node_from_dict(get(d, "root", path, MalformedModel), f"{path}.root", Leaf),
-        params=from_fields(CausalTreeParams, get(d, "params", path, MalformedModel),
-                           f"{path}.params", MalformedModel),
-        feature_names=tuple(names),
+        _nodes_from_dict(get(d, "root", path, MalformedModel), f"{path}.root", Leaf),
+        from_fields(CausalTreeParams, get(d, "params", path, MalformedModel),
+                    f"{path}.params", MalformedModel),
     )
 
 
@@ -205,15 +223,15 @@ def _regressor_from_dict(d: Any, path: str) -> Regressor:
     spec = from_fields(_REGRESSOR_SPECS[kind], spec_d, f"{path}.spec", MalformedModel)
     if kind == "cart":
         root = get(d, "root", path, MalformedModel)
-        return CartRegressor(_node_from_dict(root, f"{path}.root", RegLeaf), spec)
+        return CartRegressor(_nodes_from_dict(root, f"{path}.root", RegLeaf), spec)
     if kind == "forest":
         roots_v = get(d, "roots", path, MalformedModel)
         if not isinstance(roots_v, list) or not roots_v:
             raise MalformedModel(f"{path}.roots", "expected a non-empty list")
-        roots = tuple(
-            _node_from_dict(r, f"{path}.roots[{i}]", RegLeaf) for i, r in enumerate(roots_v)
+        trees = tuple(
+            _nodes_from_dict(r, f"{path}.roots[{i}]", RegLeaf) for i, r in enumerate(roots_v)
         )
-        return ForestRegressor(roots, spec)
+        return ForestRegressor(trees, spec)
     feats = _float_array(get(d, "features", path, MalformedModel), f"{path}.features", 2)
     if feats.shape[1] != len(FEATURE_NAMES):
         raise MalformedModel(f"{path}.features", f"expected 4 columns, got {feats.shape}")

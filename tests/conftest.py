@@ -8,6 +8,8 @@ independently written route.
 
 from __future__ import annotations
 
+import functools
+import json
 import statistics
 from fractions import Fraction
 from typing import Optional
@@ -15,8 +17,9 @@ from typing import Optional
 import numpy as np
 from hypothesis import strategies as st
 
-from reachmap import Dataset
-from reachmap.causal_tree import CausalTree, DifficultyEstimate, Internal, Leaf
+from reachmap import Dataset, serialize_model
+from reachmap.baselines import CartRegressor, ForestRegressor
+from reachmap.causal_tree import CausalForest, CausalTree, DifficultyEstimate
 
 
 def make_dataset(features, groups, outcomes) -> Dataset:
@@ -81,6 +84,21 @@ def predict_one(model, p):
     return DifficultyEstimate(float(out.tau_hat[0]), leaf_id)
 
 
+def node_tuples(model) -> list[tuple]:
+    """The pre-order nodes of each tree in ``model``, member by member."""
+    if isinstance(model, CausalTree):
+        return [model.nodes]
+    if isinstance(model, CausalForest):
+        return [t.nodes for t in model.trees]
+    trees = []
+    for r in (model.model_individual, model.model_control):
+        if isinstance(r, CartRegressor):
+            trees.append(r.nodes)
+        elif isinstance(r, ForestRegressor):
+            trees += r.trees
+    return trees
+
+
 # --- independent oracles -------------------------------------------------------
 
 
@@ -135,17 +153,24 @@ def oracle_best_split(
     return best
 
 
-def oracle_route(tree: CausalTree, features) -> Leaf:
-    """Independent routing: value < threshold goes left, else right."""
+# The tree oracles walk the nested nodes of the model's v1 document, not the
+# library's pre-order tuples or its router.
+
+
+@functools.lru_cache(maxsize=16)  # oracle_route runs once per sample; callers never mutate it
+def tree_root(tree: CausalTree) -> dict:
+    return json.loads(serialize_model(tree))["root"]
+
+
+def oracle_route(tree: CausalTree, features) -> dict:
+    """Independent routing: value < threshold goes left, else right.
+
+    Returns the leaf's document node, which holds its ``leaf_id``.
+    """
     vec = (features.x, features.y, features.z, features.dist)
-    node = tree.root
-    while isinstance(node, Internal):
-        node = (
-            node.left
-            if vec[node.split.feature_index] < node.split.threshold
-            else node.right
-        )
-    assert isinstance(node, Leaf)
+    node = tree_root(tree)
+    while node["kind"] == "internal":
+        node = node["left"] if vec[node["feature_index"]] < node["threshold"] else node["right"]
     return node
 
 
@@ -153,17 +178,17 @@ def tree_skeleton(tree: CausalTree):
     """Structure only: nested (feature, threshold) tuples, leaves as None."""
 
     def rec(node):
-        if isinstance(node, Leaf):
+        if node["kind"] == "leaf":
             return None
-        return (node.split.feature_index, node.split.threshold, rec(node.left), rec(node.right))
+        return (node["feature_index"], node["threshold"], rec(node["left"]), rec(node["right"]))
 
-    return rec(tree.root)
+    return rec(tree_root(tree))
 
 
 def tree_leaf_values(tree: CausalTree) -> list[float]:
     def rec(node):
-        if isinstance(node, Leaf):
-            return [node.tau_hat]
-        return rec(node.left) + rec(node.right)
+        if node["kind"] == "leaf":
+            return [node["tau_hat"]]
+        return rec(node["left"]) + rec(node["right"])
 
-    return rec(tree.root)
+    return rec(tree_root(tree))

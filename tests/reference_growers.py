@@ -2,8 +2,10 @@
 
 This is the split search and growth the library used before it scored many
 nodes per numpy pass.  Each node sorts its own rows per feature, and the
-near-tie re-check adds one ``Fraction`` per element.  The batched growers
-must produce the same trees, so tests compare the serialized models of both.
+near-tie re-check adds one ``Fraction`` per element.  Each ``build`` returns
+its subtree's nodes as a pre-order list: the split, then its left subtree,
+then its right one.  The batched growers must produce the same trees, so
+tests compare the serialized models of both.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from reachmap.causal_tree import (
     CausalForest,
     CausalTree,
     CausalTreeParams,
-    Internal,
-    Leaf,
     Split,
     _member_seeds,
     leaf_estimate,
@@ -191,22 +191,21 @@ def search_split(split, est, s_idx, e_idx, min_group_leaf) -> Optional[Split]:
 def grow_causal_tree(split_half: Dataset, estimation_half: Dataset, params: CausalTreeParams) -> CausalTree:
     split = _Half(split_half)
     est = _Half(estimation_half)
-    counter = iter(range(1 << 30))
 
     def build(s_idx, e_idx, depth):
         cut = None
         if depth < params.max_depth:
             cut = search_split(split, est, s_idx, e_idx, params.min_group_leaf)
         if cut is None:
-            return Leaf(next(counter), *leaf_estimate(estimation_half.subset(e_idx)))
+            return [leaf_estimate(estimation_half.subset(e_idx))]
         s_left = split.X[s_idx, cut.feature_index] < cut.threshold
         e_left = est.X[e_idx, cut.feature_index] < cut.threshold
         left = build(s_idx[s_left], e_idx[e_left], depth + 1)
         right = build(s_idx[~s_left], e_idx[~e_left], depth + 1)
-        return Internal(cut, left, right)
+        return [cut] + left + right
 
-    root = build(np.arange(len(split_half)), np.arange(len(estimation_half)), 0)
-    return CausalTree(root=root, params=params)
+    nodes = build(np.arange(len(split_half)), np.arange(len(estimation_half)), 0)
+    return CausalTree(tuple(nodes), params)
 
 
 def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
@@ -264,18 +263,18 @@ def grow_cart(X, y, max_depth, min_leaf, mtry=None, rng=None):
         y_node = y[idx]
         n = idx.size
         if depth >= max_depth or n < 2 * min_leaf or y_node.max() == y_node.min():
-            return RegLeaf(float(np.mean(y_node)), n)
+            return [RegLeaf(float(np.mean(y_node)), n)]
         if mtry is None or mtry >= X.shape[1]:
             features = all_features
         else:
             features = np.sort(rng.choice(X.shape[1], size=mtry, replace=False))
         cut = best_cart_cut(X, y_node, idx, features, min_leaf)
         if cut is None:
-            return RegLeaf(float(np.mean(y_node)), n)
+            return [RegLeaf(float(np.mean(y_node)), n)]
         left_mask = X[idx, cut.feature_index] < cut.threshold
-        return Internal(cut, build(idx[left_mask], depth + 1), build(idx[~left_mask], depth + 1))
+        return [cut] + build(idx[left_mask], depth + 1) + build(idx[~left_mask], depth + 1)
 
-    return build(np.arange(X.shape[0]), 0)
+    return tuple(build(np.arange(X.shape[0]), 0))
 
 
 def fit_base_regressor(spec, data: Dataset):
@@ -287,15 +286,15 @@ def fit_base_regressor(spec, data: Dataset):
     if isinstance(spec, CartSpec):
         return CartRegressor(grow_cart(X, y, spec.max_depth, spec.min_leaf), spec)
     assert isinstance(spec, ForestSpec)
-    roots = []
+    trees = []
     for child in np.random.SeedSequence(spec.seed).spawn(spec.n_trees):
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, size=n)
-        roots.append(
+        trees.append(
             grow_cart(X[rows], y[rows], spec.max_depth, spec.min_leaf,
                       mtry=spec.features_per_split, rng=rng)
         )
-    return ForestRegressor(tuple(roots), spec)
+    return ForestRegressor(tuple(trees), spec)
 
 
 def fit_t_learner(d: Dataset, spec) -> TLearner:

@@ -6,11 +6,13 @@ asserted, not advisory.
 """
 
 import json
+import os
 import statistics
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,15 +56,15 @@ def test_criterion_1_leaf_effect_oracle():
         _, est = rm.stratified_honest_split(d, params.honest_fraction, params.seed)
         routed = {}
         for row, group, outcome in zip(est.features.tolist(), est.groups.tolist(), est.outcomes.tolist()):
-            routed.setdefault(oracle_route(tree, rm.TaskFeatures(*row)).leaf_id, []).append((group, outcome))
-        for leaf in tree.leaves():
-            samples = routed[leaf.leaf_id]
+            routed.setdefault(oracle_route(tree, rm.TaskFeatures(*row))["leaf_id"], []).append((group, outcome))
+        for leaf_id, leaf in enumerate(tree.leaves()):
+            samples = routed[leaf_id]
             ind = [t for g, t in samples if g == 1]
             ctl = [t for g, t in samples if g == 0]
             assert len(ind) == leaf.n_individual and len(ctl) == leaf.n_control
             err = abs(leaf.tau_hat - (statistics.fmean(ind) - statistics.fmean(ctl)))
             worst = max(worst, err)
-            assert err <= 1e-12, f"leaf {leaf.leaf_id}: error {err}"
+            assert err <= 1e-12, f"leaf {leaf_id}: error {err}"
             leaves += 1
         trees += 1
     elapsed = time.perf_counter() - start
@@ -302,19 +304,17 @@ def test_criterion_8_map_pipeline():
     svg_map = rm.difficulty_map(tree, grid)
     assert rm.render_svg_slice(svg_map) == rm.render_svg_slice(svg_map)
 
-    from reachmap.causal_tree import Internal, Leaf, Split
+    from reachmap.causal_tree import Leaf, Split
 
     pocket_tree = rm.CausalTree(
-        root=Internal(
+        (
             Split(1, 0.1, 1.0),
-            Internal(
-                Split(3, 0.28, 1.0),
-                Leaf(0, 0.0, 5, 5, 1.0, 1.0),
-                Leaf(1, 2.0, 5, 5, 3.0, 1.0),
-            ),
-            Leaf(2, 0.5, 5, 5, 1.5, 1.0),
+            Split(3, 0.28, 1.0),
+            Leaf(0.0, 5, 5, 1.0, 1.0),
+            Leaf(2.0, 5, 5, 3.0, 1.0),
+            Leaf(0.5, 5, 5, 1.5, 1.0),
         ),
-        params=rm.CausalTreeParams(seed=0),
+        rm.CausalTreeParams(seed=0),
     )
     pocket_map = rm.difficulty_map(pocket_tree, grid)
     pocket = {r.leaf_id: r for r in rm.extract_regions(pocket_map)}[1]
@@ -342,6 +342,9 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         "master_seed": 17,
     }
 
+    # the subprocess finds the package that is under test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(rm.__file__).parents[1])}
+
     def pipeline(workdir):
         workdir.mkdir()
         cfg = workdir / "dgp.cfg"
@@ -354,6 +357,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
                 [sys.executable, "-m", "reachmap", *map(str, args)],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert result.returncode == 0, result.stderr
             return result.stdout

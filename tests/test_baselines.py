@@ -16,7 +16,7 @@ from reachmap import (
     fit_t_learner,
 )
 from reachmap.baselines import RegLeaf
-from reachmap.causal_tree import Internal
+from reachmap.causal_tree import Split
 from reachmap.domain import Dataset, GroupLabel
 from reachmap.errors import EmptyDataset, InsufficientSamples, MissingGroup
 
@@ -66,7 +66,8 @@ def oracle_knn(feats, outcomes, query, k):
 class TestCart:
     def test_constant_outcome_single_leaf(self):
         r = fit_base_regressor(CartSpec(min_leaf=1, seed=0), single_group([2.5] * 6))
-        assert isinstance(r.root, RegLeaf)
+        [root] = r.nodes
+        assert isinstance(root, RegLeaf)
         assert predict_one(r, features_from_xyz(0.1, 0.1, 0.1)) == 2.5
 
     def test_depth_zero_is_mean(self):
@@ -81,19 +82,20 @@ class TestCart:
         spec = CartSpec(max_depth=3, min_leaf=2, seed=0)
         r = fit_base_regressor(spec, d)
 
-        def collect(node, idx):
+        nodes = iter(r.nodes)
+
+        def collect(idx):  # the subtree whose pre-order nodes come next
+            node = next(nodes)
             if isinstance(node, RegLeaf):
                 routed = [float(d.outcomes[i]) for i in idx]
                 assert len(routed) == node.n
                 assert abs(node.value - statistics.fmean(routed)) < 1e-12
                 return
-            f, thr = node.split.feature_index, node.split.threshold
-            left = [i for i in idx if d.features[i, f] < thr]
-            right = [i for i in idx if d.features[i, f] >= thr]
-            collect(node.left, left)
-            collect(node.right, right)
+            f, thr = node.feature_index, node.threshold
+            collect([i for i in idx if d.features[i, f] < thr])
+            collect([i for i in idx if d.features[i, f] >= thr])
 
-        collect(r.root, list(range(len(d))))
+        collect(list(range(len(d))))
 
     @pytest.mark.parametrize("trial", range(40))
     def test_split_matches_exhaustive_enumeration(self, trial):
@@ -103,30 +105,32 @@ class TestCart:
         min_leaf = int(rng.integers(1, 3))
         r = fit_base_regressor(CartSpec(max_depth=1, min_leaf=min_leaf, seed=0), d)
         want = oracle_cart_split(d.features, d.outcomes, min_leaf)
+        root = r.nodes[0]
         if want is None:
-            assert isinstance(r.root, RegLeaf)
+            assert isinstance(root, RegLeaf)
         else:
-            assert isinstance(r.root, Internal)
-            assert (r.root.split.feature_index, r.root.split.threshold) == (
+            assert isinstance(root, Split)
+            assert (root.feature_index, root.threshold) == (
                 want[0],
                 want[1],
             )
-            assert r.root.split.gain == pytest.approx(want[2], abs=1e-12)
+            assert root.gain == pytest.approx(want[2], abs=1e-12)
 
     @given(tied_dataset(st.integers(4, 16), st.just(0)), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_tied_inputs_match_exhaustive_enumeration(self, d, min_leaf):
         r = fit_base_regressor(CartSpec(max_depth=1, min_leaf=min_leaf, seed=0), d)
         want = oracle_cart_split(d.features, d.outcomes, min_leaf)
+        root = r.nodes[0]
         if want is None:
-            assert isinstance(r.root, RegLeaf)
+            assert isinstance(root, RegLeaf)
         else:
-            assert isinstance(r.root, Internal)
-            assert (r.root.split.feature_index, r.root.split.threshold) == (
+            assert isinstance(root, Split)
+            assert (root.feature_index, root.threshold) == (
                 want[0],
                 want[1],
             )
-            assert r.root.split.gain == pytest.approx(want[2], abs=1e-12)
+            assert root.gain == pytest.approx(want[2], abs=1e-12)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
@@ -166,9 +170,11 @@ class TestForest:
         d = random_dataset(np.random.default_rng(64), 0, 25)
         r = fit_base_regressor(ForestSpec(n_trees=7, max_depth=3, seed=5), d)
         from reference_predictors import route
+        from reachmap.model_io import _regressor_to_dict
 
         p = features_from_xyz(0.05, 0.1, 0.2)
-        want = statistics.fmean(route(root, p.as_array()).value for root in r.roots)
+        roots = _regressor_to_dict(r)["roots"]
+        want = statistics.fmean(route(root, p.as_array())["value"] for root in roots)
         assert predict_one(r, p) == pytest.approx(want, abs=1e-15)
 
 

@@ -1,8 +1,9 @@
 """Array prediction against the per-point reference, for every model kind.
 
 ``predict(X)`` must give, row for row and bit for bit, what the per-point
-reference in ``reference_predictors`` gives, including at points exactly on
-a split threshold or on a training point, and for duplicated rows.
+reference in ``reference_predictors`` gives from the model's v1 document,
+including at points exactly on a split threshold or on a training point,
+and for duplicated rows.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
-from reachmap import CausalForest, CausalTree, CausalTreeParams, TLearner, model_entry
-from reachmap.baselines import CartRegressor, ForestRegressor
-from reachmap.causal_tree import Internal, Leaf, Split
-from reference_predictors import predict_point, predict_regressor
+from conftest import node_tuples, random_dataset
+from reachmap import CausalTree, CausalTreeParams, TLearner, model_entry
+from reachmap.causal_tree import Leaf, Split
+from reference_predictors import document, predict_point, predict_regressor
 
 #: small hyperparameters of each kind, so that every kind fits in well under a second
 SMALL = {
@@ -36,18 +36,9 @@ def fitted(kind: str):
     return model_entry(kind, **SMALL[kind]).fit(d, 3), d
 
 
-def _roots(model) -> list:
-    if isinstance(model, CausalTree):
-        return [model.root]
-    if isinstance(model, CausalForest):
-        return [t.root for t in model.trees]
-    roots = []
-    for r in (model.model_individual, model.model_control):
-        if isinstance(r, CartRegressor):
-            roots.append(r.root)
-        elif isinstance(r, ForestRegressor):
-            roots += r.roots
-    return roots
+@functools.cache
+def fitted_document(kind: str) -> dict:
+    return document(fitted(kind)[0])
 
 
 @functools.cache
@@ -55,12 +46,10 @@ def special_values(kind: str) -> list[list[float]]:
     """Per feature: the model's split thresholds and the training values."""
     model, d = fitted(kind)
     values = [sorted(set(d.features[:, f].tolist())) for f in range(4)]
-    stack = _roots(model)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Internal):
-            values[node.split.feature_index].append(node.split.threshold)
-            stack += [node.left, node.right]
+    for nodes in node_tuples(model):
+        for node in nodes:
+            if isinstance(node, Split):
+                values[node.feature_index].append(node.threshold)
     return values
 
 
@@ -91,15 +80,17 @@ def test_predict_matches_per_row_reference(kind, data):
     model, _ = fitted(kind)
     X = data.draw(queries(kind))
     est = model.predict(X)
-    ref = [predict_point(model, row) for row in X]
+    doc = fitted_document(kind)
+    ref = [predict_point(doc, row) for row in X]
     assert_same_bits(est.tau_hat, [tau for tau, _ in ref])
     if kind == "causal_tree":
         assert est.leaf_id.tolist() == [leaf_id for _, leaf_id in ref]
     else:
         assert est.leaf_id is None
     if isinstance(model, TLearner):
-        for r in (model.model_individual, model.model_control):
-            assert_same_bits(r.predict(X), [predict_regressor(r, row) for row in X])
+        for side in ("model_individual", "model_control"):
+            r = getattr(model, side)
+            assert_same_bits(r.predict(X), [predict_regressor(doc[side], row) for row in X])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -124,15 +115,34 @@ def test_no_rows_and_wrong_shapes(kind):
             model.predict(bad)
 
 
+@pytest.mark.parametrize(
+    "nodes", [(Split(0, 0.0, 1.0), Leaf(1.0, 5, 5, 2.0, 1.0)), (Leaf(1.0, 5, 5, 2.0, 1.0),) * 2],
+    ids=["too-short", "too-long"],
+)
+def test_nodes_that_are_not_one_tree(nodes):
+    tree = CausalTree(nodes, CausalTreeParams(seed=0))
+    with pytest.raises(ValueError, match="tree"):
+        tree.predict(np.zeros((3, 4)))
+
+
 def test_deep_tree_routes_without_recursion():
     # a chain of 3000 splits on x, deeper than Python's recursion limit: at
-    # depth k, x < k/1000 goes left into leaf k, and x = 0 continues right
+    # depth k, x < k/1000 goes left into leaf k, and x = 0 continues right.
+    # The v1 writer and ``json`` recurse, so the chain's document is built
+    # here, bottom up, beside its nodes.
     depth = 3000
-    node = Leaf(depth, float(depth), 5, 5, 1.0, 1.0)
+    nodes = []
+    root = {"kind": "leaf", "leaf_id": depth, "tau_hat": float(depth)}
     for k in reversed(range(depth)):
-        node = Internal(Split(0, k / 1000, 1.0), Leaf(k, float(k), 5, 5, 1.0, 1.0), node)
-    tree = CausalTree(root=node, params=CausalTreeParams(seed=0))
+        left = {"kind": "leaf", "leaf_id": k, "tau_hat": float(k)}
+        root = {"kind": "internal", "feature_index": 0, "threshold": k / 1000,
+                "left": left, "right": root}
+    for k in range(depth):
+        nodes += [Split(0, k / 1000, 1.0), Leaf(float(k), 5, 5, 1.0, 1.0)]
+    nodes.append(Leaf(float(depth), 5, 5, 1.0, 1.0))
+    tree = CausalTree(tuple(nodes), CausalTreeParams(seed=0))
+    doc = {"kind": "causal_tree", "root": root}
     X = np.array([[5.0, 0, 0, 0], [2.9985, 0, 0, 0], [0.0, 0, 0, 0], [-1.0, 0, 0, 0]])
     est = tree.predict(X)
     assert est.leaf_id.tolist() == [depth, depth - 1, 1, 0]
-    assert_same_bits(est.tau_hat, [predict_point(tree, row)[0] for row in X])
+    assert_same_bits(est.tau_hat, [predict_point(doc, row)[0] for row in X])

@@ -14,6 +14,7 @@ from conftest import (
     random_dataset,
     tied_dataset,
     tree_leaf_values,
+    tree_root,
     tree_skeleton,
 )
 from reachmap import (
@@ -28,7 +29,7 @@ from reachmap import (
     leaf_estimate,
     stratified_honest_split,
 )
-from reachmap.causal_tree import Internal, Leaf
+from reachmap.causal_tree import Leaf, Split
 from reachmap.errors import DegenerateSplit, MissingGroup
 
 
@@ -159,28 +160,30 @@ class TestFitCausalTree:
         d = traced_dataset(repeat=2)
         params = CausalTreeParams(max_depth=1, min_group_leaf=1, seed=0)
         tree = fit_causal_tree(d, params)
-        assert isinstance(tree.root, Internal)
-        assert tree.root.split.feature_index == 3
-        assert tree.root.split.threshold == pytest.approx(0.2, abs=1e-12)
-        left, right = tree.root.left, tree.root.right
+        split, left, right = tree.nodes
+        assert isinstance(split, Split)
+        assert split.feature_index == 3
+        assert split.threshold == pytest.approx(0.2, abs=1e-12)
         assert isinstance(left, Leaf) and isinstance(right, Leaf)
         assert left.tau_hat == 0.0
         assert right.tau_hat == 1.0
-        assert (left.leaf_id, right.leaf_id) == (0, 1)
+        assert tree.leaves() == (left, right)
 
     def test_constant_outcomes_single_leaf(self):
         d = two_group([1.7] * 8, [1.7] * 8)
         tree = fit_causal_tree(d, CausalTreeParams(min_group_leaf=1, seed=4))
-        assert isinstance(tree.root, Leaf)
-        assert tree.root.tau_hat == 0.0
+        [root] = tree.nodes
+        assert isinstance(root, Leaf)
+        assert root.tau_hat == 0.0
 
     def test_depth_zero_equals_estimation_leaf(self):
         d = random_dataset(np.random.default_rng(0), 12, 12, effect=0.5)
         params = CausalTreeParams(max_depth=0, min_group_leaf=1, seed=5)
         tree = fit_causal_tree(d, params)
-        assert isinstance(tree.root, Leaf)
+        [root] = tree.nodes
+        assert isinstance(root, Leaf)
         _, est = stratified_honest_split(d, params.honest_fraction, params.seed)
-        assert tree.root.tau_hat == leaf_estimate(est).tau_hat
+        assert root.tau_hat == leaf_estimate(est).tau_hat
 
     def test_root_degenerate_split(self):
         d = two_group([1.0, 2.0, 1.5, 1.2], [1.0, 1.1, 0.9, 1.3])
@@ -208,11 +211,11 @@ class TestFitCausalTree:
         tree = fit_causal_tree(d, CausalTreeParams(max_depth=3, min_group_leaf=2, seed=1))
 
         def left_to_right(node):
-            if isinstance(node, Leaf):
-                return [node.leaf_id]
-            return left_to_right(node.left) + left_to_right(node.right)
+            if node["kind"] == "leaf":
+                return [node["leaf_id"]]
+            return left_to_right(node["left"]) + left_to_right(node["right"])
 
-        ids = left_to_right(tree.root)
+        ids = left_to_right(tree_root(tree))
         assert ids == list(range(len(ids)))
 
     def test_leaf_values_match_independent_recomputation(self):
@@ -223,9 +226,9 @@ class TestFitCausalTree:
         _, est = stratified_honest_split(d, params.honest_fraction, params.seed)
         routed = {}
         for row, group, outcome in zip(est.features.tolist(), est.groups.tolist(), est.outcomes.tolist()):
-            routed.setdefault(oracle_route(tree, TaskFeatures(*row)).leaf_id, []).append((group, outcome))
-        for leaf in tree.leaves():
-            samples = routed[leaf.leaf_id]
+            routed.setdefault(oracle_route(tree, TaskFeatures(*row))["leaf_id"], []).append((group, outcome))
+        for leaf_id, leaf in enumerate(tree.leaves()):
+            samples = routed[leaf_id]
             ind = [t for g, t in samples if g == 1]
             ctl = [t for g, t in samples if g == 0]
             assert abs(leaf.tau_hat - (statistics.fmean(ind) - statistics.fmean(ctl))) < 1e-12
@@ -287,7 +290,7 @@ class TestPredict:
         tree = fit_causal_tree(d, CausalTreeParams(max_depth=0, min_group_leaf=1, seed=0))
         for xyz in [(0, 0, 0), (0.2, 0.1, 0.3), (-0.25, 0.01, 0.39)]:
             est = predict_one(tree, features_from_xyz(*xyz))
-            assert est.tau_hat == tree.root.tau_hat
+            assert est.tau_hat == tree.nodes[0].tau_hat
             assert est.leaf_id == 0
 
     def test_depth1_routing(self):
@@ -303,20 +306,20 @@ class TestPredict:
         tree = fit_causal_tree(
             traced_dataset(repeat=2), CausalTreeParams(max_depth=1, min_group_leaf=1, seed=0)
         )
-        thr = tree.root.split.threshold
+        thr = tree.nodes[0].threshold
         at = predict_one(tree, features_from_xyz(thr, 0, 0))  # dist == threshold
         assert at.leaf_id == 1
 
     def test_piecewise_constant(self):
         d = random_dataset(np.random.default_rng(31), 30, 30, effect=0.5)
         tree = fit_causal_tree(d, CausalTreeParams(max_depth=2, min_group_leaf=2, seed=1))
-        values = {leaf.leaf_id: leaf.tau_hat for leaf in tree.leaves()}
+        values = {leaf_id: leaf.tau_hat for leaf_id, leaf in enumerate(tree.leaves())}
         rng = np.random.default_rng(32)
         for _ in range(50):
             p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
             est = predict_one(tree, p)
             assert est.tau_hat == values[est.leaf_id]
-            assert oracle_route(tree, p).leaf_id == est.leaf_id
+            assert oracle_route(tree, p)["leaf_id"] == est.leaf_id
 
 
 class TestCausalForest:

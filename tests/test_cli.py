@@ -213,6 +213,42 @@ class TestErrors:
         assert err.startswith("error: MalformedModel:")
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize(
+        "edit, path",
+        [({"leaf_ids": -7}, "$.root.left.left.leaf_id"),
+         ({"feature_names": ["dist", "z", "y", "x"]}, "$.feature_names")],
+        ids=["leaf-id", "feature-names"],
+    )
+    def test_model_contract_violations(self, workdir, capsys, edit, path):
+        # a depth-2 tree: its first leaf in pre-order is the root's left-left one
+        model = workdir / "m.json"
+        data = workdir / "d.csv"
+        run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 200, "--n1", 200,
+             "--seed", 1, "--out", data])
+        run(["fit", "--data", data, "--model", "causal_tree", "--max-depth", 2,
+             "--seed", 1, "--out", model])
+        doc = json.loads(model.read_text())
+        assert doc["root"]["left"]["left"]["kind"] == "leaf"
+        if "leaf_ids" in edit:
+            stack = [doc["root"]]
+            while stack:
+                node = stack.pop()
+                if node["kind"] == "leaf":
+                    node["leaf_id"] = edit["leaf_ids"]
+                else:
+                    stack += [node["left"], node["right"]]
+        else:
+            doc.update(edit)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (["predict", "--x", 0.1, "--y", 0.2, "--z", 0.1],
+                     ["map", "--z-slice", 0.2, "--out-csv", workdir / "map.csv"]):
+            assert run([*argv, "--model", model]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: MalformedModel: {path}:")
+            assert "\n" not in err.strip()
+        assert not (workdir / "map.csv").exists()
+
     def test_malformed_dgp_config(self, workdir, capsys):
         cfg = workdir / "bad.cfg"
         cfg.write_text("effect_preset = haunted\n")

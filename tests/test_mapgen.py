@@ -21,7 +21,7 @@ from reachmap import (
     render_svg_slice,
     KnnSpec,
 )
-from reachmap.causal_tree import CausalTree, Internal, Leaf, Split
+from reachmap.causal_tree import CausalTree, Leaf, Split
 from reachmap.mapgen import _color
 from reachmap.errors import (
     InvalidResolution,
@@ -47,12 +47,12 @@ def oracle_grid_count(radius, resolution, n_layers=1):
     return count * n_layers
 
 
-def leaf(leaf_id, tau):
-    return Leaf(leaf_id, tau, 5, 5, tau + 1.0, 1.0)
+def leaf(tau):
+    return Leaf(tau, 5, 5, tau + 1.0, 1.0)
 
 
-def manual_tree(root):
-    return CausalTree(root=root, params=CausalTreeParams(seed=0))
+def manual_tree(nodes):
+    return CausalTree(nodes, CausalTreeParams(seed=0))
 
 
 class TestBuildGrid:
@@ -106,7 +106,7 @@ class TestBuildGrid:
 
 class TestDifficultyMap:
     def test_single_leaf_constant(self):
-        tree = manual_tree(leaf(0, 0.4))
+        tree = manual_tree((leaf(0.4),))
         grid = build_grid(Workspace(), 0.05, z_slice=0.1)
         m = difficulty_map(tree, grid)
         assert len(m) == len(grid)
@@ -114,15 +114,13 @@ class TestDifficultyMap:
         assert set(m.leaf_id.tolist()) == {0}
 
     def test_grid_order_preserved(self):
-        tree = manual_tree(leaf(0, 0.4))
+        tree = manual_tree((leaf(0.4),))
         grid = build_grid(Workspace(), 0.07, z_slice=0.2)
         m = difficulty_map(tree, grid)
         assert np.array_equal(m.features, grid.features)
 
     def test_two_leaf_tree_two_values(self):
-        tree = manual_tree(
-            Internal(Split(3, 0.2, 1.0), leaf(0, 0.0), leaf(1, 1.0))
-        )
+        tree = manual_tree((Split(3, 0.2, 1.0), leaf(0.0), leaf(1.0)))
         grid = build_grid(Workspace(), 0.05, z_slice=0.1)
         m = difficulty_map(tree, grid)
         assert sorted(set(m.tau_hat.tolist())) == [0.0, 1.0]
@@ -139,7 +137,7 @@ class TestDifficultyMap:
 
 class TestExtractRegions:
     def test_constant_map_single_connected_region(self):
-        m = difficulty_map(manual_tree(leaf(0, 0.4)), build_grid(Workspace(), 0.05, z_slice=0.1))
+        m = difficulty_map(manual_tree((leaf(0.4),)), build_grid(Workspace(), 0.05, z_slice=0.1))
         [region] = extract_regions(m)
         assert region.connected is True
         assert len(region.cells) == 56
@@ -162,11 +160,7 @@ class TestExtractRegions:
         # y < 0.1 and reach distance >= 0.28 carves two opposite corners of
         # the semicircle; the connecting arc lies in the excluded y >= 0.1 band
         pocket_tree = manual_tree(
-            Internal(
-                Split(1, 0.1, 1.0),
-                Internal(Split(3, 0.28, 1.0), leaf(0, 0.0), leaf(1, 2.0)),
-                leaf(2, 0.5),
-            )
+            (Split(1, 0.1, 1.0), Split(3, 0.28, 1.0), leaf(0.0), leaf(2.0), leaf(0.5))
         )
         m = difficulty_map(pocket_tree, build_grid(Workspace(), 0.05, z_slice=0.1))
         regions = {r.leaf_id: r for r in extract_regions(m)}
@@ -195,9 +189,7 @@ class TestExtractRegions:
         assert {1 if x > 0 else -1 for x, _ in cells} == {-1, 1}
 
     def test_sorted_by_descending_magnitude(self):
-        tree = manual_tree(
-            Internal(Split(0, 0.0, 1.0), leaf(0, -0.7), leaf(1, 0.3))
-        )
+        tree = manual_tree((Split(0, 0.0, 1.0), leaf(-0.7), leaf(0.3)))
         m = difficulty_map(tree, build_grid(Workspace(), 0.05, z_slice=0.1))
         regions = extract_regions(m)
         assert [r.leaf_id for r in regions] == [0, 1]
@@ -212,9 +204,7 @@ class TestExtractRegions:
 
 class TestRenderSvg:
     def grid_map(self, tau_left=-0.4, tau_right=0.8):
-        tree = manual_tree(
-            Internal(Split(0, 0.0, 1.0), leaf(0, tau_left), leaf(1, tau_right))
-        )
+        tree = manual_tree((Split(0, 0.0, 1.0), leaf(tau_left), leaf(tau_right)))
         return difficulty_map(tree, build_grid(Workspace(), 0.05, z_slice=0.1))
 
     def test_well_formed_xml_with_svg_root(self):
@@ -232,7 +222,7 @@ class TestRenderSvg:
 
     def test_constant_zero_map_uses_center_color(self):
         m = difficulty_map(
-            manual_tree(leaf(0, 0.0)), build_grid(Workspace(), 0.05, z_slice=0.1)
+            manual_tree((leaf(0.0),)), build_grid(Workspace(), 0.05, z_slice=0.1)
         )
         data = render_svg_slice(m).decode("utf-8")
         assert data.count('fill="#f7f7f7"') >= 56
@@ -242,7 +232,7 @@ class TestRenderSvg:
         assert "z = 0.100 m" in data
 
     def test_layered_map_rejected(self):
-        tree = manual_tree(leaf(0, 0.1))
+        tree = manual_tree((leaf(0.1),))
         m = difficulty_map(tree, build_grid(Workspace(), 0.1))
         with pytest.raises(NotASlice):
             render_svg_slice(m)
@@ -256,9 +246,7 @@ class TestRenderSvg:
 
 class TestExportCsv:
     def tree_map(self):
-        tree = manual_tree(
-            Internal(Split(3, 0.2, 1.0), leaf(0, 0.125), leaf(1, 1.0 / 3.0))
-        )
+        tree = manual_tree((Split(3, 0.2, 1.0), leaf(0.125), leaf(1.0 / 3.0)))
         return difficulty_map(tree, build_grid(Workspace(), 0.05, z_slice=0.1))
 
     def test_header_and_row_count(self):
@@ -286,7 +274,7 @@ class TestExportCsv:
 
     def test_single_leaf_constant_column(self):
         m = difficulty_map(
-            manual_tree(leaf(0, 0.25)), build_grid(Workspace(), 0.1, z_slice=0.2)
+            manual_tree((leaf(0.25),)), build_grid(Workspace(), 0.1, z_slice=0.2)
         )
         reader = csv.DictReader(io.StringIO(export_map_csv(m).decode("utf-8")))
         assert {row["tau_hat_s"] for row in reader} == {"0.250000000"}

@@ -1,11 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import predict_one, random_dataset
+from conftest import node_tuples, predict_one, random_dataset
 from reachmap import (
     CartSpec,
+    CausalTree,
     CausalTreeParams,
     ForestSpec,
     KnnSpec,
@@ -18,7 +22,10 @@ from reachmap import (
     save_model,
     serialize_model,
 )
+from reachmap.baselines import CartRegressor, ForestRegressor, RegLeaf, TLearner
+from reachmap.causal_tree import Leaf, Split
 from reachmap.errors import MalformedModel
+from reference_predictors import predict_point
 
 
 def random_points(seed, count=25):
@@ -216,6 +223,42 @@ class TestMalformed:
         with pytest.raises(MalformedModel, match=r"\$: n_trees must be in 1\.\.1000"):
             parse_model(json.dumps(doc))
 
+    #: the leaves of ``fitted_tree(seed=2, max_depth=2)`` in pre-order
+    LEAF_PATHS = ("root.left.left", "root.left.right", "root.right")
+
+    @pytest.mark.parametrize(
+        "ids, at, got",
+        [([-7, -7, -7], 0, "-7"), ([0, 0, 1], 1, "0"), ([1, 0, 2], 0, "1"),
+         ([0, True, 2], 1, "True")],
+        ids=["negative", "duplicate", "swap", "true"],
+    )
+    def test_leaf_id_is_pre_order_rank(self, ids, at, got):
+        doc = json.loads(serialize_model(fitted_tree(seed=2, max_depth=2)))
+        for path, leaf_id in zip(self.LEAF_PATHS, ids):
+            node = doc
+            for key in path.split("."):
+                node = node[key]
+            assert node["kind"] == "leaf"
+            node["leaf_id"] = leaf_id
+        with pytest.raises(MalformedModel,
+                           match=rf"^{re.escape('$.' + self.LEAF_PATHS[at])}\.leaf_id: "
+                                 rf"expected {at}\b.* got {got}$"):
+            parse_model(json.dumps(doc))
+
+    def test_feature_names_are_fixed(self):
+        doc = json.loads(serialize_model(fitted_tree(max_depth=1)))
+        doc["feature_names"] = ["dist", "z", "y", "x"]
+        with pytest.raises(MalformedModel, match=r"^\$\.feature_names: expected \['x', 'y'"):
+            parse_model(json.dumps(doc))
+
+    def test_forest_member_feature_names_are_fixed(self):
+        d = random_dataset(np.random.default_rng(11), 15, 15)
+        forest = fit_causal_forest(d, CausalTreeParams(max_depth=1, min_group_leaf=2, seed=1), 2, 0.9)
+        doc = json.loads(serialize_model(forest))
+        doc["trees"][1]["feature_names"] = ["x", "y", "z", "reach"]
+        with pytest.raises(MalformedModel, match=r"^\$\.trees\[1\]\.feature_names: expected"):
+            parse_model(json.dumps(doc))
+
     def test_t_forest_spec_over_tree_bound(self):
         d = random_dataset(np.random.default_rng(12), 15, 15)
         model = fit_t_learner(d, ForestSpec(n_trees=2, min_leaf=2, seed=0))
@@ -223,3 +266,78 @@ class TestMalformed:
         doc["spec"]["n_trees"] = 1001
         with pytest.raises(MalformedModel, match=r"\$\.spec: n_trees must be in 1\.\.1000"):
             parse_model(json.dumps(doc))
+
+
+# --- round trip of random trees --------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: signed zeros, subnormals, the extremes of float64, and any finite float
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    FINITE,
+)
+SPLITS = st.builds(Split, st.integers(0, 3), EDGE_FLOATS, FINITE)
+COUNTS = st.integers(0, 10**6)
+CAUSAL_LEAVES = st.builds(Leaf, EDGE_FLOATS, COUNTS, COUNTS, EDGE_FLOATS, EDGE_FLOATS)
+REG_LEAVES = st.builds(RegLeaf, EDGE_FLOATS, COUNTS)
+
+
+@st.composite
+def preorder_trees(draw, leaves) -> tuple:
+    """Pre-order nodes of a random tree: a chain of up to 100 splits, each
+    with one leaf child, or a bushy tree of up to about 40 splits."""
+    if draw(st.booleans()):
+        nodes = [draw(leaves)]
+        depth = draw(st.integers(1, 100))
+        levels = st.lists(st.tuples(SPLITS, leaves, st.booleans()), min_size=depth, max_size=depth)
+        for split, leaf, leaf_left in draw(levels):
+            nodes = [split, leaf, *nodes] if leaf_left else [split, *nodes, leaf]
+        return tuple(nodes)
+    nodes, open_subtrees = [], 1
+    while open_subtrees:
+        if len(nodes) < 40 and draw(st.booleans()):
+            nodes.append(draw(SPLITS))
+            open_subtrees += 1
+        else:
+            nodes.append(draw(leaves))
+            open_subtrees -= 1
+    return tuple(nodes)
+
+
+@st.composite
+def random_models(draw, kind: str):
+    if kind == "causal_tree":
+        return CausalTree(draw(preorder_trees(CAUSAL_LEAVES)), CausalTreeParams(seed=0))
+    if kind == "t_cart":
+        spec = CartSpec(seed=0)
+        sides = [CartRegressor(draw(preorder_trees(REG_LEAVES)), spec) for _ in range(2)]
+    else:
+        spec = ForestSpec(n_trees=draw(st.integers(1, 2)), seed=0)
+        members = st.lists(preorder_trees(REG_LEAVES), min_size=spec.n_trees, max_size=spec.n_trees)
+        sides = [ForestRegressor(tuple(draw(members)), spec) for _ in range(2)]
+    return TLearner(*sides, spec)
+
+
+@pytest.mark.parametrize("kind", ["causal_tree", "t_cart", "t_forest"])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_tree_round_trip(kind, data):
+    model = data.draw(random_models(kind))
+    text = serialize_model(model)
+    back = parse_model(text)
+    assert back == model
+    assert serialize_model(back) == text
+
+    # query values include every threshold, so points land exactly on them
+    thresholds = [n.threshold for nodes in node_tuples(model) for n in nodes if isinstance(n, Split)]
+    values = st.one_of(st.sampled_from(thresholds or [0.0]), EDGE_FLOATS)
+    rows = data.draw(st.lists(st.tuples(values, values, values, values), min_size=1, max_size=20))
+    X = np.array(rows, dtype=np.float64)
+    doc = json.loads(text)
+    ref = [predict_point(doc, row) for row in X]
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of +-1e308 leaves
+        est = back.predict(X)
+    assert est.tau_hat.tobytes() == np.array([tau for tau, _ in ref]).tobytes()
+    if kind == "causal_tree":
+        assert est.leaf_id.tolist() == [leaf_id for _, leaf_id in ref]

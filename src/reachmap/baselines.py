@@ -5,11 +5,11 @@ one to the control group's, then report the difference of the two predictions
 at a task point.  Base learners are a variance-reduction CART, a bagged forest
 of CARTs with per-split feature sampling, and k-nearest-neighbours averaging.
 
-The CART shares the causal tree's split search, pre-order node layout and
-router (:mod:`reachmap.causal_tree`): thresholds at midpoints of consecutive
-distinct values, ties to the lowest feature index then lowest threshold,
-values < threshold route left, and a split must strictly reduce the sum of
-squared errors.
+The CART shares the causal tree's growth loop, split search, pre-order node
+layout and router (:mod:`reachmap.causal_tree`): thresholds at midpoints of
+consecutive distinct values, ties to the lowest feature index then lowest
+threshold, values < threshold route left, and a split must strictly reduce
+the sum of squared errors.
 """
 
 from __future__ import annotations
@@ -28,16 +28,21 @@ from .causal_tree import (
     _best_cuts,
     _dyadic,
     _feature_rows,
-    _Fork,
+    _forest_mean,
+    _grow,
     _leaf_values,
     _mean,
-    _preorder,
     _times_4_pow,
 )
-from .domain import Dataset, GroupLabel, canonical_order, validate_dataset
+from .domain import (
+    FEATURE_NAMES,
+    Dataset,
+    GroupLabel,
+    canonical_order,
+    derived_seeds,
+    validate_dataset,
+)
 from .errors import EmptyDataset, InsufficientSamples
-
-N_FEATURES = 4
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,9 @@ class ForestSpec:
             raise ValueError(f"n_trees must be in 1..{MAX_TREES}, got {self.n_trees}")
         if self.max_depth < 0 or self.min_leaf < 1:
             raise ValueError("max_depth must be >= 0 and min_leaf >= 1")
-        if not 1 <= self.features_per_split <= N_FEATURES:
+        if not 1 <= self.features_per_split <= len(FEATURE_NAMES):
             raise ValueError(
-                f"features_per_split must be in 1..{N_FEATURES}, "
+                f"features_per_split must be in 1..{len(FEATURE_NAMES)}, "
                 f"got {self.features_per_split}"
             )
 
@@ -119,21 +124,19 @@ class _CartNode:
     """A CART node awaiting its split search."""
 
     __slots__ = (
-        "rows", "depth", "features", "y", "mean", "yc", "scale",
+        "rows", "features", "y", "yc", "scale",
         "q_total", "s_total", "sse_parent", "cost", "weight",
     )
 
-    def __init__(self, rows: np.ndarray, depth: int, y: np.ndarray, features) -> None:
+    def __init__(self, rows: np.ndarray, y: np.ndarray, features) -> None:
         self.rows = rows
-        self.depth = depth
         self.features = features
         self.y = y
         n = rows.size
         # SSE gains grow with the node size, so the near-tie window does too
         self.cost = self.weight = n
-        self.mean = _mean(y)
         # center at the node mean: keeps the prefix-sum SSE arithmetic stable
-        self.yc = yc = y - self.mean
+        self.yc = yc = y - _mean(y)
         self.scale = float(np.maximum.reduce(np.abs(yc)))
         self.q_total = float(np.dot(yc, yc))
         self.s_total = float(np.add.reduce(yc))  # np.sum's arithmetic
@@ -172,58 +175,43 @@ def _grow_carts(
     rngs: Optional[list] = None,
 ) -> list[tuple]:
     """The pre-order nodes of one CART per entry of ``roots``, the rows of
-    ``X``/``y`` it is grown on.
+    ``X``/``y`` it is grown on, grown by :func:`causal_tree._grow`.
 
     Within a node, value ties keep the order of its rows.  With ``mtry``
     below the feature count, each tree draws a node's features from its own
-    generator in ``rngs``, in depth-first pre-order.  Such trees grow in
-    lockstep: each round searches the next depth-first node of every tree,
-    which keeps each tree's draw order.  Trees that draw nothing search all
-    their pending nodes in each round.  A round's searches are one batch.
+    generator in ``rngs``, in depth-first pre-order, so the trees grow in
+    lockstep.
     """
     n_features = X.shape[1]
     draws = mtry is not None and mtry < n_features
-    gains = _sse_gains(min_leaf)
+
+    def open_node(t, depth, rows):
+        y_node = y[rows]
+        if (
+            depth >= max_depth
+            or rows.size < 2 * min_leaf
+            # pure node: nothing to reduce
+            or np.maximum.reduce(y_node) == np.minimum.reduce(y_node)
+        ):
+            return None
+        if draws:
+            features = np.sort(rngs[t].choice(n_features, size=mtry, replace=False)).tolist()
+        else:
+            features = range(n_features)
+        return _CartNode(rows, y_node, features)
 
     def exact(node, f, thr):
         return _exact_sse_gain(X[node.rows, f], node.y, thr)
 
-    records = [[None] for _ in roots]
-    pending = [[(0, rows, 0)] for rows in roots]  # stacks of (record, rows, depth)
-    while any(pending):
-        batch = []
-        for t, stack in enumerate(pending):
-            while stack:
-                i, rows, depth = stack.pop()
-                y_node = y[rows]
-                if (
-                    depth >= max_depth
-                    or rows.size < 2 * min_leaf
-                    # pure node: nothing to reduce
-                    or np.maximum.reduce(y_node) == np.minimum.reduce(y_node)
-                ):
-                    records[t][i] = RegLeaf(float(_mean(y_node)), rows.size)
-                    continue
-                if draws:
-                    drawn = rngs[t].choice(n_features, size=mtry, replace=False)
-                    features = np.sort(drawn).tolist()
-                else:
-                    features = range(n_features)
-                batch.append((t, i, _CartNode(rows, depth, y_node, features)))
-                if draws:
-                    break
-        cuts = _best_cuts(X, [node for _, _, node in batch], gains, exact)
-        for (t, i, node), cut in zip(batch, cuts):
-            if cut is None:
-                records[t][i] = RegLeaf(float(node.mean), node.rows.size)
-                continue
-            left_mask = X[node.rows, cut.feature_index] < cut.threshold
-            left = len(records[t])
-            records[t] += [None, None]
-            records[t][i] = _Fork(cut, left, left + 1)
-            pending[t].append((left + 1, node.rows[~left_mask], node.depth + 1))
-            pending[t].append((left, node.rows[left_mask], node.depth + 1))
-    return [_preorder(r) for r in records]
+    return _grow(
+        (X,),
+        [(rows,) for rows in roots],
+        open_node,
+        lambda rows: RegLeaf(float(_mean(y[rows])), rows.size),
+        _sse_gains(min_leaf),
+        exact,
+        lockstep=draws,
+    )
 
 
 @dataclass(frozen=True)
@@ -242,11 +230,7 @@ class ForestRegressor:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean member prediction at each row of ``X``, summed in member order."""
-        X = _feature_rows(X)
-        total = np.zeros(X.shape[0])
-        for nodes in self.trees:
-            total += _leaf_values(nodes, X, "value")
-        return total / len(self.trees)
+        return _forest_mean(self.trees, X, "value")
 
 
 @dataclass(frozen=True)
@@ -271,7 +255,7 @@ class KnnRegressor:
         for i, q in enumerate(Q):  # batched distances would hold an (m, n, 4) temporary
             diff = self.features - q
             d2 = np.einsum("ij,ij->i", diff, diff)
-            out[i] = np.mean(self.outcomes[np.lexsort((np.arange(d2.size), d2))[:k]])
+            out[i] = np.mean(self.outcomes[np.argsort(d2, kind="stable")[:k]])
         return out
 
 
@@ -319,8 +303,8 @@ def fit_base_regressor(spec: RegressorSpec, data: Dataset) -> Regressor:
             scale = X.std(axis=0)
             scale = np.where(scale == 0.0, 1.0, scale)
         else:
-            shift = np.zeros(N_FEATURES)
-            scale = np.ones(N_FEATURES)
+            shift = np.zeros(len(FEATURE_NAMES))
+            scale = np.ones(len(FEATURE_NAMES))
         return KnnRegressor((X - shift) / scale, y, spec, shift, scale)
 
     raise TypeError(f"unknown regressor spec {type(spec).__name__}")
@@ -339,16 +323,10 @@ class TLearner:
         return DifficultyEstimate(tau, None)
 
 
-def _side_seeds(seed: int) -> tuple[int, int]:
-    """(control_seed, individual_seed) derived by splitting the spec seed."""
-    state = np.random.SeedSequence(seed).generate_state(2)
-    return int(state[0]), int(state[1])
-
-
 def fit_t_learner(d: Dataset, spec: RegressorSpec) -> TLearner:
     """Fit the control-side and individual-side regressors on their own samples."""
     validate_dataset(d)
-    ctl_seed, ind_seed = _side_seeds(spec.seed)
+    ctl_seed, ind_seed = derived_seeds(spec.seed, 2)
     model_control = fit_base_regressor(
         replace(spec, seed=ctl_seed), d.restrict_to_group(GroupLabel.CONTROL)
     )

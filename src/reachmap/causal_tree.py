@@ -33,6 +33,7 @@ from .domain import (
     Dataset,
     GroupLabel,
     canonical_order,
+    derived_seeds,
     stratified_honest_split,
     validate_dataset,
 )
@@ -203,13 +204,6 @@ def _mean(y: np.ndarray) -> np.float64:
     return np.add.reduce(y) / y.size
 
 
-def _layout(flat: np.ndarray, mask: np.ndarray, fill, dtype=np.float64) -> np.ndarray:
-    """Padded block holding ``flat`` in the cells ``mask`` marks, row by row."""
-    out = np.full(mask.shape, fill, dtype)
-    out[mask] = flat
-    return out
-
-
 def _score_block(X: np.ndarray, rows: list, block_gains: Callable):
     """Gains and thresholds of every cut of the (node, feature) ``rows``.
 
@@ -228,7 +222,10 @@ def _score_block(X: np.ndarray, rows: list, block_gains: Callable):
     lens = np.array([node.rows.size for node, _ in rows])
     mask = np.arange(lens.max()) < lens[:, None]
     flat = X[np.concatenate([node.rows for node, _ in rows]), np.repeat([f for _, f in rows], lens)]
-    order = np.argsort(_layout(flat, mask, np.inf), axis=1, kind="stable")
+    padded = np.full(mask.shape, np.inf)
+    padded[mask] = flat
+    order = np.argsort(padded, axis=1, kind="stable")
+    del padded
     # the padding sorts last, so sorted position j < lens[r] of row r holds
     # the row's own value number order[r, j]
     src = np.where(mask, (np.cumsum(lens) - lens)[:, None] + order, flat.size)
@@ -342,11 +339,63 @@ def _best_cuts(
     return out
 
 
+def _grow(
+    Xs: tuple,
+    roots: list,
+    open_node: Callable,
+    leaf: Callable,
+    gains: Callable,
+    exact: Callable,
+    lockstep: bool,
+) -> list[tuple]:
+    """The pre-order nodes of one tree per entry of ``roots``, for causal
+    trees and CARTs alike.
+
+    A node's state is its row-index arrays, one into each matrix of ``Xs``,
+    and ``roots`` holds those of each root.  ``open_node(t, depth, *rows)`` returns tree
+    ``t``'s node for :func:`_best_cuts` over ``Xs[0]``, or None for
+    ``leaf(*rows)``, which a node with no cut becomes too.  A cut routes the
+    rows of every matrix.  A round searches every pending node as one batch,
+    a depth per round; with ``lockstep`` it takes only each tree's next
+    depth-first node, which keeps ``open_node``'s draws from a tree's
+    generator in depth-first order.
+    """
+    records = [[None] for _ in roots]
+    pending = [[(0, 0, rows)] for rows in roots]  # stacks of (record, depth, rows)
+    while any(pending):
+        batch = []
+        for t, stack in enumerate(pending):
+            while stack:
+                i, depth, rows = stack.pop()
+                node = open_node(t, depth, *rows)
+                if node is None:
+                    records[t][i] = leaf(*rows)
+                    continue
+                batch.append((t, i, depth, rows, node))
+                if lockstep:
+                    break
+        cuts = _best_cuts(Xs[0], [node for *_, node in batch], gains, exact)
+        for (t, i, depth, rows, _), cut in zip(batch, cuts):
+            if cut is None:
+                records[t][i] = leaf(*rows)
+                continue
+            lefts, rights = [], []
+            for X, r in zip(Xs, rows):
+                goes_left = X[r, cut.feature_index] < cut.threshold
+                lefts.append(r[goes_left])
+                rights.append(r[~goes_left])
+            left = len(records[t])
+            records[t] += [None, None]
+            records[t][i] = _Fork(cut, left, left + 1)
+            pending[t] += [(left + 1, depth + 1, rights), (left, depth + 1, lefts)]
+    return [_preorder(r) for r in records]
+
+
 class _EffectNode:
     """A causal-tree node awaiting its split search."""
 
     __slots__ = (
-        "rows", "e_rows", "features", "g", "yc", "scale", "n1", "n0", "n1e", "n0e", "cost",
+        "rows", "e_groups", "features", "g", "yc", "scale", "n1", "n0", "n1e", "n0e", "cost",
     )
     weight = 1
 
@@ -361,8 +410,9 @@ def _effect_node(
     node.g = g = split.g[s_idx]
     node.n1 = int(np.count_nonzero(g))
     node.n0 = s_idx.size - node.n1
-    node.n1e = int(np.count_nonzero(est.g[e_idx]))
-    node.n0e = e_idx.size - node.n1e
+    e_ind = est.g[e_idx]
+    node.e_groups = e_idx[e_ind], e_idx[~e_ind]  # estimation rows, individual then control
+    node.n1e, node.n0e = (part.size for part in node.e_groups)
     if min(node.n1, node.n0, node.n1e, node.n0e) < 2 * m:
         return None  # no candidate can leave m of each group on both sides
     if np.maximum.reduce(y) == np.minimum.reduce(y):
@@ -373,41 +423,19 @@ def _effect_node(
     node.yc = y
     node.scale = float(max(np.maximum.reduce(y), -np.minimum.reduce(y)))
     node.rows = s_idx
-    node.e_rows = e_idx
     node.features = range(split.X.shape[1])
     node.cost = s_idx.size + e_idx.size
     return node
 
 
-def _estimation_counts(est: _Half, rows: list, thresholds: np.ndarray) -> list:
+def _estimation_counts(est: _Half, rows: list, thresholds: np.ndarray) -> np.ndarray:
     """Estimation rows of each group, individual then control, with a value
-    below each threshold.
-
-    A batched ``searchsorted(side="left")``: a row's thresholds and its
-    node's sorted estimation values of the group are sorted together,
-    thresholds first, so a threshold lands before the values equal to it.
-    Both parts are ascending runs, which a stable sort merges in linear
-    time, and the thresholds keep their order, so the k-th found is column
-    k.
-    """
-    n_rows, width = thresholds.shape
-    e_rows = [node.e_rows for node, _ in rows]
-    lens = np.array([part.size for part in e_rows])
-    flat = np.concatenate(e_rows)
-    row_of = np.repeat(np.arange(n_rows), lens)
-    values = est.X[flat, np.repeat([f for _, f in rows], lens)]
-    ind = est.g[flat]
-    counts = []
-    for group in (ind, ~ind):
-        group_lens = np.bincount(row_of[group], minlength=n_rows)
-        mask = np.arange(group_lens.max()) < group_lens[:, None]
-        merged = np.concatenate(
-            [thresholds, np.sort(_layout(values[group], mask, np.inf), axis=1)], axis=1
-        )
-        order = np.argsort(merged, axis=1, kind="stable")
-        del merged
-        found = np.flatnonzero(order < width).reshape(n_rows, width)
-        counts.append(found - (np.arange(n_rows) * order.shape[1])[:, None] - np.arange(width))
+    below each threshold: one sort and ``searchsorted`` per (node, feature)
+    row and group."""
+    counts = np.empty((2,) + thresholds.shape, dtype=np.intp)
+    for r, ((node, f), row_thresholds) in enumerate(zip(rows, thresholds)):
+        for k, part in enumerate(node.e_groups):
+            counts[k, r] = np.sort(est.X[part, f]).searchsorted(row_thresholds)
     return counts
 
 
@@ -543,35 +571,20 @@ def grow_causal_tree(
     split = _Half(split_half)
     est = _Half(estimation_half)
     m = params.min_group_leaf
-    gains = _effect_gains(est, m)
-    exact = _exact_effect(split)
-    records: list = [None]
-    level = [(0, np.arange(len(split_half)), np.arange(len(estimation_half)))]
-    depth = 0
-    while level:
-        searched = []
-        for i, s_idx, e_idx in level:
-            node = _effect_node(split, est, s_idx, e_idx, m) if depth < params.max_depth else None
-            if node is None:
-                records[i] = leaf_estimate(estimation_half.subset(e_idx))
-            else:
-                searched.append((i, node))
-        cuts = _best_cuts(split.X, [node for _, node in searched], gains, exact)
-        level = []
-        for (i, node), cut in zip(searched, cuts):
-            if cut is None:
-                records[i] = leaf_estimate(estimation_half.subset(node.e_rows))
-                continue
-            s_left = split.X[node.rows, cut.feature_index] < cut.threshold
-            e_left = est.X[node.e_rows, cut.feature_index] < cut.threshold
-            left = len(records)
-            records += [None, None]
-            records[i] = _Fork(cut, left, left + 1)
-            level.append((left, node.rows[s_left], node.e_rows[e_left]))
-            level.append((left + 1, node.rows[~s_left], node.e_rows[~e_left]))
-        depth += 1
 
-    return CausalTree(_preorder(records), params)
+    def open_node(t, depth, s_idx, e_idx):
+        return _effect_node(split, est, s_idx, e_idx, m) if depth < params.max_depth else None
+
+    (nodes,) = _grow(
+        (split.X, est.X),
+        [(np.arange(len(split_half)), np.arange(len(estimation_half)))],
+        open_node,
+        lambda s_idx, e_idx: leaf_estimate(estimation_half.subset(e_idx)),
+        _effect_gains(est, m),
+        _exact_effect(split),
+        lockstep=False,
+    )
+    return CausalTree(nodes, params)
 
 
 def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
@@ -631,6 +644,16 @@ def _leaf_values(nodes: tuple, X: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
+def _forest_mean(trees, X, name: str) -> np.ndarray:
+    """Mean over the pre-order node tuples ``trees`` of :func:`_leaf_values`
+    at each row of the (m, 4) ``X``, summed in member order."""
+    X = _feature_rows(X)
+    total = np.zeros(X.shape[0])
+    for nodes in trees:
+        total += _leaf_values(nodes, X, name)
+    return total / len(trees)
+
+
 @dataclass(frozen=True)
 class CausalForest:
     """Ensemble of honest trees fit on stratified subsamples; predicts the mean effect."""
@@ -642,11 +665,7 @@ class CausalForest:
 
     def predict(self, X: np.ndarray) -> DifficultyEstimate:
         """Mean member effect at each row of the (m, 4) ``X``, summed in member order."""
-        X = _feature_rows(X)
-        total = np.zeros(X.shape[0])
-        for t in self.trees:
-            total += _leaf_values(t.nodes, X, "tau_hat")
-        return DifficultyEstimate(total / len(self.trees), None)
+        return DifficultyEstimate(_forest_mean([t.nodes for t in self.trees], X, "tau_hat"), None)
 
 
 #: most members a forest of either kind holds; checked before any member is seeded
@@ -665,16 +684,6 @@ class CausalForestSettings:
             raise ValueError(f"n_trees must be in 1..{MAX_TREES}, got {self.n_trees}")
         if not 0.0 < self.subsample_ratio <= 1.0:
             raise ValueError(f"subsample_ratio must be in (0, 1], got {self.subsample_ratio}")
-
-
-def _member_seeds(seed: int, n_trees: int) -> list[tuple[int, int]]:
-    """Per-member (subsample_seed, fit_seed) pairs, derived by spawning SeedSequences."""
-    children = np.random.SeedSequence(seed).spawn(n_trees)
-    out = []
-    for child in children:
-        state = child.generate_state(2)
-        out.append((int(state[0]), int(state[1])))
-    return out
 
 
 def fit_causal_forest(
@@ -700,7 +709,8 @@ def fit_causal_forest(
     }
 
     trees = []
-    for sub_seed, fit_seed in _member_seeds(params.seed, n_trees):
+    for member in range(n_trees):
+        sub_seed, fit_seed = derived_seeds(params.seed, 2, (member,))
         rng = np.random.default_rng(sub_seed)
         picked = []
         for g in (0, 1):

@@ -234,6 +234,12 @@ def stratified_honest_split(
     return d.subset(shuffled[take]), d.subset(shuffled[~take])
 
 
+def derived_seeds(seed: int, k: int, key: tuple = ()) -> list[int]:
+    """``k`` seeds derived from ``seed``: the state of its ``SeedSequence`` with
+    spawn key ``key``.  Key ``(i,)`` is the ``i``-th child ``spawn`` gives."""
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(k).tolist()
+
+
 #: rows per ``.tolist()`` and per piece of CSV text; converting every row at
 #: once would hold the whole dataset as Python objects
 _CSV_CHUNK = 4096

@@ -30,7 +30,7 @@ from .causal_tree import (
     fit_causal_forest,
     fit_causal_tree,
 )
-from .domain import Dataset, GroupLabel, validate_dataset
+from .domain import Dataset, GroupLabel, derived_seeds, validate_dataset
 from .errors import (
     BenchmarkError,
     InsufficientSamples,
@@ -157,17 +157,6 @@ class BenchRow:
     p_vs_reference: Optional[float]  # None on the reference row
 
 
-def _run_seeds(master_seed: int, run: int) -> tuple[int, int, int]:
-    """(data_seed, holdout_seed, fit_seed) for one run.
-
-    The fit seed is shared by every model in the run: entries are pure
-    functions of (training data, seed), so the same entry configured twice
-    produces identical rows.
-    """
-    state = np.random.SeedSequence(master_seed, spawn_key=(run,)).generate_state(3)
-    return int(state[0]), int(state[1]), int(state[2])
-
-
 def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     """Execute the multi-run protocol; rows come back in configured model order.
 
@@ -180,7 +169,10 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
     per_model_r2: list[list[float]] = [[] for _ in range(n_models)]
 
     for run in range(cfg.runs):
-        data_seed, holdout_seed, fit_seed = _run_seeds(cfg.master_seed, run)
+        # the fit seed is shared by every model in the run: entries are pure
+        # functions of (training data, seed), so the same entry configured
+        # twice produces identical rows
+        data_seed, holdout_seed, fit_seed = derived_seeds(cfg.master_seed, 3, (run,))
         try:
             train, _ = generate_dataset(
                 cfg.dgp, cfg.n_control, cfg.n_individual, data_seed

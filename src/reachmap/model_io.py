@@ -49,11 +49,12 @@ FORMAT_VERSION = 1
 
 Model = Union[CausalTree, CausalForest, TLearner]
 
-#: document kind of each T-learner, by the spec type of its base regressors
-_T_KINDS = {"t_cart": CartSpec, "t_forest": ForestSpec, "t_knn": KnnSpec}
-
-#: spec type of each nested regressor kind
-_REGRESSOR_SPECS = {"cart": CartSpec, "forest": ForestSpec, "knn": KnnSpec}
+#: document kind of each T-learner: the kind and spec type of its base regressors
+_T_KINDS = {
+    "t_cart": ("cart", CartSpec),
+    "t_forest": ("forest", ForestSpec),
+    "t_knn": ("knn", KnnSpec),
+}
 
 
 # --- encoding ----------------------------------------------------------------
@@ -121,7 +122,7 @@ def model_kind(model: Model) -> str:
     if isinstance(model, CausalForest):
         return "causal_forest"
     if isinstance(model, TLearner):
-        for kind, spec_cls in _T_KINDS.items():
+        for kind, (_, spec_cls) in _T_KINDS.items():
             if type(model.spec) is spec_cls:
                 return kind
     raise TypeError(f"cannot serialize {type(model).__name__}")
@@ -214,20 +215,21 @@ def _float_array(v: Any, path: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _regressor_from_dict(d: Any, path: str) -> Regressor:
+def _regressor_from_dict(d: Any, path: str, kind: str, spec_cls: type) -> Regressor:
+    """The base regressor ``d`` of a T-learner, which must be of ``kind``."""
     d = expect_dict(d, path, MalformedModel)
-    kind = get(d, "kind", path, MalformedModel)
-    if not isinstance(kind, str) or kind not in _REGRESSOR_SPECS:
-        raise MalformedModel(f"{path}.kind", f"unknown regressor kind {kind!r}")
-    spec_d = get(d, "spec", path, MalformedModel)
-    spec = from_fields(_REGRESSOR_SPECS[kind], spec_d, f"{path}.spec", MalformedModel)
+    got = get(d, "kind", path, MalformedModel)
+    if got != kind:
+        raise MalformedModel(f"{path}.kind", f"expected {kind!r}, got {got!r}")
+    spec = from_fields(spec_cls, get(d, "spec", path, MalformedModel), f"{path}.spec",
+                       MalformedModel)
     if kind == "cart":
         root = get(d, "root", path, MalformedModel)
         return CartRegressor(_nodes_from_dict(root, f"{path}.root", RegLeaf), spec)
     if kind == "forest":
         roots_v = get(d, "roots", path, MalformedModel)
-        if not isinstance(roots_v, list) or not roots_v:
-            raise MalformedModel(f"{path}.roots", "expected a non-empty list")
+        if not isinstance(roots_v, list) or len(roots_v) != spec.n_trees:
+            raise MalformedModel(f"{path}.roots", f"expected a list of {spec.n_trees} trees")
         trees = tuple(
             _nodes_from_dict(r, f"{path}.roots[{i}]", RegLeaf) for i, r in enumerate(roots_v)
         )
@@ -272,14 +274,17 @@ def model_from_dict(doc: Any) -> Model:
         )
 
     if isinstance(kind, str) and kind in _T_KINDS:
+        base_kind, spec_cls = _T_KINDS[kind]
         return TLearner(
             model_individual=_regressor_from_dict(
-                get(doc, "model_individual", "$", MalformedModel), "$.model_individual"
+                get(doc, "model_individual", "$", MalformedModel), "$.model_individual",
+                base_kind, spec_cls,
             ),
             model_control=_regressor_from_dict(
-                get(doc, "model_control", "$", MalformedModel), "$.model_control"
+                get(doc, "model_control", "$", MalformedModel), "$.model_control",
+                base_kind, spec_cls,
             ),
-            spec=from_fields(_T_KINDS[kind], get(doc, "spec", "$", MalformedModel), "$.spec",
+            spec=from_fields(spec_cls, get(doc, "spec", "$", MalformedModel), "$.spec",
                              MalformedModel),
         )
 

@@ -24,7 +24,6 @@ from reachmap.baselines import (
     ForestSpec,
     RegLeaf,
     TLearner,
-    _side_seeds,
 )
 from reachmap.causal_tree import (
     _GAIN_NOISE,
@@ -32,7 +31,6 @@ from reachmap.causal_tree import (
     CausalTree,
     CausalTreeParams,
     Split,
-    _member_seeds,
     leaf_estimate,
 )
 from reachmap.domain import (
@@ -218,7 +216,8 @@ def fit_causal_forest(d: Dataset, params: CausalTreeParams, n_trees: int, subsam
     groups_in_order = d.groups[order]
     by_group = {g: order[groups_in_order == g] for g in (0, 1)}
     trees = []
-    for sub_seed, fit_seed in _member_seeds(params.seed, n_trees):
+    for child in np.random.SeedSequence(params.seed).spawn(n_trees):
+        sub_seed, fit_seed = (int(s) for s in child.generate_state(2))
         rng = np.random.default_rng(sub_seed)
         picked = []
         for g in (0, 1):
@@ -298,7 +297,7 @@ def fit_base_regressor(spec, data: Dataset):
 
 
 def fit_t_learner(d: Dataset, spec) -> TLearner:
-    ctl_seed, ind_seed = _side_seeds(spec.seed)
+    ctl_seed, ind_seed = (int(s) for s in np.random.SeedSequence(spec.seed).generate_state(2))
     model_control = fit_base_regressor(
         replace(spec, seed=ctl_seed), d.restrict_to_group(GroupLabel.CONTROL)
     )

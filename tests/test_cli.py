@@ -249,6 +249,27 @@ class TestErrors:
             assert "\n" not in err.strip()
         assert not (workdir / "map.csv").exists()
 
+    @pytest.mark.parametrize("edit", ["roots", "kind"])
+    def test_t_forest_members_and_base_kind(self, workdir, capsys, edit):
+        data, model, knn = workdir / "d.csv", workdir / "m.json", workdir / "knn.json"
+        run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 40, "--n1", 40,
+             "--seed", 1, "--out", data])
+        run(["fit", "--data", data, "--model", "t_forest", "--n-trees", 3, "--seed", 1,
+             "--out", model])
+        run(["fit", "--data", data, "--model", "t_knn", "--seed", 1, "--out", knn])
+        doc = json.loads(model.read_text())
+        if edit == "roots":
+            doc["model_individual"]["roots"] *= 400  # 1,200 members, past MAX_TREES
+        else:
+            doc["model_individual"] = json.loads(knn.read_text())["model_individual"]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run(["predict", "--model", model, "--x", 0.1, "--y", 0.2, "--z", 0.1])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: MalformedModel: $.model_individual.{edit}:")
+
     def test_malformed_dgp_config(self, workdir, capsys):
         cfg = workdir / "bad.cfg"
         cfg.write_text("effect_preset = haunted\n")

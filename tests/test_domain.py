@@ -19,6 +19,7 @@ from reachmap import (
     stratified_honest_split,
     validate_dataset,
 )
+from reachmap.domain import derived_seeds
 from reachmap.errors import (
     DegenerateSplit,
     EmptyDataset,
@@ -190,6 +191,12 @@ class TestHonestSplit:
         d = random_dataset(np.random.default_rng(4), 4, 4)
         with pytest.raises(ValueError):
             stratified_honest_split(d, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_derived_seeds_key_i_is_spawned_child_i(seed):
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(5)):
+        assert derived_seeds(seed, 2, (i,)) == [int(s) for s in child.generate_state(2)]
 
 
 class TestCsv:

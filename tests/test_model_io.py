@@ -33,6 +33,11 @@ def random_points(seed, count=25):
     return [features_from_xyz(*rng.uniform(-0.3, 0.3, 3)) for _ in range(count)]
 
 
+def t_learner_doc(spec):
+    d = random_dataset(np.random.default_rng(12), 20, 20, effect=0.3)
+    return json.loads(serialize_model(fit_t_learner(d, spec)))
+
+
 def fitted_tree(seed=1, max_depth=3):
     d = random_dataset(np.random.default_rng(seed), 30, 30, effect=0.5)
     return fit_causal_tree(d, CausalTreeParams(max_depth=max_depth, min_group_leaf=2, seed=seed))
@@ -221,6 +226,28 @@ class TestMalformed:
         doc = json.loads(serialize_model(forest))
         doc["n_trees"] = 1001
         with pytest.raises(MalformedModel, match=r"\$: n_trees must be in 1\.\.1000"):
+            parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("side, count", [("model_individual", 1200), ("model_control", 1)])
+    def test_forest_roots_hold_n_trees_members(self, side, count):
+        doc = t_learner_doc(ForestSpec(n_trees=3, max_depth=2, min_leaf=2, seed=5))
+        doc[side]["roots"] = (doc[side]["roots"] * count)[:count]
+        with pytest.raises(MalformedModel,
+                           match=rf"^\$\.{side}\.roots: expected a list of 3 trees"):
+            parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "spec, other, expected",
+        [(ForestSpec(n_trees=3, seed=5), KnnSpec(seed=5), "forest"),
+         (CartSpec(seed=5), ForestSpec(n_trees=3, seed=5), "cart"),
+         (KnnSpec(seed=5), CartSpec(seed=5), "knn")],
+        ids=["t_forest", "t_cart", "t_knn"],
+    )
+    def test_nested_kind_is_the_document_kind(self, spec, other, expected):
+        doc = t_learner_doc(spec)
+        doc["model_control"] = t_learner_doc(other)["model_control"]
+        with pytest.raises(MalformedModel,
+                           match=rf"^\$\.model_control\.kind: expected '{expected}'"):
             parse_model(json.dumps(doc))
 
     #: the leaves of ``fitted_tree(seed=2, max_depth=2)`` in pre-order

@@ -23,15 +23,19 @@ from typing import Optional, Union
 import numpy as np
 
 from .causal_tree import (
+    _ALL,
     MAX_TREES,
     DifficultyEstimate,
-    _best_cuts,
     _dyadic,
     _feature_rows,
     _forest_mean,
     _grow,
+    _last_rows,
     _leaf_values,
     _mean,
+    _Node,
+    _Ranked,
+    _node_columns,
     _times_4_pow,
 )
 from .domain import (
@@ -103,6 +107,10 @@ class RegLeaf:
 _LOCKSTEP = 25
 
 
+#: float64 elements of one chunk of k-NN query differences (about 1 MB)
+_KNN_CHUNK = 1 << 17
+
+
 def _exact_sse_gain(v: np.ndarray, y: np.ndarray, thr: float) -> Fraction:
     """SSE reduction of a cut in exact rational arithmetic.
 
@@ -120,98 +128,102 @@ def _exact_sse_gain(v: np.ndarray, y: np.ndarray, thr: float) -> Fraction:
     return _times_4_pow(sse(ks) - sse(left_ks) - sse(right_ks), e)
 
 
-class _CartNode:
-    """A CART node awaiting its split search."""
+class _SseSearch:
+    """Split search of CARTs over the rows of ``X``/``y``.
 
-    __slots__ = (
-        "rows", "features", "y", "yc", "scale",
-        "q_total", "s_total", "sse_parent", "cost", "weight",
-    )
+    A node's stats are its centred outcomes' sum of squares, their sum, and
+    its SSE.  SSE gains grow with the node size, so the near-tie window
+    (the node's weight) does too.
+    """
 
-    def __init__(self, rows: np.ndarray, y: np.ndarray, features) -> None:
-        self.rows = rows
-        self.features = features
+    def __init__(self, X: _Ranked, y: np.ndarray, max_depth: int, min_leaf: int, draws: bool):
+        self.matrices = (X,)
         self.y = y
-        n = rows.size
-        # SSE gains grow with the node size, so the near-tie window does too
-        self.cost = self.weight = n
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self.features = None if draws else _ALL
+
+    def open(self, room: np.ndarray, nodes: list) -> list:
+        """A node to search, or a leaf, per tuple of row arrays in ``nodes``: a node
+        is searched when it has depth to spare, at least 2 * min_leaf rows,
+        and outcomes that are not all equal (nothing to reduce)."""
+        rows, b = _last_rows(nodes, 0)
+        y = self.y[rows]
+        n = np.diff(b)
+        search = (
+            room
+            & (n >= 2 * self.min_leaf)
+            & (np.maximum.reduceat(y, b[:-1]) != np.minimum.reduceat(y, b[:-1]))
+        ).tolist()
+        b = b.tolist()
+        means = [_mean(y[s:e]) for s, e in zip(b, b[1:])]
         # center at the node mean: keeps the prefix-sum SSE arithmetic stable
-        self.yc = yc = y - _mean(y)
-        self.scale = float(np.maximum.reduce(np.abs(yc)))
-        self.q_total = float(np.dot(yc, yc))
-        self.s_total = float(np.add.reduce(yc))  # np.sum's arithmetic
-        self.sse_parent = self.q_total - self.s_total * self.s_total / n
+        yc = y - np.repeat(means, n)
+        scales = np.maximum.reduceat(np.abs(yc), b[:-1]).tolist()
+        out = []
+        for k, (node_rows, s, e, go) in enumerate(zip(nodes, b, b[1:], search)):
+            if not go:
+                out.append(RegLeaf(float(means[k]), e - s))
+                continue
+            c = yc[s:e]
+            q_total = float(np.dot(c, c))
+            s_total = float(np.add.reduce(c))  # np.sum's arithmetic
+            stats = (q_total, s_total, q_total - s_total * s_total / (e - s))
+            out.append(_Node(node_rows, self.features, means[k], scales[k], e - s, stats))
+        return out
 
+    def leaf(self, node: _Node) -> RegLeaf:
+        return RegLeaf(float(node.mean), node.weight)
 
-def _sse_gains(min_leaf: int):
-    """Block scorer of the SSE reduction."""
+    def exact(self, node: _Node, f: int, thr: float) -> Fraction:
+        rows = node.rows[0]
+        return _exact_sse_gain(self.matrices[0].value(f, rows), self.y[rows], thr)
 
-    def block_gains(rows, lens, sort, distinct, thresholds):
-        nodes = [node for node, _ in rows]
-        ys = sort(np.concatenate([nd.yc for nd in nodes]), 0.0)
+    def gains(self, rows, ks, lens, ids, fcol, thresholds, distinct):
+        """Block scorer of the SSE reduction."""
+        ys = self.y[ids] - _node_columns(rows, ks, "mean")[:, None]
         s = np.cumsum(ys, axis=1)[:, :-1]
         q = np.cumsum(ys * ys, axis=1)[:, :-1]
         del ys
         n_l = np.arange(1, s.shape[1] + 1)
         n_r = lens[:, None] - n_l
-        valid = distinct & (n_l >= min_leaf) & (n_r >= min_leaf)
-        q_total = np.array([nd.q_total for nd in nodes])[:, None]
-        s_total = np.array([nd.s_total for nd in nodes])[:, None]
-        sse_parent = np.array([nd.sse_parent for nd in nodes])[:, None]
+        valid = distinct & (n_l >= self.min_leaf) & (n_r >= self.min_leaf)
+        q_total, s_total, sse_parent = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
         sse_l = q - s * s / n_l
         sse_r = (q_total - q) - (s_total - s) ** 2 / n_r
         return np.where(valid, sse_parent - sse_l - sse_r, -np.inf)
 
-    return block_gains
-
 
 def _grow_carts(
-    X: np.ndarray,
+    X: _Ranked,
     y: np.ndarray,
-    roots: list,
+    samples: list,
     max_depth: int,
     min_leaf: int,
     mtry: Optional[int] = None,
     rngs: Optional[list] = None,
 ) -> list[tuple]:
-    """The pre-order nodes of one CART per entry of ``roots``, the rows of
-    ``X``/``y`` it is grown on, grown by :func:`causal_tree._grow`.
+    """The pre-order nodes of one CART per entry of ``samples``, the rows of
+    ``X``/``y`` it is grown on (a row may repeat), grown by
+    :func:`causal_tree._grow`.
 
-    Within a node, value ties keep the order of its rows.  With ``mtry``
-    below the feature count, each tree draws a node's features from its own
-    generator in ``rngs``, in depth-first pre-order, so the trees grow in
-    lockstep.
+    Within a node, value ties keep the order of its rows in its sample.
+    With ``mtry`` below the feature count, each tree draws a node's features
+    from its own generator in ``rngs``, in depth-first pre-order, so the
+    trees grow in lockstep.
     """
-    n_features = X.shape[1]
+    n_features = len(X.sizes)
     draws = mtry is not None and mtry < n_features
+    rows = np.concatenate(samples).astype(np.int32)
+    # the trees' samples, one after another, so each tree's rows are a range
+    search = _SseSearch(X.take(rows), y[rows], max_depth, min_leaf, draws)
+    bounds = np.cumsum([0] + [sample.size for sample in samples]).tolist()
 
-    def open_node(t, depth, rows):
-        y_node = y[rows]
-        if (
-            depth >= max_depth
-            or rows.size < 2 * min_leaf
-            # pure node: nothing to reduce
-            or np.maximum.reduce(y_node) == np.minimum.reduce(y_node)
-        ):
-            return None
-        if draws:
-            features = np.sort(rngs[t].choice(n_features, size=mtry, replace=False)).tolist()
-        else:
-            features = range(n_features)
-        return _CartNode(rows, y_node, features)
+    def draw(t: int) -> list:
+        return sorted(rngs[t].choice(n_features, size=mtry, replace=False).tolist())
 
-    def exact(node, f, thr):
-        return _exact_sse_gain(X[node.rows, f], node.y, thr)
-
-    return _grow(
-        (X,),
-        [(rows,) for rows in roots],
-        open_node,
-        lambda rows: RegLeaf(float(_mean(y[rows])), rows.size),
-        _sse_gains(min_leaf),
-        exact,
-        lockstep=draws,
-    )
+    roots = [(np.arange(a, b, dtype=np.int32),) for a, b in zip(bounds, bounds[1:])]
+    return _grow(search, roots, draw if draws else None)
 
 
 @dataclass(frozen=True)
@@ -249,13 +261,25 @@ class KnnRegressor:
     scale: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Mean outcome of each query's k nearest rows, nearest first.
+
+        Queries go in chunks whose (chunk, n, 4) differences take about
+        ``_KNN_CHUNK`` float64s.  The k-th smallest distance bounds each
+        query's candidates; a stable sort of those few orders them as a
+        stable sort of all n distances would.
+        """
         Q = (_feature_rows(X) - self.shift) / self.scale
         k = min(self.spec.k, self.outcomes.size)
         out = np.empty(Q.shape[0])
-        for i, q in enumerate(Q):  # batched distances would hold an (m, n, 4) temporary
-            diff = self.features - q
-            d2 = np.einsum("ij,ij->i", diff, diff)
-            out[i] = np.mean(self.outcomes[np.argsort(d2, kind="stable")[:k]])
+        step = max(1, _KNN_CHUNK // self.features.size)
+        for start in range(0, Q.shape[0], step):
+            diff = self.features - Q[start : start + step, None, :]
+            d2 = np.einsum("qij,qij->qi", diff, diff)
+            del diff
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+            for i, (row, bound) in enumerate(zip(d2, kth.tolist()), start):
+                near = np.flatnonzero(row <= bound)
+                out[i] = np.mean(self.outcomes[near[np.argsort(row[near], kind="stable")[:k]]])
         return out
 
 
@@ -278,7 +302,7 @@ def fit_base_regressor(spec: RegressorSpec, data: Dataset) -> Regressor:
     if isinstance(spec, CartSpec):
         if n < spec.min_leaf:
             raise InsufficientSamples(f"Cart needs >= {spec.min_leaf} samples, got {n}")
-        nodes = _grow_carts(X, y, [np.arange(n)], spec.max_depth, spec.min_leaf)[0]
+        nodes = _grow_carts(_Ranked.of(X), y, [np.arange(n)], spec.max_depth, spec.min_leaf)[0]
         return CartRegressor(nodes, spec)
 
     if isinstance(spec, ForestSpec):
@@ -287,13 +311,14 @@ def fit_base_regressor(spec: RegressorSpec, data: Dataset) -> Regressor:
                 f"Forest needs >= {spec.min_leaf} samples, got {n}"
             )
         children = np.random.SeedSequence(spec.seed).spawn(spec.n_trees)
+        ranked = _Ranked.of(X)
         trees = []
         for start in range(0, spec.n_trees, _LOCKSTEP):
             rngs = [np.random.default_rng(child) for child in children[start : start + _LOCKSTEP]]
             # a member's bootstrap rows come from its generator before its split draws
             boots = [rng.integers(0, n, size=n) for rng in rngs]
             trees += _grow_carts(
-                X, y, boots, spec.max_depth, spec.min_leaf, spec.features_per_split, rngs
+                ranked, y, boots, spec.max_depth, spec.min_leaf, spec.features_per_split, rngs
             )
         return ForestRegressor(tuple(trees), spec)
 

@@ -103,16 +103,21 @@ def leaf_estimate(samples: Dataset) -> Leaf:
     Requires at least one sample of each group; raises MissingGroup otherwise.
     """
     groups = samples.groups
-    ind = groups == int(GroupLabel.INDIVIDUAL)
-    ctl = groups == int(GroupLabel.CONTROL)
+    return _leaf(
+        groups == int(GroupLabel.INDIVIDUAL), groups == int(GroupLabel.CONTROL), samples.outcomes
+    )
+
+
+def _leaf(ind: np.ndarray, ctl: np.ndarray, y: np.ndarray) -> Leaf:
+    """:func:`leaf_estimate` of the outcomes ``y`` with group masks ``ind`` and ``ctl``."""
     n_ind = int(np.count_nonzero(ind))
     n_ctl = int(np.count_nonzero(ctl))
     if n_ind == 0:
         raise MissingGroup("leaf estimate needs Individual samples")
     if n_ctl == 0:
         raise MissingGroup("leaf estimate needs Control samples")
-    mean_ind = float(np.mean(samples.outcomes[ind]))
-    mean_ctl = float(np.mean(samples.outcomes[ctl]))
+    mean_ind = float(np.mean(y[ind]))
+    mean_ctl = float(np.mean(y[ctl]))
     return Leaf(mean_ind - mean_ctl, n_ind, n_ctl, mean_ind, mean_ctl)
 
 
@@ -153,17 +158,6 @@ class CausalTree:
         return len(self.leaves())
 
 
-class _Half:
-    """Columns of one honest half, pre-extracted for the splitter."""
-
-    __slots__ = ("X", "g", "y")
-
-    def __init__(self, d: Dataset):
-        self.X = d.features
-        self.g = d.groups == int(GroupLabel.INDIVIDUAL)
-        self.y = d.outcomes
-
-
 #: float gains within this times max|y_centered|^2 (times the splitter's
 #: weight) of the best are re-checked exactly; safely above the prefix-sum
 #: error bound for n into the millions.
@@ -173,7 +167,7 @@ _GAIN_NOISE = 2.0**-30
 #: temporaries are a few dozen arrays of this size, and a node whose rows
 #: do not fit together is scored one row at a time, so its temporaries are
 #: those of a per-node search.
-_BLOCK_CAP = 4096
+_BLOCK_CAP = 8192
 
 
 class _Fork(NamedTuple):
@@ -204,50 +198,138 @@ def _mean(y: np.ndarray) -> np.float64:
     return np.add.reduce(y) / y.size
 
 
-def _score_block(X: np.ndarray, rows: list, block_gains: Callable):
-    """Gains and thresholds of every cut of the (node, feature) ``rows``.
+class _Ranked:
+    """A matrix held as ranks: each value's rank among the distinct values
+    of its column.
 
-    Row r holds ``X[node.rows, f]``, padded with +inf, and is sorted stably,
-    so equal values keep the node's row order, as a per-node stable sort
-    does.  Column k is the cut after sorted position k, at the midpoint of
-    positions k and k+1.  ``block_gains(rows, lens, sort, distinct,
-    thresholds)`` scores every column with the kind's float expression and
-    returns -inf where a cut is inadmissible.  ``sort(flat, fill)`` lays out
-    per-row values (the rows' arrays concatenated) in the block's sorted
-    order, ``fill`` in the padding.  Row-wise cumulative sums are sequential,
-    so they carry the same bits as per-node ones.  Cuts between equal values
-    are not ``distinct``; the cuts at and after a row's last value leave no
-    samples on the right, which the kinds' count rules reject.
+    ``ranks`` is (d, n) int32.  ``values`` holds each column's distinct
+    values in ascending order, then +inf, concatenated; column f's start at
+    ``offsets[f]``, so row i's value in column f is ``values[offsets[f] +
+    ranks[f, i]]`` exactly, and rank ``sizes[f]`` (the +inf) ranks after
+    every value.  Nodes index this matrix through ``rows``: node row p is
+    matrix row ``rows[p]``, and ``take(rows)`` is the matrix of the given
+    rows, which may repeat, without copying the ranks.
     """
-    lens = np.array([node.rows.size for node, _ in rows])
-    mask = np.arange(lens.max()) < lens[:, None]
-    flat = X[np.concatenate([node.rows for node, _ in rows]), np.repeat([f for _, f in rows], lens)]
-    padded = np.full(mask.shape, np.inf)
-    padded[mask] = flat
-    order = np.argsort(padded, axis=1, kind="stable")
-    del padded
-    # the padding sorts last, so sorted position j < lens[r] of row r holds
-    # the row's own value number order[r, j]
-    src = np.where(mask, (np.cumsum(lens) - lens)[:, None] + order, flat.size)
-    del order, mask
 
-    def sort(values: np.ndarray, fill) -> np.ndarray:
-        return np.append(values, fill)[src]
+    __slots__ = ("ranks", "values", "sizes", "offsets", "rows", "shift")
 
-    vs = sort(flat, np.inf)
-    del flat
+    def __init__(self, ranks: np.ndarray, values: np.ndarray, sizes: np.ndarray, rows):
+        self.ranks = ranks
+        self.values = values
+        self.sizes = sizes
+        self.offsets = np.cumsum(sizes + 1) - (sizes + 1)
+        self.rows = rows
+        #: bits of a node row in a sort key (rank << shift | row)
+        self.shift = rows.size.bit_length()
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> "_Ranked":
+        """The ranks of the float matrix ``X``: one sort per column."""
+        columns = [np.unique(column, return_inverse=True) for column in X.T]
+        return cls(
+            np.array([inverse for _, inverse in columns], dtype=np.int32),
+            np.concatenate([np.append(values, np.inf) for values, _ in columns]),
+            np.array([values.size for values, _ in columns]),
+            np.arange(X.shape[0], dtype=np.int32),
+        )
+
+    def take(self, rows: np.ndarray) -> "_Ranked":
+        return _Ranked(self.ranks, self.values, self.sizes, self.rows[rows])
+
+    def rank(self, f, rows: np.ndarray) -> np.ndarray:
+        """The ranks in column(s) ``f`` of node rows ``rows``."""
+        return self.ranks[f, self.rows[rows]]
+
+    def value(self, f: int, rows: np.ndarray) -> np.ndarray:
+        return self.values[self.offsets[f] + self.rank(f, rows)]
+
+    def below(self, f: int, threshold: float) -> int:
+        """The count of column f's distinct values below ``threshold``."""
+        start = self.offsets[f]
+        return int(self.values[start : start + self.sizes[f]].searchsorted(threshold))
+
+    def sorted_block(self, rows: list, j: int) -> tuple:
+        """The block of the (node, features) ``rows`` over the node rows in
+        this matrix (``node.rows[j]``): one block row per feature, holding
+        the node's rows sorted stably by it, then padding.
+
+        Returns the sorted (R, L) rows and ranks, each block row's feature
+        as an (R, 1) column, and each block row's length.  One integer sort
+        per block orders the keys (rank, row); a node's rows ascend, so
+        equal values keep the node's row order, as a stable sort of its
+        values does.  Padding has row 0 and rank ``sizes[f]``: it sorts
+        last, and its value is +inf.
+        """
+        parts = [node.rows[j] for node, fs in rows for _ in fs]
+        fcol = np.array([f for _, fs in rows for f in fs])[:, None]
+        lens = np.array([part.size for part in parts])
+        flat = np.concatenate(parts)
+        keys = np.empty((lens.size, lens.max()), dtype=np.int64)
+        keys[:] = self.sizes[fcol] << self.shift
+        real = np.arange(keys.shape[1]) < lens[:, None]
+        keys[real] = (self.rank(np.repeat(fcol[:, 0], lens), flat).astype(np.int64) << self.shift) | flat
+        keys.sort(axis=1)
+        return keys & ((1 << self.shift) - 1), keys >> self.shift, fcol, lens
+
+
+class _Node:
+    """A node awaiting its split search.
+
+    ``rows`` holds the node's ascending row indices into each of the
+    search's matrices; ``features`` the ascending features to search;
+    ``mean`` the mean outcome that centres the prefix sums; ``scale`` and
+    ``weight`` the near-tie window; ``stats`` the kind's per-node numbers
+    for its block scorer; ``cost`` the elements one of its block rows
+    takes.
+    """
+
+    __slots__ = ("rows", "features", "mean", "scale", "weight", "stats", "cost")
+
+    def __init__(self, rows: tuple, features, mean, scale: float, weight: int, stats: tuple):
+        self.rows = rows
+        self.features = features
+        self.mean = mean
+        self.scale = scale
+        self.weight = weight
+        self.stats = stats
+        self.cost = sum(r.size for r in rows)
+
+
+def _score_block(search, rows: list):
+    """Gains and thresholds of every cut of the (node, features) ``rows``.
+
+    Block row r holds one node's values of one feature in ascending order,
+    ties in the node's row order (see :meth:`_Ranked.sorted_block`).
+    Column k is the cut after sorted position k, at the midpoint of
+    positions k and k+1.  ``search.gains(rows, ks, lens, ids, fcol,
+    thresholds, distinct)`` scores every column with the kind's float
+    expression and returns -inf where a cut is inadmissible; ``ids`` are
+    the sorted rows of the split matrix.  Row-wise cumulative sums are
+    sequential, so they carry the same bits as per-node ones.  Cuts between
+    equal values are not ``distinct``; the cuts at and after a row's last
+    value leave no samples on the right, which the kinds' count rules
+    reject.
+    """
+    split = search.matrices[0]
+    ks = [len(fs) for _, fs in rows]
+    ids, ranks, fcol, lens = split.sorted_block(rows, 0)
+    vs = split.values[split.offsets[fcol] + ranks]
     thresholds = 0.5 * (vs[:, :-1] + vs[:, 1:])
-    distinct = vs[:, 1:] > vs[:, :-1]
     del vs
+    distinct = ranks[:, 1:] > ranks[:, :-1]
+    del ranks
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = block_gains(rows, lens, sort, distinct, thresholds)
+        gains = search.gains(rows, ks, lens, ids, fcol, thresholds, distinct)
     return gains, thresholds
 
 
-def _pick(
-    batch: list, gains: np.ndarray, thresholds: np.ndarray, exact_gain: Callable, out: list
-) -> None:
-    """Choose the split of each (slot, node) in ``batch`` from its rows' gains.
+def _node_columns(rows: list, ks: list, name: str) -> np.ndarray:
+    """The node attribute ``name`` of each block row: (R,) or (R, s) for tuples."""
+    return np.repeat([getattr(node, name) for node, _ in rows], ks, axis=0)
+
+
+def _pick(rows: list, gains: np.ndarray, thresholds: np.ndarray, exact_gain: Callable) -> list:
+    """The split of each node of the (node, features) ``rows``, or None.
 
     The rows of ``gains`` are each node's features in ascending order.
     Candidates whose float gain is within ``_GAIN_NOISE * scale**2 *
@@ -255,214 +337,268 @@ def _pick(
     threshold)``, so that the tie rule (lowest feature index, then lowest
     threshold) and the strict gain > 0 rule apply to exact values.
     """
-    counts = [len(node.features) for _, node in batch]
-    starts = np.cumsum([0] + counts[:-1])
-    # fmax: a feature whose float gains hold a NaN does not set the best
-    node_best = np.fmax.reduceat(gains.max(axis=1), starts).tolist()
-    cutoffs = []
-    for (_, node), g_star in zip(batch, node_best):
-        tol = _GAIN_NOISE * node.scale * node.scale * node.weight
-        if g_star == -math.inf:
-            cutoffs.append(math.inf)  # no admissible candidate
-        elif g_star > tol:
-            cutoffs.append(g_star - (tol + 1e-9 * g_star))
-        else:
-            # everything valid may be an exact tie with zero; a NaN best
-            # (every admissible float gain is NaN) re-checks them all too
-            cutoffs.append(-math.inf)
+    ks = [len(fs) for _, fs in rows]
+    g_star = np.maximum.reduceat(gains.max(axis=1), np.cumsum([0] + ks[:-1]))
+    scale = np.array([node.scale for node, _ in rows])
+    tol = _GAIN_NOISE * scale * scale * np.array([node.weight for node, _ in rows])
+    with np.errstate(invalid="ignore"):  # g_star - g_star at -inf: replaced below
+        cutoffs = np.where(g_star > tol, g_star - (tol + 1e-9 * g_star), -np.inf)
+    cutoffs[g_star == -np.inf] = np.inf  # no admissible candidate
+    # otherwise a best within the window may be an exact tie with zero, and
+    # every admissible candidate is re-checked
 
     # Distinct candidates can share a partition (e.g. a duplicated or mirrored
     # column), making their gains mathematically equal while the float values
     # differ in the last bits.  The documented tie rule therefore needs exact
     # arithmetic for candidates whose float gains are within summation error
     # of the max.
-    near: list[list] = [[] for _ in batch]
-    node_of_row = np.repeat(np.arange(len(batch)), counts).tolist()
-    feature_of_row = [f for _, node in batch for f in node.features]
-    flat = np.flatnonzero(gains > np.repeat(cutoffs, counts)[:, None])
-    for r, k in zip(*(a.tolist() for a in np.divmod(flat, gains.shape[1]))):
-        near[node_of_row[r]].append((feature_of_row[r], float(thresholds[r, k])))
+    node_of_row = np.repeat(np.arange(len(rows)), ks)
+    r, k = np.nonzero(gains > cutoffs[node_of_row][:, None])
+    owner = node_of_row[r]
+    counts = np.bincount(owner, minlength=len(rows))
+    lone = ((counts == 1) & (cutoffs > -np.inf)).tolist()
+    starts = np.searchsorted(owner, np.arange(len(rows))).tolist()
+    features = np.concatenate([fs for _, fs in rows])[r].tolist()
+    thresholds = thresholds[r, k].tolist()
 
-    for (slot, node), g_star, cutoff, cands in zip(batch, node_best, cutoffs, near):
-        if cutoff > -math.inf and len(cands) == 1:
-            out[slot] = Split(cands[0][0], cands[0][1], g_star)
+    out = []
+    for (node, _), best, one, start, count in zip(rows, g_star.tolist(), lone, starts, counts.tolist()):
+        if one:
+            out.append(Split(features[start], thresholds[start], best))
             continue
-        best = None
+        split = None
         best_exact = Fraction(0)  # strict > 0 required to split at all
-        for f, thr in cands:
+        for f, thr in zip(features[start : start + count], thresholds[start : start + count]):
             exact = exact_gain(node, f, thr)
             if exact > best_exact:
                 best_exact = exact
-                best = Split(f, thr, float(exact))
-        out[slot] = best
+                split = Split(f, thr, float(exact))
+        out.append(split)
+    return out
 
 
-def _best_cuts(
-    X: np.ndarray, nodes: list, block_gains: Callable, exact_gain: Callable
-) -> list[Optional[Split]]:
+def _best_cuts(search, nodes: list) -> list[Optional[Split]]:
     """Best admissible cut of each of the independent ``nodes``, or None.
 
-    Split search shared by the causal tree and the CART baselines.  A node
-    has ``rows`` (indices into ``X``, in the order that breaks value ties),
-    ascending ``features``, ``scale`` and ``weight`` (the near-tie window),
-    and ``cost``, the elements one of its rows takes in a block.  Candidate
-    thresholds sit at midpoints of consecutive distinct values of
-    ``X[rows, f]``.  Nodes are packed, whole and smallest first, into blocks
-    of about ``_BLOCK_CAP`` elements, and each block is sorted and scored in
-    a few numpy calls.
+    Split search shared by the causal tree and the CART baselines.
+    Candidate thresholds sit at midpoints of consecutive distinct values of
+    a feature among a node's rows of the split matrix.  Nodes are packed,
+    whole and smallest first, into blocks of about ``_BLOCK_CAP`` elements,
+    and each block is scored in a few numpy calls.
     """
     out: list[Optional[Split]] = [None] * len(nodes)
     batch: list = []
     n_rows = 0
 
     def flush() -> None:
-        rows = [(node, f) for _, node in batch for f in node.features]
-        _pick(batch, *_score_block(X, rows, block_gains), exact_gain, out)
+        rows = [(nodes[slot], nodes[slot].features) for slot in batch]
+        for slot, cut in zip(batch, _pick(rows, *_score_block(search, rows), search.exact)):
+            out[slot] = cut
 
     for slot in sorted(range(len(nodes)), key=lambda i: nodes[i].cost):
         node = nodes[slot]
         k = len(node.features)
         if k * node.cost > _BLOCK_CAP:
-            gains = np.empty((k, node.rows.size - 1))
-            thresholds = np.empty_like(gains)
-            for j, f in enumerate(node.features):
-                gains[j], thresholds[j] = _score_block(X, [(node, f)], block_gains)
-            _pick([(slot, node)], gains, thresholds, exact_gain, out)
+            scored = [_score_block(search, [(node, [f])]) for f in node.features]
+            (out[slot],) = _pick(
+                [(node, node.features)],
+                np.vstack([gains for gains, _ in scored]),
+                np.vstack([thresholds for _, thresholds in scored]),
+                search.exact,
+            )
             continue
         if (n_rows + k) * node.cost > _BLOCK_CAP:
             flush()
             batch, n_rows = [], 0
-        batch.append((slot, node))
+        batch.append(slot)
         n_rows += k
     if batch:
         flush()
     return out
 
 
-def _grow(
-    Xs: tuple,
-    roots: list,
-    open_node: Callable,
-    leaf: Callable,
-    gains: Callable,
-    exact: Callable,
-    lockstep: bool,
-) -> list[tuple]:
+def _grow(search, roots: list, draw: Optional[Callable] = None) -> list[tuple]:
     """The pre-order nodes of one tree per entry of ``roots``, for causal
     trees and CARTs alike.
 
-    A node's state is its row-index arrays, one into each matrix of ``Xs``,
-    and ``roots`` holds those of each root.  ``open_node(t, depth, *rows)`` returns tree
-    ``t``'s node for :func:`_best_cuts` over ``Xs[0]``, or None for
-    ``leaf(*rows)``, which a node with no cut becomes too.  A cut routes the
-    rows of every matrix.  A round searches every pending node as one batch,
-    a depth per round; with ``lockstep`` it takes only each tree's next
-    depth-first node, which keeps ``open_node``'s draws from a tree's
-    generator in depth-first order.
+    ``search`` is the kind's split search.  Its ``matrices`` are the
+    :class:`_Ranked` matrices a node has rows in, the split matrix first,
+    and ``roots`` holds each root's ascending rows in each.
+    ``search.open(room, nodes)`` turns each entry of ``nodes``, a tuple of
+    row arrays, into a ``_Node`` to search or a finished leaf; ``room`` is
+    True where the depth is below ``search.max_depth``.  A node with no
+    cut becomes ``search.leaf(node)``.
+
+    A round searches every pending node as one batch and routes the rows
+    of all its cuts at once (:func:`_partition`).  With ``draw``, a round takes only
+    each tree's next depth-first node and sets its features to
+    ``draw(t)``, which keeps the draws from tree ``t``'s generator in
+    depth-first order.
     """
     records = [[None] for _ in roots]
-    pending = [[(0, 0, rows)] for rows in roots]  # stacks of (record, depth, rows)
+    pending: list[list] = [[] for _ in roots]  # stacks of (record, depth, node), next on top
+
+    def settle(owners: list, depths: list, nodes: list) -> None:
+        opened = search.open(np.array(depths) < search.max_depth, nodes)
+        # pushed in reverse, so each left child is popped before its right sibling
+        for (t, i), depth, node in reversed(list(zip(owners, depths, opened))):
+            if isinstance(node, _Node):
+                pending[t].append((i, depth, node))
+            else:
+                records[t][i] = node
+
+    settle([(t, 0) for t in range(len(roots))], [0] * len(roots), roots)
     while any(pending):
         batch = []
         for t, stack in enumerate(pending):
             while stack:
-                i, depth, rows = stack.pop()
-                node = open_node(t, depth, *rows)
-                if node is None:
-                    records[t][i] = leaf(*rows)
-                    continue
-                batch.append((t, i, depth, rows, node))
-                if lockstep:
+                i, depth, node = stack.pop()
+                if draw is not None:
+                    node.features = draw(t)
+                batch.append((t, i, depth, node))
+                if draw is not None:
                     break
-        cuts = _best_cuts(Xs[0], [node for *_, node in batch], gains, exact)
-        for (t, i, depth, rows, _), cut in zip(batch, cuts):
+        cuts = _best_cuts(search, [node for *_, node in batch])
+        forks = [(t, i, depth, node, cut) for (t, i, depth, node), cut in zip(batch, cuts)]
+        for t, i, _, node, cut in forks:
             if cut is None:
-                records[t][i] = leaf(*rows)
+                records[t][i] = search.leaf(node)
                 continue
-            lefts, rights = [], []
-            for X, r in zip(Xs, rows):
-                goes_left = X[r, cut.feature_index] < cut.threshold
-                lefts.append(r[goes_left])
-                rights.append(r[~goes_left])
             left = len(records[t])
             records[t] += [None, None]
             records[t][i] = _Fork(cut, left, left + 1)
-            pending[t] += [(left + 1, depth + 1, rights), (left, depth + 1, lefts)]
+        forks = [fork for fork in forks if fork[-1] is not None]
+        if forks:
+            owners = [(t, records[t][i].left) for t, i, *_ in forks]
+            owners += [(t, i + 1) for t, i in owners]
+            depths = [depth + 1 for _, _, depth, *_ in forks] * 2
+            settle(owners, depths, _partition(search.matrices, forks))
     return [_preorder(r) for r in records]
 
 
-class _EffectNode:
-    """A causal-tree node awaiting its split search."""
+def _partition(matrices: tuple, forks: list) -> list:
+    """The rows of the left children of the cut nodes of ``forks``, then
+    those of their right children.
 
-    __slots__ = (
-        "rows", "e_groups", "features", "g", "yc", "scale", "n1", "n0", "n1e", "n0e", "cost",
-    )
-    weight = 1
-
-
-def _effect_node(
-    split: _Half, est: _Half, s_idx: np.ndarray, e_idx: np.ndarray, m: int
-) -> Optional[_EffectNode]:
-    """The node over split rows ``s_idx`` and estimation rows ``e_idx``, or
-    None when no cut can be admissible or have a gain above zero."""
-    node = _EffectNode()
-    y = split.y[s_idx]
-    node.g = g = split.g[s_idx]
-    node.n1 = int(np.count_nonzero(g))
-    node.n0 = s_idx.size - node.n1
-    e_ind = est.g[e_idx]
-    node.e_groups = e_idx[e_ind], e_idx[~e_ind]  # estimation rows, individual then control
-    node.n1e, node.n0e = (part.size for part in node.e_groups)
-    if min(node.n1, node.n0, node.n1e, node.n0e) < 2 * m:
-        return None  # no candidate can leave m of each group on both sides
-    if np.maximum.reduce(y) == np.minimum.reduce(y):
-        return None  # constant outcomes: every contrast is exactly zero
-    # centering leaves every tau_L - tau_R contrast unchanged but keeps the
-    # prefix-sum arithmetic well conditioned for offset-heavy outcomes
-    y -= _mean(y)
-    node.yc = y
-    node.scale = float(max(np.maximum.reduce(y), -np.minimum.reduce(y)))
-    node.rows = s_idx
-    node.features = range(split.X.shape[1])
-    node.cost = s_idx.size + e_idx.size
-    return node
+    For each matrix, the rows of every cut node, concatenated, are
+    partitioned by their cut in one pass; each child keeps its rows in
+    ascending order.  A left child's rows are a view of the round's lefts:
+    the next round takes it, or it is a leaf.  A right child's are a copy,
+    because a depth-first tree keeps it pending while its left sibling's
+    subtree grows.
+    """
+    lefts, rights = [], []
+    for j, m in enumerate(matrices):
+        rows = [node.rows[j] for *_, node, _ in forks]
+        sizes = [r.size for r in rows]
+        rows = np.concatenate(rows)
+        feature = np.repeat([cut.feature_index for *_, cut in forks], sizes)
+        below = [m.below(cut.feature_index, cut.threshold) for *_, cut in forks]
+        # value < threshold exactly when rank < the count of distinct values below it
+        goes_left = m.rank(feature, rows) < np.repeat(below, sizes)
+        n_left = np.add.reduceat(goes_left, np.cumsum([0] + sizes[:-1]), dtype=np.intp)
+        lo = rows.compress(goes_left)
+        hi = rows.compress(~goes_left)
+        lb = np.cumsum(np.append(0, n_left)).tolist()
+        hb = np.cumsum(np.append(0, sizes - n_left)).tolist()
+        lefts.append([lo[a:b] for a, b in zip(lb, lb[1:])])
+        rights.append([hi[a:b].copy() for a, b in zip(hb, hb[1:])])
+    return list(zip(*lefts)) + list(zip(*rights))
 
 
-def _estimation_counts(est: _Half, rows: list, thresholds: np.ndarray) -> np.ndarray:
-    """Estimation rows of each group, individual then control, with a value
-    below each threshold: one sort and ``searchsorted`` per (node, feature)
-    row and group."""
-    counts = np.empty((2,) + thresholds.shape, dtype=np.intp)
-    for r, ((node, f), row_thresholds) in enumerate(zip(rows, thresholds)):
-        for k, part in enumerate(node.e_groups):
-            counts[k, r] = np.sort(est.X[part, f]).searchsorted(row_thresholds)
-    return counts
+def _last_rows(nodes: list, j: int) -> tuple:
+    """The rows in matrix ``j`` of each of ``nodes`` (tuples of row
+    arrays), concatenated, and the bounds of each node's part."""
+    rows = [node[j] for node in nodes]
+    return np.concatenate(rows), np.cumsum([0] + [r.size for r in rows])
 
 
-def _effect_gains(est: _Half, m: int) -> Callable:
-    """Block scorer of the effect contrast (see the module docstring)."""
+class _EffectSearch:
+    """Split search of the honest causal tree over one pair of halves.
 
-    def block_gains(rows, lens, sort, distinct, thresholds):
-        nodes = [node for node, _ in rows]
-        gs = sort(np.concatenate([nd.g for nd in nodes]), False)
-        ys = sort(np.concatenate([nd.yc for nd in nodes]), 0.0)
+    A node has rows in the split half (``matrices[0]``) and the estimation
+    half (``matrices[1]``).  Its stats are its split rows of each group and
+    its estimation rows of each group, individual then control.
+    """
+
+    def __init__(self, split: Dataset, est: Dataset, m: int, max_depth: int):
+        self.m = m
+        self.max_depth = max_depth
+        self.matrices = (_Ranked.of(split.features), _Ranked.of(est.features))
+        self.g = split.groups == int(GroupLabel.INDIVIDUAL)
+        self.y = split.outcomes
+        self.ge = est.groups == int(GroupLabel.INDIVIDUAL)
+        self.ye = est.outcomes
+        self.root = tuple(m.rows for m in self.matrices)
+
+    def open(self, room: np.ndarray, nodes: list) -> list:
+        """A node to search, or a leaf, per tuple of row arrays in ``nodes``.
+
+        A node is searched when it has depth to spare, at least 2m rows of
+        each group in both halves, and outcomes that are not all equal.
+        """
+        rows, b = _last_rows(nodes, 0)
+        erows, be = _last_rows(nodes, 1)
+        y = self.y[rows]
+        ge = self.ge[erows]
+        n = np.diff(b)
+        ne = np.diff(be)
+        n1 = np.add.reduceat(self.g[rows], b[:-1], dtype=np.intp)
+        n1e = np.add.reduceat(ge, be[:-1], dtype=np.intp)
+        fewest = np.minimum(np.minimum(n1, n - n1), np.minimum(n1e, ne - n1e))
+        search = (
+            room
+            & (fewest >= 2 * self.m)  # else no cut leaves m of each group on both sides
+            # constant outcomes: every contrast is exactly zero
+            & (np.maximum.reduceat(y, b[:-1]) != np.minimum.reduceat(y, b[:-1]))
+        ).tolist()
+        b, be = b.tolist(), be.tolist()
+        means = [_mean(y[s:e]) if go else 0.0 for s, e, go in zip(b, b[1:], search)]
+        # centering leaves every tau_L - tau_R contrast unchanged but keeps the
+        # prefix-sum arithmetic well conditioned for offset-heavy outcomes
+        yc = y - np.repeat(means, n)
+        scales = np.maximum(np.maximum.reduceat(yc, b[:-1]), -np.minimum.reduceat(yc, b[:-1]))
+        stats = zip(n1.tolist(), (n - n1).tolist(), n1e.tolist(), (ne - n1e).tolist())
+        out = []
+        for k, (node_rows, go, st) in enumerate(zip(nodes, search, stats)):
+            if go:
+                out.append(_Node(node_rows, _ALL, means[k], float(scales[k]), 1, st))
+            else:
+                g = ge[be[k] : be[k + 1]]
+                out.append(_leaf(g, ~g, self.ye[erows[be[k] : be[k + 1]]]))
+        return out
+
+    def leaf(self, node: _Node) -> Leaf:
+        rows = node.rows[1]
+        ge = self.ge[rows]
+        return _leaf(ge, ~ge, self.ye[rows])
+
+    def exact(self, node: _Node, f: int, thr: float) -> Fraction:
+        rows = node.rows[0]
+        v = self.matrices[0].value(f, rows)
+        return _exact_effect_gain(v, self.g[rows], self.y[rows], thr)
+
+    def gains(self, rows, ks, lens, ids, fcol, thresholds, distinct):
+        """Block scorer of the effect contrast (see the module docstring)."""
+        m = self.m
+        gs = self.g[ids]
+        ys = self.y[ids] - _node_columns(rows, ks, "mean")[:, None]
         s1_all = np.cumsum(np.where(gs, ys, 0.0), axis=1)
         s0_all = np.cumsum(np.where(gs, 0.0, ys), axis=1)
         c1 = np.cumsum(gs, axis=1)[:, :-1]
         del gs, ys
-        last = np.arange(len(rows)), lens - 1
+        last = np.arange(len(lens)), lens - 1
         S1 = s1_all[last][:, None]
         S0 = s0_all[last][:, None]
         s1 = s1_all[:, :-1]
         s0 = s0_all[:, :-1]
         c0 = np.arange(1, c1.shape[1] + 1) - c1
-        n1r = np.array([nd.n1 for nd in nodes])[:, None] - c1
-        n0r = np.array([nd.n0 for nd in nodes])[:, None] - c0
+        n1, n0, n1e, n0e = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
+        n1r = n1 - c1
+        n0r = n0 - c0
         valid = distinct & (c1 >= m) & (c0 >= m) & (n1r >= m) & (n0r >= m)
 
-        c1e, c0e = _estimation_counts(est, rows, thresholds)
-        n1e = np.array([nd.n1e for nd in nodes])[:, None]
-        n0e = np.array([nd.n0e for nd in nodes])[:, None]
+        c1e, c0e = self._estimation_counts(rows, fcol, thresholds)
         valid &= (c1e >= m) & (n1e - c1e >= m) & (c0e >= m) & (n0e - c0e >= m)
         del c1e, c0e
 
@@ -474,7 +610,34 @@ def _effect_gains(est: _Half, m: int) -> Callable:
         gains = (n_l * n_r) / (n * n).astype(np.float64) * (tau_l - tau_r) ** 2
         return np.where(valid, gains, -np.inf)
 
-    return block_gains
+    def _estimation_counts(self, rows, fcol, thresholds):
+        """Estimation rows of each group, individual then control, with a
+        value below each threshold, by one ``searchsorted`` over the block.
+
+        A value lies below a threshold exactly when its rank lies below the
+        count of distinct values below it.  Ranks ascend along a sorted
+        block row, padding ranks last, and offsetting block row r by r *
+        span makes the whole block one sorted array.
+        """
+        est = self.matrices[1]
+        ids, ranks, _, _ = est.sorted_block(rows, 1)
+        span = int(est.sizes.max()) + 1
+        step = np.arange(len(ranks))[:, None]
+        below = np.empty(thresholds.shape, dtype=np.int64)
+        for f in np.unique(fcol).tolist():
+            on_f = fcol[:, 0] == f
+            start = est.offsets[f]
+            below[on_f] = est.values[start : start + est.sizes[f]].searchsorted(thresholds[on_f])
+        pos = (ranks + step * span).ravel().searchsorted(below + step * span)
+        # padding sorts after every count, so only a row's own rows are counted
+        ind = np.concatenate(([0], np.cumsum(self.ge[ids].ravel())))
+        first = step * ranks.shape[1]
+        c1e = ind[pos] - ind[first]
+        return c1e, pos - first - c1e
+
+
+#: the features a node searches when it draws none
+_ALL = range(len(FEATURE_NAMES))
 
 
 def _dyadic(y: np.ndarray) -> tuple[list[int], int]:
@@ -524,27 +687,9 @@ def best_split(
     """Best admissible cut of the split half, or None when no candidate has gain > 0."""
     validate_dataset(split_samples)
     validate_dataset(estimation_samples)
-    split = _Half(split_samples)
-    est = _Half(estimation_samples)
-    node = _effect_node(
-        split,
-        est,
-        np.arange(len(split_samples)),
-        np.arange(len(estimation_samples)),
-        params.min_group_leaf,
-    )
-    if node is None:
-        return None
-    return _best_cuts(
-        split.X, [node], _effect_gains(est, params.min_group_leaf), _exact_effect(split)
-    )[0]
-
-
-def _exact_effect(split: _Half) -> Callable:
-    """``exact_gain(node, f, threshold)`` of a causal node's cut, for :func:`_best_cuts`."""
-    return lambda node, f, thr: _exact_effect_gain(
-        split.X[node.rows, f], node.g, split.y[node.rows], thr
-    )
+    search = _EffectSearch(split_samples, estimation_samples, params.min_group_leaf, 0)
+    (node,) = search.open(np.ones(1, dtype=bool), [search.root])
+    return _best_cuts(search, [node])[0] if isinstance(node, _Node) else None
 
 
 def grow_causal_tree(
@@ -567,23 +712,8 @@ def grow_causal_tree(
                 f"{name} half has {n_ctl} control / {n_ind} individual samples; "
                 f"root needs at least {params.min_group_leaf} of each"
             )
-
-    split = _Half(split_half)
-    est = _Half(estimation_half)
-    m = params.min_group_leaf
-
-    def open_node(t, depth, s_idx, e_idx):
-        return _effect_node(split, est, s_idx, e_idx, m) if depth < params.max_depth else None
-
-    (nodes,) = _grow(
-        (split.X, est.X),
-        [(np.arange(len(split_half)), np.arange(len(estimation_half)))],
-        open_node,
-        lambda s_idx, e_idx: leaf_estimate(estimation_half.subset(e_idx)),
-        _effect_gains(est, m),
-        _exact_effect(split),
-        lockstep=False,
-    )
+    search = _EffectSearch(split_half, estimation_half, params.min_group_leaf, params.max_depth)
+    (nodes,) = _grow(search, [search.root])
     return CausalTree(nodes, params)
 
 

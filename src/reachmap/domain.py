@@ -145,17 +145,24 @@ class Dataset:
         return self.subset(np.nonzero(self.groups == int(group))[0])
 
 
+#: largest reach time a dataset may hold, in seconds.  Both split scorers
+#: square centred outcomes and sum up to a million of them per group, so
+#: this keeps every float and exact gain far inside float range.
+MAX_OUTCOME_S = 1e6
+
+
 def validate_dataset(d: Dataset) -> tuple[int, int]:
     """Check dataset invariants; return (n_control, n_individual) on success.
 
-    Raises EmptyDataset, InvalidSample(index, reason) for the first offending
-    row, or MissingGroup when a group is absent.
+    Features must be finite, groups 0 or 1 and outcomes in (0,
+    MAX_OUTCOME_S].  Raises EmptyDataset, InvalidSample(index, reason) for
+    the first offending row, or MissingGroup when a group is absent.
     """
     if len(d) == 0:
         raise EmptyDataset("dataset has no samples")
     finite_feat = np.isfinite(d.features).all(axis=1)
     finite_out = np.isfinite(d.outcomes)
-    positive_out = d.outcomes > 0
+    positive_out = (d.outcomes > 0) & (d.outcomes <= MAX_OUTCOME_S)
     known_group = (d.groups == 0) | (d.groups == 1)
     ok = finite_feat & finite_out & positive_out & known_group
     if not ok.all():
@@ -167,7 +174,7 @@ def validate_dataset(d: Dataset) -> tuple[int, int]:
         elif not finite_out[i]:
             reason = f"non-finite outcome {d.outcomes[i]!r}"
         else:
-            reason = f"outcome must be > 0, got {d.outcomes[i]!r}"
+            reason = f"outcome must be in (0, {MAX_OUTCOME_S:g}] s, got {d.outcomes[i]!r}"
         raise InvalidSample(i, reason)
     n_control, n_individual = d.group_counts()
     if n_control == 0:

@@ -16,7 +16,7 @@ the offending element.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import count
 from typing import Any, Iterator, Union
 
@@ -31,6 +31,7 @@ from .baselines import (
     KnnSpec,
     RegLeaf,
     Regressor,
+    RegressorSpec,
     TLearner,
 )
 from .causal_tree import (
@@ -41,7 +42,7 @@ from .causal_tree import (
     Leaf,
     Split,
 )
-from .domain import FEATURE_NAMES
+from .domain import FEATURE_NAMES, derived_seeds
 from .errors import MalformedModel
 from .fileio import decode_json, expect_dict, from_fields, get, write_text_atomic
 
@@ -156,14 +157,15 @@ def serialize_model(model: Model) -> str:
 # --- decoding ----------------------------------------------------------------
 
 
-def _nodes_from_dict(root: Any, path: str, leaf_cls: type) -> tuple:
+def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tuple:
     """The pre-order nodes of the nested tree ``root``; leaves are parsed as
-    ``leaf_cls``, and a causal leaf's ``leaf_id`` must be its rank."""
+    ``leaf_cls``, a causal leaf's ``leaf_id`` must be its rank, and no leaf
+    may lie deeper than ``max_depth``."""
     nodes: list = []
     ranks = count()
-    stack = [(root, path)]
+    stack = [(root, path, 0)]
     while stack:
-        d, path = stack.pop()
+        d, path, depth = stack.pop()
         d = expect_dict(d, path, MalformedModel)
         kind = get(d, "kind", path, MalformedModel)
         if kind == "leaf":
@@ -178,9 +180,11 @@ def _nodes_from_dict(root: Any, path: str, leaf_cls: type) -> tuple:
             if not 0 <= split.feature_index < len(FEATURE_NAMES):
                 raise MalformedModel(f"{path}.feature_index",
                                      f"out of range: {split.feature_index}")
+            if depth >= max_depth:
+                raise MalformedModel(path, f"a split at depth {depth}; max_depth is {max_depth}")
             nodes.append(split)
-            stack.append((get(d, "right", path, MalformedModel), f"{path}.right"))
-            stack.append((get(d, "left", path, MalformedModel), f"{path}.left"))
+            stack.append((get(d, "right", path, MalformedModel), f"{path}.right", depth + 1))
+            stack.append((get(d, "left", path, MalformedModel), f"{path}.left", depth + 1))
         else:
             raise MalformedModel(f"{path}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
     return tuple(nodes)
@@ -192,11 +196,10 @@ def _tree_from_dict(d: Any, path: str) -> CausalTree:
     if names != list(FEATURE_NAMES):
         raise MalformedModel(f"{path}.feature_names",
                              f"expected {list(FEATURE_NAMES)}, got {names!r}")
-    return CausalTree(
-        _nodes_from_dict(get(d, "root", path, MalformedModel), f"{path}.root", Leaf),
-        from_fields(CausalTreeParams, get(d, "params", path, MalformedModel),
-                    f"{path}.params", MalformedModel),
-    )
+    params = from_fields(CausalTreeParams, get(d, "params", path, MalformedModel),
+                         f"{path}.params", MalformedModel)
+    root = get(d, "root", path, MalformedModel)
+    return CausalTree(_nodes_from_dict(root, f"{path}.root", Leaf, params.max_depth), params)
 
 
 def _float_array(v: Any, path: str, ndim: int) -> np.ndarray:
@@ -215,23 +218,28 @@ def _float_array(v: Any, path: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def _regressor_from_dict(d: Any, path: str, kind: str, spec_cls: type) -> Regressor:
-    """The base regressor ``d`` of a T-learner, which must be of ``kind``."""
+def _regressor_from_dict(d: Any, path: str, kind: str, expected: RegressorSpec) -> Regressor:
+    """The base regressor ``d`` of a T-learner, which must be of ``kind``
+    and have the spec ``expected``: the T-learner's, with its side's seed."""
     d = expect_dict(d, path, MalformedModel)
     got = get(d, "kind", path, MalformedModel)
     if got != kind:
         raise MalformedModel(f"{path}.kind", f"expected {kind!r}, got {got!r}")
-    spec = from_fields(spec_cls, get(d, "spec", path, MalformedModel), f"{path}.spec",
+    spec = from_fields(type(expected), get(d, "spec", path, MalformedModel), f"{path}.spec",
                        MalformedModel)
+    if spec != expected:
+        raise MalformedModel(f"{path}.spec", f"expected {expected}, the top-level spec "
+                             "with this side's derived seed")
     if kind == "cart":
         root = get(d, "root", path, MalformedModel)
-        return CartRegressor(_nodes_from_dict(root, f"{path}.root", RegLeaf), spec)
+        return CartRegressor(_nodes_from_dict(root, f"{path}.root", RegLeaf, spec.max_depth), spec)
     if kind == "forest":
         roots_v = get(d, "roots", path, MalformedModel)
         if not isinstance(roots_v, list) or len(roots_v) != spec.n_trees:
             raise MalformedModel(f"{path}.roots", f"expected a list of {spec.n_trees} trees")
         trees = tuple(
-            _nodes_from_dict(r, f"{path}.roots[{i}]", RegLeaf) for i, r in enumerate(roots_v)
+            _nodes_from_dict(r, f"{path}.roots[{i}]", RegLeaf, spec.max_depth)
+            for i, r in enumerate(roots_v)
         )
         return ForestRegressor(trees, spec)
     feats = _float_array(get(d, "features", path, MalformedModel), f"{path}.features", 2)
@@ -275,17 +283,19 @@ def model_from_dict(doc: Any) -> Model:
 
     if isinstance(kind, str) and kind in _T_KINDS:
         base_kind, spec_cls = _T_KINDS[kind]
+        spec = from_fields(spec_cls, get(doc, "spec", "$", MalformedModel), "$.spec",
+                           MalformedModel)
+        ctl_seed, ind_seed = derived_seeds(spec.seed, 2)  # as fit_t_learner derives them
         return TLearner(
             model_individual=_regressor_from_dict(
                 get(doc, "model_individual", "$", MalformedModel), "$.model_individual",
-                base_kind, spec_cls,
+                base_kind, replace(spec, seed=ind_seed),
             ),
             model_control=_regressor_from_dict(
                 get(doc, "model_control", "$", MalformedModel), "$.model_control",
-                base_kind, spec_cls,
+                base_kind, replace(spec, seed=ctl_seed),
             ),
-            spec=from_fields(spec_cls, get(doc, "spec", "$", MalformedModel), "$.spec",
-                             MalformedModel),
+            spec=spec,
         )
 
     raise MalformedModel("$.kind", f"unknown model kind {kind!r}")

@@ -39,6 +39,16 @@ class EffectPreset(Enum):
     SMOOTH = "smooth"
 
 
+#: Limits of a DGP, which keep every generated outcome far below
+#: ``domain.MAX_OUTCOME_S``, so that ``gen`` never writes a dataset that ``fit``
+#: rejects.  Within them mu0 <= a + b * log2(1 + dist / w) < 1e3 * 25,
+#: tau <= 1 s, and |eps| < 14 * noise_sigma (numpy's normal sampler draws
+#: no further out): under 4e4 s in all.
+MAX_DGP_SECONDS = 1e3  # baseline a and b, noise_sigma and floor
+MAX_WORKSPACE_M = 10.0  # workspace radius and height
+MIN_BASELINE_W = 1e-6  # the Fitts width w, in meters
+
+
 @dataclass(frozen=True)
 class BaselineParams:
     """Fitts-style control baseline: a + b * log2(1 + dist / w)."""
@@ -48,10 +58,12 @@ class BaselineParams:
     w: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise ValueError("baseline a and b must be >= 0")
+        if not (0 <= self.a <= MAX_DGP_SECONDS and 0 <= self.b <= MAX_DGP_SECONDS):
+            raise ValueError(f"baseline a and b must be in [0, {MAX_DGP_SECONDS:g}] s")
         if self.w <= 0:  # baseline_time divides by it
             raise ValueError(f"baseline w must be > 0, got {self.w}")
+        if self.w < MIN_BASELINE_W:
+            raise ValueError(f"baseline w must be >= {MIN_BASELINE_W:g} m, got {self.w}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +75,14 @@ class DgpSpec:
     effect_preset: EffectPreset = field(kw_only=True)
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.floor <= 0:
-            raise ValueError(f"floor must be > 0, got {self.floor}")
+        if not 0 <= self.noise_sigma <= MAX_DGP_SECONDS:
+            raise ValueError(
+                f"noise_sigma must be in [0, {MAX_DGP_SECONDS:g}] s, got {self.noise_sigma}"
+            )
+        if not 0 < self.floor <= MAX_DGP_SECONDS:
+            raise ValueError(f"floor must be in (0, {MAX_DGP_SECONDS:g}] s, got {self.floor}")
+        if max(self.workspace.radius, self.workspace.height) > MAX_WORKSPACE_M:
+            raise ValueError(f"workspace radius and height must be <= {MAX_WORKSPACE_M:g} m")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import reference_growers as ref
 from conftest import random_dataset, tied_dataset
 from reachmap import (
     CartSpec,
+    Dataset,
     CausalTreeParams,
     ForestSpec,
     fit_causal_forest,
@@ -83,6 +84,23 @@ class TestSameModels:
     def test_forest_over_several_lockstep_groups(self):
         d = random_dataset(np.random.default_rng(6), 60, 60, effect=0.3)
         assert_same_model("t_forest", d, 6, max_depth=4, min_leaf=2, n_trees=_LOCKSTEP + 3)
+
+    @pytest.mark.parametrize("mtry", [1, 2, 3, 4])
+    def test_forest_bootstrap_ties_and_a_part_lockstep_group(self, mtry):
+        # 30 rows per group: each bootstrap repeats rows, and the coarse grid
+        # ties distinct rows too; the last lockstep group holds 3 members
+        rng = np.random.default_rng(10 + mtry)
+        d = random_dataset(rng, 30, 30, effect=0.3)
+        coarse = np.round(d.features * 10) / 10
+        d = Dataset(coarse, d.groups, np.round(d.outcomes * 4) / 4)
+        assert_same_model("t_forest", d, mtry, max_depth=5, min_leaf=1,
+                          n_trees=_LOCKSTEP + 3, mtry=mtry)
+
+    def test_causal_node_larger_than_a_block(self):
+        # the root's split and estimation rows alone exceed the block budget
+        n = _BLOCK_CAP
+        d = random_dataset(np.random.default_rng(9), n, n, effect=0.3)
+        assert_same_model("causal_tree", d, 9, max_depth=2, min_leaf=5)
 
 
 # Outcomes whose exact sums need many bits: large offsets with small

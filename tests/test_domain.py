@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, random_dataset
 from reachmap import (
+    CartSpec,
+    CausalTreeParams,
     Dataset,
     GroupLabel,
     TaskFeatures,
@@ -14,12 +16,14 @@ from reachmap import (
     dataset_from_csv,
     dataset_to_csv,
     features_from_xyz,
+    fit_causal_tree,
+    fit_t_learner,
     load_dataset_csv,
     save_dataset_csv,
     stratified_honest_split,
     validate_dataset,
 )
-from reachmap.domain import derived_seeds
+from reachmap.domain import MAX_OUTCOME_S, derived_seeds
 from reachmap.errors import (
     DegenerateSplit,
     EmptyDataset,
@@ -123,6 +127,49 @@ class TestValidateDataset:
         d = make_dataset([[0.1, 0, 0, 0.1], [0.2, 0, 0, 0.2]], [0, 2], [1.0, 1.0])
         with pytest.raises(InvalidSample, match="group"):
             validate_dataset(d)
+
+    def test_outcome_bound(self):
+        at_bound = make_dataset([[0.1, 0, 0, 0.1], [0.2, 0, 0, 0.2]], [0, 1], [1.0, MAX_OUTCOME_S])
+        assert validate_dataset(at_bound) == (1, 1)
+        beyond = make_dataset([[0.1, 0, 0, 0.1], [0.2, 0, 0, 0.2]], [0, 1],
+                              [1.0, np.nextafter(MAX_OUTCOME_S, np.inf)])
+        with pytest.raises(InvalidSample, match="outcome must be in") as exc:
+            validate_dataset(beyond)
+        assert exc.value.index == 1
+
+
+def _scaled_steps(scale):
+    """8 rows: outcomes scale * [1, 1, 1, 1, 3, 3, 3, 3] along x, in both groups."""
+    x = np.arange(8) / 10.0
+    feats = np.column_stack([x, np.zeros(8), np.zeros(8), x])
+    return make_dataset(np.vstack([feats, feats]), [0] * 8 + [1] * 8,
+                        np.tile(scale * np.array([1.0] * 4 + [3.0] * 4), 2))
+
+
+class TestHugeOutcomes:
+    """Squared centred outcomes overflow past about 1e154.  Such outcomes
+    are rejected, so a fit never sees a NaN or infinite gain."""
+
+    def test_cart_beyond_bound_is_rejected_not_left_unsplit(self):
+        # 1e160-scaled steps used to give a 1-node CART: every float gain was NaN
+        with pytest.raises(InvalidSample, match="outcome"):
+            fit_t_learner(_scaled_steps(1e160), CartSpec(min_leaf=1, seed=0))
+
+    def test_causal_tree_beyond_bound_is_rejected_not_overflowing(self):
+        # used to raise OverflowError from float() of an exact gain
+        d = random_dataset(np.random.default_rng(0), 40, 40)
+        outcomes = 1e160 * (1.0 + d.groups * (d.features[:, 0] > 0.1))
+        with pytest.raises(InvalidSample, match="outcome"):
+            fit_causal_tree(make_dataset(d.features, d.groups, outcomes),
+                            CausalTreeParams(min_group_leaf=2, seed=0))
+
+    @pytest.mark.parametrize("scale", [1.0, MAX_OUTCOME_S / 3])
+    def test_cart_splits_steps_up_to_the_bound(self, scale):
+        model = fit_t_learner(_scaled_steps(scale), CartSpec(min_leaf=1, seed=0))
+        for side in (model.model_individual, model.model_control):
+            split, low, high = side.nodes
+            assert (split.feature_index, split.threshold) == (0, 0.5 * (0.3 + 0.4))
+            assert (low.n, high.n) == (4, 4) and low.value < high.value
 
 
 class TestHonestSplit:

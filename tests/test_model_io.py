@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from reachmap import (
 )
 from reachmap.baselines import CartRegressor, ForestRegressor, RegLeaf, TLearner
 from reachmap.causal_tree import Leaf, Split
+from reachmap.domain import derived_seeds
 from reachmap.errors import MalformedModel
 from reference_predictors import predict_point
 
@@ -250,6 +252,35 @@ class TestMalformed:
                            match=rf"^\$\.model_control\.kind: expected '{expected}'"):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("side", ["model_individual", "model_control"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 5), ("max_depth", 7), ("n_trees", 3)],
+    )
+    def test_nested_spec_is_the_top_spec_with_its_seed(self, side, field, value):
+        doc = t_learner_doc(ForestSpec(n_trees=2, max_depth=3, min_leaf=2, seed=5))
+        doc[side]["spec"][field] = value
+        if field == "n_trees":
+            doc[side]["roots"] = (doc[side]["roots"] * 2)[:3]
+        with pytest.raises(MalformedModel, match=rf"^\$\.{side}\.spec: expected "):
+            parse_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", ["causal_tree", "t_cart", "t_forest"])
+    def test_tree_deeper_than_max_depth(self, kind):
+        if kind == "causal_tree":
+            doc = json.loads(serialize_model(fitted_tree(max_depth=3)))
+            doc["params"]["max_depth"] = 1
+            where = r"\$\.root\.(left|right)"
+        else:
+            spec = (CartSpec if kind == "t_cart" else ForestSpec)(max_depth=3, min_leaf=2, seed=5)
+            doc = t_learner_doc(spec)
+            for part in (doc["spec"], doc["model_individual"]["spec"], doc["model_control"]["spec"]):
+                part["max_depth"] = 1
+            where = r"\$\.model_individual\.root"
+        with pytest.raises(MalformedModel, match=rf"^{where}[.a-z\[\]0-9]*: a split at depth 1; "
+                                                 r"max_depth is 1"):
+            parse_model(json.dumps(doc))
+
     #: the leaves of ``fitted_tree(seed=2, max_depth=2)`` in pre-order
     LEAF_PATHS = ("root.left.left", "root.left.right", "root.right")
 
@@ -332,18 +363,37 @@ def preorder_trees(draw, leaves) -> tuple:
     return tuple(nodes)
 
 
+def tree_depth(nodes: tuple) -> int:
+    deepest, pending = 0, [0]
+    for node in nodes:
+        d = pending.pop()
+        if isinstance(node, Split):
+            pending += [d + 1, d + 1]
+        deepest = max(deepest, d)
+    return deepest
+
+
 @st.composite
 def random_models(draw, kind: str):
+    """A random model whose spec allows its trees' depth and whose
+    T-learner sides carry the spec with their derived seeds, as the reader
+    requires."""
     if kind == "causal_tree":
-        return CausalTree(draw(preorder_trees(CAUSAL_LEAVES)), CausalTreeParams(seed=0))
+        nodes = draw(preorder_trees(CAUSAL_LEAVES))
+        return CausalTree(nodes, CausalTreeParams(max_depth=tree_depth(nodes), seed=0))
+    n_trees = 1 if kind == "t_cart" else draw(st.integers(1, 2))
+    members = st.lists(preorder_trees(REG_LEAVES), min_size=n_trees, max_size=n_trees)
+    sides = [draw(members) for _ in range(2)]
+    max_depth = max(tree_depth(nodes) for side in sides for nodes in side)
     if kind == "t_cart":
-        spec = CartSpec(seed=0)
-        sides = [CartRegressor(draw(preorder_trees(REG_LEAVES)), spec) for _ in range(2)]
+        spec = CartSpec(max_depth=max_depth, seed=0)
     else:
-        spec = ForestSpec(n_trees=draw(st.integers(1, 2)), seed=0)
-        members = st.lists(preorder_trees(REG_LEAVES), min_size=spec.n_trees, max_size=spec.n_trees)
-        sides = [ForestRegressor(tuple(draw(members)), spec) for _ in range(2)]
-    return TLearner(*sides, spec)
+        spec = ForestSpec(n_trees=n_trees, max_depth=max_depth, seed=0)
+    ctl_seed, ind_seed = derived_seeds(spec.seed, 2)
+    ind, ctl = replace(spec, seed=ind_seed), replace(spec, seed=ctl_seed)
+    if kind == "t_cart":
+        return TLearner(CartRegressor(sides[0][0], ind), CartRegressor(sides[1][0], ctl), spec)
+    return TLearner(ForestRegressor(tuple(sides[0]), ind), ForestRegressor(tuple(sides[1]), ctl), spec)
 
 
 @pytest.mark.parametrize("kind", ["causal_tree", "t_cart", "t_forest"])

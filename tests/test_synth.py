@@ -229,3 +229,23 @@ class TestDgpSpecValidation:
         # baseline_time divides by w
         with pytest.raises(ValueError, match="w must be > 0"):
             BaselineParams(w=0.0)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["baseline_a = 1001", "baseline_b = 1e4", "noise_sigma = 2000", "floor = 1e5",
+         "baseline_w = 1e-9", "workspace_radius = 11", "workspace_height = 100"],
+    )
+    def test_limits_keep_outcomes_in_bound(self, line):
+        # beyond a limit, gen could write outcomes that fit rejects
+        with pytest.raises(MalformedConfig):
+            dgp_from_config(f"effect_preset = regional\n{line}\n")
+
+    def test_outcomes_at_the_limits_pass_validation(self):
+        extreme = dgp_from_config(
+            "effect_preset = regional\nbaseline_a = 1000\nbaseline_b = 1000\n"
+            "baseline_w = 1e-6\nworkspace_radius = 10\nworkspace_height = 10\n"
+            "noise_sigma = 1000\nfloor = 1000\n"
+        )
+        d, _ = generate_dataset(extreme, 200, 200, seed=3)
+        assert validate_dataset(d) == (200, 200)
+        assert d.outcomes.max() < 1e5

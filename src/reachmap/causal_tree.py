@@ -280,7 +280,7 @@ class _Node:
     ``mean`` the mean outcome that centres the prefix sums; ``scale`` and
     ``weight`` the near-tie window; ``stats`` the kind's per-node numbers
     for its block scorer; ``cost`` the elements one of its block rows
-    takes.
+    takes in the widest of the block's matrices, one per search matrix.
     """
 
     __slots__ = ("rows", "features", "mean", "scale", "weight", "stats", "cost")
@@ -292,7 +292,7 @@ class _Node:
         self.scale = scale
         self.weight = weight
         self.stats = stats
-        self.cost = sum(r.size for r in rows)
+        self.cost = max(r.size for r in rows)
 
 
 def _score_block(search, rows: list):
@@ -320,7 +320,7 @@ def _score_block(search, rows: list):
     del ranks
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = search.gains(rows, ks, lens, ids, fcol, thresholds, distinct)
-    return gains, thresholds
+    return gains, thresholds, fcol[:, 0]
 
 
 def _node_columns(rows: list, ks: list, name: str) -> np.ndarray:
@@ -328,10 +328,13 @@ def _node_columns(rows: list, ks: list, name: str) -> np.ndarray:
     return np.repeat([getattr(node, name) for node, _ in rows], ks, axis=0)
 
 
-def _pick(rows: list, gains: np.ndarray, thresholds: np.ndarray, exact_gain: Callable) -> list:
+def _pick(
+    rows: list, gains: np.ndarray, thresholds: np.ndarray, fcol: np.ndarray, exact_gain: Callable
+) -> list:
     """The split of each node of the (node, features) ``rows``, or None.
 
-    The rows of ``gains`` are each node's features in ascending order.
+    The rows of ``gains`` are each node's features in ascending order, and
+    ``fcol`` holds their features.
     Candidates whose float gain is within ``_GAIN_NOISE * scale**2 *
     weight`` of the node's best are re-scored with ``exact_gain(node, f,
     threshold)``, so that the tie rule (lowest feature index, then lowest
@@ -352,13 +355,12 @@ def _pick(rows: list, gains: np.ndarray, thresholds: np.ndarray, exact_gain: Cal
     # differ in the last bits.  The documented tie rule therefore needs exact
     # arithmetic for candidates whose float gains are within summation error
     # of the max.
-    node_of_row = np.repeat(np.arange(len(rows)), ks)
-    r, k = np.nonzero(gains > cutoffs[node_of_row][:, None])
-    owner = node_of_row[r]
+    r, k = np.nonzero(gains > np.repeat(cutoffs, ks)[:, None])
+    owner = np.repeat(np.arange(len(rows)), ks)[r]
     counts = np.bincount(owner, minlength=len(rows))
     lone = ((counts == 1) & (cutoffs > -np.inf)).tolist()
     starts = np.searchsorted(owner, np.arange(len(rows))).tolist()
-    features = np.concatenate([fs for _, fs in rows])[r].tolist()
+    features = fcol[r].tolist()
     thresholds = thresholds[r, k].tolist()
 
     out = []
@@ -402,8 +404,7 @@ def _best_cuts(search, nodes: list) -> list[Optional[Split]]:
             scored = [_score_block(search, [(node, [f])]) for f in node.features]
             (out[slot],) = _pick(
                 [(node, node.features)],
-                np.vstack([gains for gains, _ in scored]),
-                np.vstack([thresholds for _, thresholds in scored]),
+                *(np.concatenate(parts) for parts in zip(*scored)),
                 search.exact,
             )
             continue

@@ -169,6 +169,9 @@ _GAIN_NOISE = 2.0**-30
 #: those of a per-node search.
 _BLOCK_CAP = 8192
 
+#: rows a round's cuts partition in one pass; bounds its temporaries
+_PARTITION_ROWS = 1 << 15
+
 
 class _Fork(NamedTuple):
     """Growth record of an internal node: its split and its children's record indices."""
@@ -207,20 +210,21 @@ class _Ranked:
     ``offsets[f]``, so row i's value in column f is ``values[offsets[f] +
     ranks[f, i]]`` exactly, and rank ``sizes[f]`` (the +inf) ranks after
     every value.  Nodes index this matrix through ``rows``: node row p is
-    matrix row ``rows[p]``, and ``take(rows)`` is the matrix of the given
-    rows, which may repeat, without copying the ranks.
+    matrix row ``rows[p]``, or p itself when ``rows`` is None, and
+    ``take(rows)`` is the matrix of the given rows, which may repeat,
+    without copying the ranks.
     """
 
     __slots__ = ("ranks", "values", "sizes", "offsets", "rows", "shift")
 
-    def __init__(self, ranks: np.ndarray, values: np.ndarray, sizes: np.ndarray, rows):
+    def __init__(self, ranks: np.ndarray, values: np.ndarray, sizes: np.ndarray, rows=None):
         self.ranks = ranks
         self.values = values
         self.sizes = sizes
         self.offsets = np.cumsum(sizes + 1) - (sizes + 1)
         self.rows = rows
         #: bits of a node row in a sort key (rank << shift | row)
-        self.shift = rows.size.bit_length()
+        self.shift = (ranks.shape[1] if rows is None else rows.size).bit_length()
 
     @classmethod
     def of(cls, X: np.ndarray) -> "_Ranked":
@@ -230,15 +234,19 @@ class _Ranked:
             np.array([inverse for _, inverse in columns], dtype=np.int32),
             np.concatenate([np.append(values, np.inf) for values, _ in columns]),
             np.array([values.size for values, _ in columns]),
-            np.arange(X.shape[0], dtype=np.int32),
         )
 
     def take(self, rows: np.ndarray) -> "_Ranked":
-        return _Ranked(self.ranks, self.values, self.sizes, self.rows[rows])
+        return _Ranked(self.ranks, self.values, self.sizes, self.matrix_rows(rows))
+
+    def matrix_rows(self, rows: np.ndarray) -> np.ndarray:
+        return rows if self.rows is None else self.rows.take(rows)
 
     def rank(self, f, rows: np.ndarray) -> np.ndarray:
-        """The ranks in column(s) ``f`` of node rows ``rows``."""
-        return self.ranks[f, self.rows[rows]]
+        """The ranks of node rows ``rows`` in column f, or in column ``f[i]`` for row i."""
+        if np.ndim(f) == 0:
+            return self.ranks[f].take(self.matrix_rows(rows))
+        return self.ranks.ravel().take(f * self.ranks.shape[1] + self.matrix_rows(rows))
 
     def value(self, f: int, rows: np.ndarray) -> np.ndarray:
         return self.values[self.offsets[f] + self.rank(f, rows)]
@@ -334,8 +342,7 @@ def _pick(
     """The split of each node of the (node, features) ``rows``, or None.
 
     The rows of ``gains`` are each node's features in ascending order, and
-    ``fcol`` holds their features.
-    Candidates whose float gain is within ``_GAIN_NOISE * scale**2 *
+    ``fcol`` holds their features.  Candidates whose float gain is within ``_GAIN_NOISE * scale**2 *
     weight`` of the node's best are re-scored with ``exact_gain(node, f,
     threshold)``, so that the tie rule (lowest feature index, then lowest
     threshold) and the strict gain > 0 rule apply to exact values.
@@ -431,8 +438,8 @@ def _grow(search, roots: list, draw: Optional[Callable] = None) -> list[tuple]:
     cut becomes ``search.leaf(node)``.
 
     A round searches every pending node as one batch and routes the rows
-    of all its cuts at once (:func:`_partition`).  With ``draw``, a round takes only
-    each tree's next depth-first node and sets its features to
+    of all its cuts at once (:func:`_partition`).  With ``draw``, a round
+    takes only each tree's next depth-first node and sets its features to
     ``draw(t)``, which keeps the draws from tree ``t``'s generator in
     depth-first order.
     """
@@ -449,6 +456,7 @@ def _grow(search, roots: list, draw: Optional[Callable] = None) -> list[tuple]:
                 records[t][i] = node
 
     settle([(t, 0) for t in range(len(roots))], [0] * len(roots), roots)
+    del roots  # the root nodes hold what they need
     while any(pending):
         batch = []
         for t, stack in enumerate(pending):
@@ -459,55 +467,64 @@ def _grow(search, roots: list, draw: Optional[Callable] = None) -> list[tuple]:
                 batch.append((t, i, depth, node))
                 if draw is not None:
                     break
-        cuts = _best_cuts(search, [node for *_, node in batch])
-        forks = [(t, i, depth, node, cut) for (t, i, depth, node), cut in zip(batch, cuts)]
-        for t, i, _, node, cut in forks:
+        owners, depths, forks = [], [], []
+        for (t, i, depth, node), cut in zip(batch, _best_cuts(search, [b[-1] for b in batch])):
             if cut is None:
                 records[t][i] = search.leaf(node)
                 continue
             left = len(records[t])
             records[t] += [None, None]
             records[t][i] = _Fork(cut, left, left + 1)
-        forks = [fork for fork in forks if fork[-1] is not None]
+            owners.append((t, left))
+            depths.append(depth + 1)
+            forks.append((node, cut))
         if forks:
-            owners = [(t, records[t][i].left) for t, i, *_ in forks]
-            owners += [(t, i + 1) for t, i in owners]
-            depths = [depth + 1 for _, _, depth, *_ in forks] * 2
-            settle(owners, depths, _partition(search.matrices, forks))
+            rights = [(t, left + 1) for t, left in owners]
+            settle(owners + rights, depths * 2, _partition(search.matrices, forks))
     return [_preorder(r) for r in records]
 
 
 def _partition(matrices: tuple, forks: list) -> list:
-    """The rows of the left children of the cut nodes of ``forks``, then
+    """The rows of the left children of the (node, cut) ``forks``, then
     those of their right children.
 
-    For each matrix, the rows of every cut node, concatenated, are
-    partitioned by their cut in one pass; each child keeps its rows in
-    ascending order.  A left child's rows are a view of the round's lefts:
-    the next round takes it, or it is a leaf.  A right child's are a copy,
-    because a depth-first tree keeps it pending while its left sibling's
-    subtree grows.
+    For each matrix, the rows of the cut nodes, concatenated a few tens of
+    thousands at a time, are partitioned by their cuts in one pass; each
+    child keeps its rows in ascending order.  A left child's rows are a
+    view of the round's lefts: the next round takes it, or it is a leaf.  A
+    right child's are a copy, because a depth-first tree keeps it pending
+    while its left sibling's subtree grows.
     """
     lefts, rights = [], []
     for j, m in enumerate(matrices):
-        rows = [node.rows[j] for *_, node, _ in forks]
-        sizes = [r.size for r in rows]
-        rows = np.concatenate(rows)
-        feature = np.repeat([cut.feature_index for *_, cut in forks], sizes)
-        below = [m.below(cut.feature_index, cut.threshold) for *_, cut in forks]
-        # value < threshold exactly when rank < the count of distinct values below it
-        goes_left = m.rank(feature, rows) < np.repeat(below, sizes)
-        n_left = np.add.reduceat(goes_left, np.cumsum([0] + sizes[:-1]), dtype=np.intp)
-        lo = rows.compress(goes_left)
-        hi = rows.compress(~goes_left)
-        lb = np.cumsum(np.append(0, n_left)).tolist()
-        hb = np.cumsum(np.append(0, sizes - n_left)).tolist()
-        lefts.append([lo[a:b] for a, b in zip(lb, lb[1:])])
-        rights.append([hi[a:b].copy() for a, b in zip(hb, hb[1:])])
+        lo_parts, hi_parts = [], []
+        start = 0
+        while start < len(forks):
+            stop, n_rows = start, 0
+            while stop < len(forks) and (stop == start or n_rows < _PARTITION_ROWS):
+                n_rows += forks[stop][0].rows[j].size
+                stop += 1
+            chunk = forks[start:stop]
+            start = stop
+            rows, bounds = _concat_rows([node.rows for node, _ in chunk], j)
+            sizes = np.diff(bounds)
+            feature = np.repeat([cut.feature_index for _, cut in chunk], sizes)
+            below = [m.below(cut.feature_index, cut.threshold) for _, cut in chunk]
+            # value < threshold exactly when rank < the count of distinct values below it
+            goes_left = m.rank(feature, rows) < np.repeat(np.array(below, np.int32), sizes)
+            n_left = np.add.reduceat(goes_left, bounds[:-1], dtype=np.intp)
+            lo = rows.compress(goes_left)
+            hi = rows.compress(~goes_left)
+            lb = np.cumsum(np.append(0, n_left)).tolist()
+            hb = np.cumsum(np.append(0, sizes - n_left)).tolist()
+            lo_parts += [lo[a:b] for a, b in zip(lb, lb[1:])]
+            hi_parts += [hi[a:b].copy() for a, b in zip(hb, hb[1:])]
+        lefts.append(lo_parts)
+        rights.append(hi_parts)
     return list(zip(*lefts)) + list(zip(*rights))
 
 
-def _last_rows(nodes: list, j: int) -> tuple:
+def _concat_rows(nodes: list, j: int) -> tuple:
     """The rows in matrix ``j`` of each of ``nodes`` (tuples of row
     arrays), concatenated, and the bounds of each node's part."""
     rows = [node[j] for node in nodes]
@@ -530,7 +547,7 @@ class _EffectSearch:
         self.y = split.outcomes
         self.ge = est.groups == int(GroupLabel.INDIVIDUAL)
         self.ye = est.outcomes
-        self.root = tuple(m.rows for m in self.matrices)
+        self.root = (np.arange(len(split), dtype=np.int32), np.arange(len(est), dtype=np.int32))
 
     def open(self, room: np.ndarray, nodes: list) -> list:
         """A node to search, or a leaf, per tuple of row arrays in ``nodes``.
@@ -538,13 +555,13 @@ class _EffectSearch:
         A node is searched when it has depth to spare, at least 2m rows of
         each group in both halves, and outcomes that are not all equal.
         """
-        rows, b = _last_rows(nodes, 0)
-        erows, be = _last_rows(nodes, 1)
-        y = self.y[rows]
-        ge = self.ge[erows]
+        rows, b = _concat_rows(nodes, 0)
+        erows, be = _concat_rows(nodes, 1)
+        y = self.y.take(rows)
+        ge = self.ge.take(erows)
         n = np.diff(b)
         ne = np.diff(be)
-        n1 = np.add.reduceat(self.g[rows], b[:-1], dtype=np.intp)
+        n1 = np.add.reduceat(self.g.take(rows), b[:-1], dtype=np.intp)
         n1e = np.add.reduceat(ge, be[:-1], dtype=np.intp)
         fewest = np.minimum(np.minimum(n1, n - n1), np.minimum(n1e, ne - n1e))
         search = (
@@ -571,19 +588,19 @@ class _EffectSearch:
 
     def leaf(self, node: _Node) -> Leaf:
         rows = node.rows[1]
-        ge = self.ge[rows]
-        return _leaf(ge, ~ge, self.ye[rows])
+        ge = self.ge.take(rows)
+        return _leaf(ge, ~ge, self.ye.take(rows))
 
     def exact(self, node: _Node, f: int, thr: float) -> Fraction:
         rows = node.rows[0]
         v = self.matrices[0].value(f, rows)
-        return _exact_effect_gain(v, self.g[rows], self.y[rows], thr)
+        return _exact_effect_gain(v, self.g.take(rows), self.y.take(rows), thr)
 
     def gains(self, rows, ks, lens, ids, fcol, thresholds, distinct):
         """Block scorer of the effect contrast (see the module docstring)."""
         m = self.m
-        gs = self.g[ids]
-        ys = self.y[ids] - _node_columns(rows, ks, "mean")[:, None]
+        gs = self.g.take(ids)
+        ys = self.y.take(ids) - _node_columns(rows, ks, "mean")[:, None]
         s1_all = np.cumsum(np.where(gs, ys, 0.0), axis=1)
         s0_all = np.cumsum(np.where(gs, 0.0, ys), axis=1)
         c1 = np.cumsum(gs, axis=1)[:, :-1]
@@ -631,9 +648,9 @@ class _EffectSearch:
             below[on_f] = est.values[start : start + est.sizes[f]].searchsorted(thresholds[on_f])
         pos = (ranks + step * span).ravel().searchsorted(below + step * span)
         # padding sorts after every count, so only a row's own rows are counted
-        ind = np.concatenate(([0], np.cumsum(self.ge[ids].ravel())))
+        ind = np.concatenate(([0], np.cumsum(self.ge.take(ids).ravel())))
         first = step * ranks.shape[1]
-        c1e = ind[pos] - ind[first]
+        c1e = ind.take(pos) - ind.take(first)
         return c1e, pos - first - c1e
 
 

@@ -151,12 +151,12 @@ class TestHugeOutcomes:
     are rejected, so a fit never sees a NaN or infinite gain."""
 
     def test_cart_beyond_bound_is_rejected_not_left_unsplit(self):
-        # 1e160-scaled steps used to give a 1-node CART: every float gain was NaN
+        # at 1e160 every float gain is NaN, which would leave the CART unsplit
         with pytest.raises(InvalidSample, match="outcome"):
             fit_t_learner(_scaled_steps(1e160), CartSpec(min_leaf=1, seed=0))
 
     def test_causal_tree_beyond_bound_is_rejected_not_overflowing(self):
-        # used to raise OverflowError from float() of an exact gain
+        # at 1e160 an exact gain is beyond float range: float() of it overflows
         d = random_dataset(np.random.default_rng(0), 40, 40)
         outcomes = 1e160 * (1.0 + d.groups * (d.features[:, 0] > 0.1))
         with pytest.raises(InvalidSample, match="outcome"):

@@ -1,7 +1,7 @@
 """Byte identity of a fixed CLI session against a checked-in digest table.
 
 The session generates a regional and a smooth dataset (300 + 300), fits all
-five model kinds at their defaults plus two non-default ``t_forest``s (27
+five model kinds at their defaults plus two non-default ``t_forest``s (53
 trees, two lockstep groups, one and four features per split), predicts at
 four points, renders a map SVG and CSV at 0.05 m for every model, runs a
 two-run, five-model ``bench`` and prints ``--help``.  Each output's sha256 must
@@ -32,9 +32,9 @@ FITS = {
     "t_cart": ("regional", ["--model", "t_cart"]),
     "t_forest": ("regional", ["--model", "t_forest"]),
     "t_knn": ("regional", ["--model", "t_knn"]),
-    "t_forest_f1": ("smooth", ["--model", "t_forest", "--n-trees", "27",
+    "t_forest_f1": ("smooth", ["--model", "t_forest", "--n-trees", "53",
                                "--features-per-split", "1", "--min-leaf", "2"]),
-    "t_forest_f4": ("smooth", ["--model", "t_forest", "--n-trees", "27",
+    "t_forest_f4": ("smooth", ["--model", "t_forest", "--n-trees", "53",
                                "--features-per-split", "4", "--max-depth", "5"]),
 }
 
@@ -90,14 +90,14 @@ GOLDEN = {
     "predict_t_forest_1.stdout": "0f53807002b83aea8440e0ca15a92e9d9fc67cc21a0cd148b8bdd27a6d8d9e56",
     "predict_t_forest_2.stdout": "6b7f59da54eec90e21e478be0284c03602e706a0acc5b6ad3f6989fa3b28820a",
     "predict_t_forest_3.stdout": "bbcc0289a1deaf73e0ddceb91ca4cdfa40abf6f3d0669d442784246114a66761",
-    "predict_t_forest_f1_0.stdout": "c6e08101131f72944c7b8838f0f7d275c0cc1642f96408516f6892352d73a687",
-    "predict_t_forest_f1_1.stdout": "70a3352dff4187afeb634b77e38f2f4409ea17ce3c70b23caa68de51b6a004c3",
-    "predict_t_forest_f1_2.stdout": "f34a7e8bb85582e7ff2f585bb9241b6c89cc20c1a078fa0eee67b0466c47649b",
-    "predict_t_forest_f1_3.stdout": "f5449deb40cc18179990ed15341608c8cdf15b7d8d19c20be4056a1c253330db",
-    "predict_t_forest_f4_0.stdout": "f3bc1878fe8321174aafdcfa40e3495ab1277106f9832b8c60ec69e2b290a2e8",
-    "predict_t_forest_f4_1.stdout": "f9a5d1601e0d44dfe85dfdb6344ec92d4a4cb7d4d9e501198fc6989d1a283608",
-    "predict_t_forest_f4_2.stdout": "6bb49b0e233e18d6b5587324d3f805ad116efa65de5d74ee110ae2a827fd95b6",
-    "predict_t_forest_f4_3.stdout": "fb7a84c46c9fa7387df1fae726ccea5d8aa53de60f51908e6a34004d5c145127",
+    "predict_t_forest_f1_0.stdout": "2129535bc10469164964e4b0c25be29ceaeebd32726db8a9069ee4123c6c1984",
+    "predict_t_forest_f1_1.stdout": "3084102546517ae4585ab6edf8a427ae05df272413a3a053544902657fa5a82d",
+    "predict_t_forest_f1_2.stdout": "8484d5235eb7f80fe23091e192da22bf488d4a3b3691f41c220f52a336c2b930",
+    "predict_t_forest_f1_3.stdout": "0f12368c0636ff13f4ff503bfdb641bb0a85da1e746836acceff2cc232c9c35c",
+    "predict_t_forest_f4_0.stdout": "63cd8802cc98e93e831a908862745865dcc72939383a0b84adc9f626529573fa",
+    "predict_t_forest_f4_1.stdout": "4013eb5d72d5cf5b7f672a6f4597e8769b15163ed3fe4da5f3e8bc0918360eaa",
+    "predict_t_forest_f4_2.stdout": "e79ede2239c59bc2e63a914a228fd5220505444609079cf9aa0ff52a897da4bf",
+    "predict_t_forest_f4_3.stdout": "dde3d1816631bfd5870de35ab4d96ade0f391214af6e15ccf8cc5371795f0a72",
     "predict_t_knn_0.stdout": "8181c26c357f3d1b571b362b3f776e57dab1f720c29e241dc1c4e9cbf4ff43ac",
     "predict_t_knn_1.stdout": "e894abb0fad36b54c022d12dafac0d1b02e71006206800e9d9bed879bda96d9b",
     "predict_t_knn_2.stdout": "3018f41e96b69aca2f16125a273c69370f12743917c49f32b9e86c3cef45a01e",
@@ -112,12 +112,12 @@ GOLDEN = {
     "t_forest.json": "31ab4a5e4cddc412de1ef0886983386cdacc9c1164091835db945a0b46516fa4",
     "t_forest.map.csv": "ab4b190225e2953033129f62e98f2d0e835d2503f7856c9530daa446179241fe",
     "t_forest.svg": "515d6b807f8df21dfbbfaa96f5d7e8dfae5a4735f4373e4f38a1dd9e878d24a9",
-    "t_forest_f1.json": "1bb2744632525e91bd6c091679354a9bfbd7b984fc2e8b79677297c5140d2b20",
-    "t_forest_f1.map.csv": "4a4834606861aad6b743d2ac14211ad2b313f2abaa6ebe990b1bf3e559255464",
-    "t_forest_f1.svg": "ff170eaa43f94040c2af76b096509ccda55a0afbb6e1a876c9fffc10e2474f5b",
-    "t_forest_f4.json": "bcedad84176e86d8a15f54cb9f1ca85a31ad705898c27425da4b5bf1092f455d",
-    "t_forest_f4.map.csv": "1618b4576ff9e1928b8895da0bf480db1b401da5515a0d83dd1e75dc2d4c684a",
-    "t_forest_f4.svg": "c81910e1b9a1cd8524fc47ef6b73911ac4639d0fd90e45162e94728f2d2d6e15",
+    "t_forest_f1.json": "bb43f58d7b3e854063fa3f3189bb09031a3c00b1955fac7c3c799df36e3da837",
+    "t_forest_f1.map.csv": "6e3bd77ce67ed7d8a70b1e18ef047c4a73989c520f5295fff31249264349854f",
+    "t_forest_f1.svg": "44ca384b12bb1ea1666c7a73c4976b161d1ddde13f374a941b6b6236b291e882",
+    "t_forest_f4.json": "911168bb752a25dab6c1e6396c8d6846df7a0d0ac01bed979c0015d3d88b6892",
+    "t_forest_f4.map.csv": "5c52f60584471a1606b20578e6453e6f07b22517e9cfcec59c750372feea3a4d",
+    "t_forest_f4.svg": "06041e72446766bb8c4cf3118e77f2a03da9f1126c59552eb610c72e424d9c73",
     "t_knn.json": "dd5e2e5374440350c9d53b46cad0b0f9b5b38ef9a97dd0896dd33a05d47dc3a4",
     "t_knn.map.csv": "cf559cdb6c78eeff6847f6e4236a29ff4811b02eb072696c60b2bef7ae827257",
     "t_knn.svg": "44f695d2e689dd058a97d9627122fda0089f2afa333a5656430a679183a32569",

@@ -169,8 +169,8 @@ _GAIN_NOISE = 2.0**-30
 #: those of a per-node search.
 _BLOCK_CAP = 8192
 
-#: rows a round's cuts partition in one pass; bounds its temporaries
-_PARTITION_ROWS = 1 << 15
+#: rows a round opens or partitions in one pass; bounds their temporaries
+_CHUNK_ROWS = 1 << 15
 
 
 class _Fork(NamedTuple):
@@ -251,10 +251,15 @@ class _Ranked:
     def value(self, f: int, rows: np.ndarray) -> np.ndarray:
         return self.values[self.offsets[f] + self.rank(f, rows)]
 
-    def below(self, f: int, threshold: float) -> int:
-        """The count of column f's distinct values below ``threshold``."""
-        start = self.offsets[f]
-        return int(self.values[start : start + self.sizes[f]].searchsorted(threshold))
+    def below(self, features: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+        """The count of distinct values below each threshold in the column
+        of its row's feature: ``features`` is (R,), ``thresholds`` (R, ...)."""
+        out = np.empty(thresholds.shape, dtype=np.int64)
+        for f in np.unique(features).tolist():
+            on_f = features == f
+            start = self.offsets[f]
+            out[on_f] = self.values[start : start + self.sizes[f]].searchsorted(thresholds[on_f])
+        return out
 
     def sorted_block(self, rows: list, j: int) -> tuple:
         """The block of the (node, features) ``rows`` over the node rows in
@@ -447,7 +452,10 @@ def _grow(search, roots: list, draw: Optional[Callable] = None) -> list[tuple]:
     pending: list[list] = [[] for _ in roots]  # stacks of (record, depth, node), next on top
 
     def settle(owners: list, depths: list, nodes: list) -> None:
-        opened = search.open(np.array(depths) < search.max_depth, nodes)
+        room = np.array(depths) < search.max_depth
+        opened = []
+        for a, b in _chunks([node[0].size for node in nodes]):
+            opened += search.open(room[a:b], nodes[a:b])
         # pushed in reverse, so each left child is popped before its right sibling
         for (t, i), depth, node in reversed(list(zip(owners, depths, opened))):
             if isinstance(node, _Node):
@@ -479,49 +487,55 @@ def _grow(search, roots: list, draw: Optional[Callable] = None) -> list[tuple]:
             depths.append(depth + 1)
             forks.append((node, cut))
         if forks:
-            rights = [(t, left + 1) for t, left in owners]
-            settle(owners + rights, depths * 2, _partition(search.matrices, forks))
+            lefts, rights = [], []
+            for a, b in _chunks([node.rows[0].size for node, _ in forks]):
+                lo, hi = _partition(search.matrices, forks[a:b])
+                lefts += lo
+                rights += hi
+            owners += [(t, left + 1) for t, left in owners]
+            settle(owners, depths * 2, lefts + rights)
     return [_preorder(r) for r in records]
 
 
-def _partition(matrices: tuple, forks: list) -> list:
-    """The rows of the left children of the (node, cut) ``forks``, then
-    those of their right children.
+def _chunks(sizes: list) -> Iterator[tuple]:
+    """(start, stop) ranges of consecutive entries of ``sizes`` that sum to
+    at most ``_CHUNK_ROWS``, or of one larger entry."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if total and total + size > _CHUNK_ROWS:
+            yield start, i
+            start, total = i, 0
+        total += size
+    yield start, len(sizes)
 
-    For each matrix, the rows of the cut nodes, concatenated a few tens of
-    thousands at a time, are partitioned by their cuts in one pass; each
-    child keeps its rows in ascending order.  A left child's rows are a
-    view of the round's lefts: the next round takes it, or it is a leaf.  A
-    right child's are a copy, because a depth-first tree keeps it pending
-    while its left sibling's subtree grows.
+
+def _partition(matrices: tuple, forks: list) -> tuple[list, list]:
+    """The rows of the left children and those of the right children of
+    the (node, cut) ``forks``.
+
+    For each matrix, the rows of all cut nodes are partitioned by their
+    cuts in one pass; each child keeps its rows in ascending order.  A left
+    child's rows are a view of the lefts of all cuts: the next round takes
+    it, or it is a leaf.  A right child's are a copy, because a depth-first
+    tree keeps it pending while its left sibling's subtree grows.
     """
+    features = np.array([cut.feature_index for _, cut in forks])
+    thresholds = np.array([cut.threshold for _, cut in forks])
     lefts, rights = [], []
     for j, m in enumerate(matrices):
-        lo_parts, hi_parts = [], []
-        start = 0
-        while start < len(forks):
-            stop, n_rows = start, 0
-            while stop < len(forks) and (stop == start or n_rows < _PARTITION_ROWS):
-                n_rows += forks[stop][0].rows[j].size
-                stop += 1
-            chunk = forks[start:stop]
-            start = stop
-            rows, bounds = _concat_rows([node.rows for node, _ in chunk], j)
-            sizes = np.diff(bounds)
-            feature = np.repeat([cut.feature_index for _, cut in chunk], sizes)
-            below = [m.below(cut.feature_index, cut.threshold) for _, cut in chunk]
-            # value < threshold exactly when rank < the count of distinct values below it
-            goes_left = m.rank(feature, rows) < np.repeat(np.array(below, np.int32), sizes)
-            n_left = np.add.reduceat(goes_left, bounds[:-1], dtype=np.intp)
-            lo = rows.compress(goes_left)
-            hi = rows.compress(~goes_left)
-            lb = np.cumsum(np.append(0, n_left)).tolist()
-            hb = np.cumsum(np.append(0, sizes - n_left)).tolist()
-            lo_parts += [lo[a:b] for a, b in zip(lb, lb[1:])]
-            hi_parts += [hi[a:b].copy() for a, b in zip(hb, hb[1:])]
-        lefts.append(lo_parts)
-        rights.append(hi_parts)
-    return list(zip(*lefts)) + list(zip(*rights))
+        rows, bounds = _concat_rows([node.rows for node, _ in forks], j)
+        sizes = np.diff(bounds)
+        # value < threshold exactly when rank < the count of distinct values below it
+        below = m.below(features, thresholds)
+        goes_left = m.rank(np.repeat(features, sizes), rows) < np.repeat(below, sizes)
+        n_left = np.add.reduceat(goes_left, bounds[:-1], dtype=np.intp)
+        lo = rows.compress(goes_left)
+        hi = rows.compress(~goes_left)
+        lb = np.cumsum(np.append(0, n_left)).tolist()
+        hb = np.cumsum(np.append(0, sizes - n_left)).tolist()
+        lefts.append([lo[a:b] for a, b in zip(lb, lb[1:])])
+        rights.append([hi[a:b].copy() for a, b in zip(hb, hb[1:])])
+    return list(zip(*lefts)), list(zip(*rights))
 
 
 def _concat_rows(nodes: list, j: int) -> tuple:
@@ -641,11 +655,7 @@ class _EffectSearch:
         ids, ranks, _, _ = est.sorted_block(rows, 1)
         span = int(est.sizes.max()) + 1
         step = np.arange(len(ranks))[:, None]
-        below = np.empty(thresholds.shape, dtype=np.int64)
-        for f in np.unique(fcol).tolist():
-            on_f = fcol[:, 0] == f
-            start = est.offsets[f]
-            below[on_f] = est.values[start : start + est.sizes[f]].searchsorted(thresholds[on_f])
+        below = est.below(fcol[:, 0], thresholds)
         pos = (ranks + step * span).ravel().searchsorted(below + step * span)
         # padding sorts after every count, so only a row's own rows are counted
         ind = np.concatenate(([0], np.cumsum(self.ge.take(ids).ravel())))

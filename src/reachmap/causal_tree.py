@@ -613,6 +613,12 @@ class _EffectSearch:
     def gains(self, rows, ks, lens, ids, fcol, thresholds, distinct):
         """Block scorer of the effect contrast (see the module docstring)."""
         m = self.m
+        n1, n0, n1e, n0e = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
+        # the estimation counts first, while few of the scorer's arrays are alive
+        c1e, c0e = self._estimation_counts(rows, fcol, thresholds)
+        valid = distinct & (c1e >= m) & (n1e - c1e >= m) & (c0e >= m) & (n0e - c0e >= m)
+        del c1e, c0e
+
         gs = self.g.take(ids)
         ys = self.y.take(ids) - _node_columns(rows, ks, "mean")[:, None]
         s1_all = np.cumsum(np.where(gs, ys, 0.0), axis=1)
@@ -625,14 +631,9 @@ class _EffectSearch:
         s1 = s1_all[:, :-1]
         s0 = s0_all[:, :-1]
         c0 = np.arange(1, c1.shape[1] + 1) - c1
-        n1, n0, n1e, n0e = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
         n1r = n1 - c1
         n0r = n0 - c0
-        valid = distinct & (c1 >= m) & (c0 >= m) & (n1r >= m) & (n0r >= m)
-
-        c1e, c0e = self._estimation_counts(rows, fcol, thresholds)
-        valid &= (c1e >= m) & (n1e - c1e >= m) & (c0e >= m) & (n0e - c0e >= m)
-        del c1e, c0e
+        valid &= (c1 >= m) & (c0 >= m) & (n1r >= m) & (n0r >= m)
 
         tau_l = s1 / c1 - s0 / c0
         tau_r = (S1 - s1) / n1r - (S0 - s0) / n0r
@@ -655,11 +656,13 @@ class _EffectSearch:
         ids, ranks, _, _ = est.sorted_block(rows, 1)
         span = int(est.sizes.max()) + 1
         step = np.arange(len(ranks))[:, None]
+        first = step * ranks.shape[1]
         below = est.below(fcol[:, 0], thresholds)
         pos = (ranks + step * span).ravel().searchsorted(below + step * span)
+        del ranks, below
         # padding sorts after every count, so only a row's own rows are counted
         ind = np.concatenate(([0], np.cumsum(self.ge.take(ids).ravel())))
-        first = step * ranks.shape[1]
+        del ids
         c1e = ind.take(pos) - ind.take(first)
         return c1e, pos - first - c1e
 

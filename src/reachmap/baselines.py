@@ -235,8 +235,11 @@ def _grow_carts(
     # the trees' samples, one after another, so each tree's rows are a range
     search = _SseSearch(X.take(samples.ravel()), y, max_depth, min_leaf, draws)
 
+    choices = [rng.choice for rng in rngs or ()]
+
     def draw(t: int) -> list:
-        return sorted(rngs[t].choice(n_features, size=mtry, replace=False).tolist())
+        # choice(n_features, size=mtry, replace=False), without keyword parsing
+        return sorted(choices[t](n_features, mtry, False).tolist())
 
     roots = (np.arange(t * n, (t + 1) * n, dtype=np.int32) for t in range(n_trees))
     return _grow(search, [(rows,) for rows in roots], draw if draws else None)

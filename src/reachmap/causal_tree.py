@@ -347,10 +347,11 @@ def _pick(
     """The split of each node of the (node, features) ``rows``, or None.
 
     The rows of ``gains`` are each node's features in ascending order, and
-    ``fcol`` holds their features.  Candidates whose float gain is within ``_GAIN_NOISE * scale**2 *
-    weight`` of the node's best are re-scored with ``exact_gain(node, f,
-    threshold)``, so that the tie rule (lowest feature index, then lowest
-    threshold) and the strict gain > 0 rule apply to exact values.
+    ``fcol`` holds their features.  Candidates whose float gain is within
+    ``_GAIN_NOISE * scale**2 * weight`` of the node's best are re-scored
+    with ``exact_gain(node, f, threshold)``, so that the tie rule (lowest
+    feature index, then lowest threshold) and the strict gain > 0 rule
+    apply to exact values.
     """
     ks = [len(fs) for _, fs in rows]
     g_star = np.maximum.reduceat(gains.max(axis=1), np.cumsum([0] + ks[:-1]))

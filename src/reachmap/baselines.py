@@ -103,8 +103,9 @@ class RegLeaf:
 #: t_forest members grown side by side.  Lockstep growth holds the pending
 #: rows of this many members at once (int32 each) and scores one node of
 #: each per round, so rounds, and their numpy calls, are this many times
-#: fewer; memory bounds it.  With 2000 samples, 50 raise a fit's peak
-#: resident memory by about 1.5 MB over 25, and take about 15 % less time.
+#: fewer; memory bounds it.  With 2000 samples, 50 take about 12 % less
+#: time than 25 and about 0.5 MB more peak resident memory, because a
+#: round opens and partitions its rows in chunks (``_CHUNK_ROWS``).
 _LOCKSTEP = 50
 
 

@@ -443,11 +443,11 @@ def _grow(search, roots: list, draw: Optional[Callable] = None) -> list[tuple]:
     True where the depth is below ``search.max_depth``.  A node with no
     cut becomes ``search.leaf(node)``.
 
-    A round searches every pending node as one batch and routes the rows
-    of all its cuts at once (:func:`_partition`).  With ``draw``, a round
-    takes only each tree's next depth-first node and sets its features to
-    ``draw(t)``, which keeps the draws from tree ``t``'s generator in
-    depth-first order.
+    A round searches every pending node as one batch, then routes the rows
+    of its cuts (:func:`_partition`) and opens the children, about
+    ``_CHUNK_ROWS`` rows at a time.  With ``draw``, a round takes only
+    each tree's next depth-first node and sets its features to ``draw(t)``,
+    which keeps the draws from tree ``t``'s generator in depth-first order.
     """
     records = [[None] for _ in roots]
     pending: list[list] = [[] for _ in roots]  # stacks of (record, depth, node), next on top

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import node_tuples, predict_one, random_dataset
 from reachmap import (
     CartSpec,
+    CausalForest,
     CausalTree,
     CausalTreeParams,
     ForestSpec,
@@ -324,6 +325,136 @@ class TestMalformed:
         doc["spec"]["n_trees"] = 1001
         with pytest.raises(MalformedModel, match=r"\$\.spec: n_trees must be in 1\.\.1000"):
             parse_model(json.dumps(doc))
+
+
+# --- node-level reader messages ---------------------------------------------------
+
+
+def _shaped_nodes(leaf) -> tuple:
+    """A depth-3 tree: root, left split, left.right split; leaves
+    left.left (rank 0), left.right.left (1), left.right.right (2), right (3)."""
+    return (Split(0, 0.0, 1.0), Split(1, 0.1, 0.5), leaf(0), Split(2, 0.2, 0.25), leaf(1),
+            leaf(2), leaf(3))
+
+
+def _message_docs() -> dict:
+    """A 4-member causal forest and a t_forest of 2 members per side, all
+    of depth 3, as the documents ``json.loads`` gives."""
+    params = CausalTreeParams(max_depth=3, min_group_leaf=2, seed=0)
+    tree = CausalTree(_shaped_nodes(lambda i: Leaf(0.5 + i, 3, 4, 1.5 + i, 1.0)), params)
+    forest = CausalForest(trees=(tree,) * 4, params=params, n_trees=4, subsample_ratio=0.7)
+    spec = ForestSpec(n_trees=2, max_depth=3, seed=0)
+    ctl_seed, ind_seed = derived_seeds(spec.seed, 2)
+    members = (_shaped_nodes(lambda i: RegLeaf(1.0 + i, 3)),) * 2
+    t_forest = TLearner(ForestRegressor(members, replace(spec, seed=ind_seed)),
+                        ForestRegressor(members, replace(spec, seed=ctl_seed)), spec)
+    return {"causal_forest": json.loads(serialize_model(forest)),
+            "t_forest": json.loads(serialize_model(t_forest))}
+
+
+def _at(doc: dict, path: str):
+    node = doc
+    for key, index in re.findall(r"\.(\w+)|\[(\d+)\]", path):
+        node = node[key] if key else node[int(index)]
+    return node
+
+
+CF = "$.trees[3].root.left.right"  # a split at depth 2 of the last causal-forest member
+CF_LEAF = f"{CF}.left"  # a leaf at depth 3, rank 1
+TF = "$.model_control.roots[1].left.right"  # a split at depth 2 of a t_forest member
+TF_LEAF = f"{TF}.right"
+DEEP_SPLIT = {"kind": "internal", "feature_index": 0, "threshold": 0.0, "gain": 0.0,
+              "left": {"kind": "leaf"}, "right": {"kind": "leaf"}}
+
+#: (document, faults as (node path, key or None for the node itself, new value
+#: or DELETE), the exact MalformedModel text)
+DELETE = object()
+NODE_FAULTS = [
+    ("causal_forest", [(CF, "threshold", DELETE)], f"{CF}.threshold: missing required field"),
+    ("causal_forest", [(CF, "kind", DELETE)], f"{CF}.kind: missing required field"),
+    ("causal_forest", [(CF, "left", DELETE)], f"{CF}.left: missing required field"),
+    ("causal_forest", [(CF, "right", DELETE)], f"{CF}.right: missing required field"),
+    ("causal_forest", [(CF, "left", DELETE), (CF, "right", DELETE)],
+     f"{CF}.right: missing required field"),
+    ("causal_forest", [(CF_LEAF, "n_control", DELETE)], f"{CF_LEAF}.n_control: missing required field"),
+    ("causal_forest", [(CF_LEAF, "leaf_id", DELETE)], f"{CF_LEAF}.leaf_id: missing required field"),
+    ("causal_forest", [(CF, "feature_index", True)], f"{CF}.feature_index: expected an integer, got True"),
+    ("causal_forest", [(CF_LEAF, "n_individual", True)],
+     f"{CF_LEAF}.n_individual: expected an integer, got True"),
+    ("causal_forest", [(CF_LEAF, "n_control", 2.0)], f"{CF_LEAF}.n_control: expected an integer, got 2.0"),
+    ("causal_forest", [(CF_LEAF, "leaf_id", True)],
+     f"{CF_LEAF}.leaf_id: expected 1, the leaf's rank, got True"),
+    ("causal_forest", [(CF, "threshold", "0.5")], f"{CF}.threshold: expected a number, got '0.5'"),
+    ("causal_forest", [(CF, "gain", True)], f"{CF}.gain: expected a number, got True"),
+    ("causal_forest", [(CF, "gain", None)], f"{CF}.gain: expected a number, got None"),
+    ("causal_forest", [(CF_LEAF, "tau_hat", float("nan"))],
+     f"{CF_LEAF}.tau_hat: expected a finite number, got nan"),
+    ("causal_forest", [(CF, "threshold", float("-inf"))],
+     f"{CF}.threshold: expected a finite number, got -inf"),
+    ("causal_forest", [(CF_LEAF, "mean_control", 10**400)],
+     f"{CF_LEAF}.mean_control: expected a finite number, got {10**400!r}"),
+    ("causal_forest", [(CF, "feature_index", 4)], f"{CF}.feature_index: out of range: 4"),
+    ("causal_forest", [(CF, "feature_index", -1)], f"{CF}.feature_index: out of range: -1"),
+    ("causal_forest", [(CF_LEAF, "leaf_id", 7)], f"{CF_LEAF}.leaf_id: expected 1, the leaf's rank, got 7"),
+    ("causal_forest", [(CF_LEAF, None, DEEP_SPLIT)], f"{CF_LEAF}: a split at depth 3; max_depth is 3"),
+    ("causal_forest", [(CF, "kind", "branch")], f"{CF}.kind: expected 'leaf' or 'internal', got 'branch'"),
+    ("causal_forest", [(CF_LEAF, None, [1])], f"{CF_LEAF}: expected an object, got list"),
+    ("causal_forest", [(CF_LEAF, None, None)], f"{CF_LEAF}: expected an object, got NoneType"),
+    # within a node, fields in their dataclass order, then the checks that combine them
+    ("causal_forest", [(CF, "gain", "x"), (CF, "threshold", float("nan"))],
+     f"{CF}.threshold: expected a finite number, got nan"),
+    ("causal_forest", [(CF_LEAF, "mean_control", "x"), (CF_LEAF, "tau_hat", "y")],
+     f"{CF_LEAF}.tau_hat: expected a number, got 'y'"),
+    ("causal_forest", [(CF_LEAF, "leaf_id", 9), (CF_LEAF, "mean_control", "x")],
+     f"{CF_LEAF}.mean_control: expected a number, got 'x'"),
+    ("causal_forest", [(CF, "feature_index", 5), (CF, "right", DELETE)],
+     f"{CF}.feature_index: out of range: 5"),
+    ("causal_forest", [(CF_LEAF, None, {**DEEP_SPLIT, "feature_index": 8})],
+     f"{CF_LEAF}.feature_index: out of range: 8"),
+    ("causal_forest", [(CF_LEAF, None, {k: v for k, v in DEEP_SPLIT.items() if k != "right"})],
+     f"{CF_LEAF}: a split at depth 3; max_depth is 3"),
+    # the first faulty node in pre-order
+    ("causal_forest", [("$.trees[3].root.right", "tau_hat", "x"), (CF_LEAF, "tau_hat", "y")],
+     f"{CF_LEAF}.tau_hat: expected a number, got 'y'"),
+    ("causal_forest", [(CF_LEAF, "tau_hat", "y"), ("$.trees[3].root.left", "right", DELETE)],
+     "$.trees[3].root.left.right: missing required field"),
+    ("causal_forest", [(CF_LEAF, "tau_hat", "y"), ("$.trees[1].root.right", "n_control", -1.5)],
+     "$.trees[1].root.right.n_control: expected an integer, got -1.5"),
+    ("t_forest", [(TF_LEAF, "n", DELETE)], f"{TF_LEAF}.n: missing required field"),
+    ("t_forest", [(TF, "left", DELETE)], f"{TF}.left: missing required field"),
+    ("t_forest", [(TF, "right", DELETE)], f"{TF}.right: missing required field"),
+    ("t_forest", [(TF_LEAF, "n", True)], f"{TF_LEAF}.n: expected an integer, got True"),
+    ("t_forest", [(TF_LEAF, "value", "1")], f"{TF_LEAF}.value: expected a number, got '1'"),
+    ("t_forest", [(TF_LEAF, "value", float("nan"))], f"{TF_LEAF}.value: expected a finite number, got nan"),
+    ("t_forest", [(TF, "feature_index", 9)], f"{TF}.feature_index: out of range: 9"),
+    ("t_forest", [(TF_LEAF, None, DEEP_SPLIT)], f"{TF_LEAF}: a split at depth 3; max_depth is 3"),
+    ("t_forest", [(TF, "kind", None)], f"{TF}.kind: expected 'leaf' or 'internal', got None"),
+    ("t_forest", [(TF, None, "node")], f"{TF}: expected an object, got str"),
+    ("t_forest", [(TF_LEAF, "leaf_id", 5), (TF_LEAF, "value", 2)], None),  # both allowed in a CART leaf
+    ("t_forest", [(TF_LEAF, "n", "x"), ("$.model_individual.roots[0].right", "n", "y")],
+     "$.model_individual.roots[0].right.n: expected an integer, got 'y'"),
+]
+
+
+@pytest.mark.parametrize("kind, faults, message", NODE_FAULTS,
+                         ids=[f"{kind}-{i}" for i, (kind, _, _) in enumerate(NODE_FAULTS)])
+def test_node_fault_messages(kind, faults, message):
+    doc = _message_docs()[kind]
+    for path, key, value in faults:
+        if key is None:
+            parent, last = re.fullmatch(r"(.*)\.(\w+)", path).groups()
+            _at(doc, parent)[last] = value
+        elif value is DELETE:
+            del _at(doc, path)[key]
+        else:
+            _at(doc, path)[key] = value
+    text = json.dumps(doc)
+    if message is None:
+        parse_model(text)
+        return
+    with pytest.raises(MalformedModel) as exc:
+        parse_model(text)
+    assert str(exc.value) == message
 
 
 # --- round trip of random trees --------------------------------------------------

@@ -116,8 +116,8 @@ def _leaf(ind: np.ndarray, ctl: np.ndarray, y: np.ndarray) -> Leaf:
         raise MissingGroup("leaf estimate needs Individual samples")
     if n_ctl == 0:
         raise MissingGroup("leaf estimate needs Control samples")
-    mean_ind = float(np.mean(y[ind]))
-    mean_ctl = float(np.mean(y[ctl]))
+    mean_ind = float(_mean(y[ind]))
+    mean_ctl = float(_mean(y[ctl]))
     return Leaf(mean_ind - mean_ctl, n_ind, n_ctl, mean_ind, mean_ctl)
 
 
@@ -858,8 +858,9 @@ def fit_causal_forest(
 
     Subsampling is without replacement: each group contributes
     floor(subsample_ratio * n_g) samples, drawn from canonical order so the
-    result is invariant to input row order.  Raises DegenerateSplit when a
-    subsample cannot host a root leaf.
+    result is invariant to input row order.  A subsample keeps canonical
+    order, so its own honest split need not sort it again.  Raises
+    DegenerateSplit when a subsample cannot host a root leaf.
     """
     CausalForestSettings(n_trees, subsample_ratio)  # range checks, before any seeding
     validate_dataset(d)
@@ -882,7 +883,8 @@ def fit_causal_forest(
                 raise DegenerateSplit(
                     f"subsample would have no {GroupLabel(g).name} samples"
                 )
-            picked.append(rng.permutation(rows)[:k])
+            # the rows rng.permutation(rows)[:k] draws, kept in canonical order
+            picked.append(rows[np.sort(rng.permutation(rows.size)[:k])])
         sub = d.subset(np.concatenate(picked))
         trees.append(fit_causal_tree(sub, replace(params, seed=fit_seed)))
     return CausalForest(

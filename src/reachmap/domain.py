@@ -190,17 +190,19 @@ def canonical_order(d: Dataset) -> np.ndarray:
     This is the canonical ordering used before any seeded shuffling, making
     seeded operations invariant to the dataset's row order.  Rows equal on
     all six keys are identical, so their relative order cannot matter.
+    Rows already in that order, as a forest member's subsample is, are
+    recognised in one pass and not sorted again.
     """
-    return np.lexsort(
-        (
-            d.features[:, 3],
-            d.outcomes,
-            d.features[:, 2],
-            d.features[:, 1],
-            d.features[:, 0],
-            d.groups,
-        )
-    )
+    keys = (d.features[:, 3], d.outcomes, d.features[:, 2], d.features[:, 1],
+            d.features[:, 0], d.groups)
+    # in_order[i]: row i sorts no later than row i + 1 on the keys compared so far
+    in_order = np.ones(max(len(d) - 1, 0), dtype=bool)
+    for key in keys:  # least significant first
+        a, b = key[:-1], key[1:]
+        in_order = (a < b) | ((a == b) & in_order)
+    if in_order.all():
+        return np.arange(len(d))
+    return np.lexsort(keys)
 
 
 def stratified_honest_split(

@@ -206,13 +206,16 @@ _CENTER = (247, 247, 247)
 _POSITIVE = (178, 24, 43)
 
 
-def _color(t: float) -> str:
-    """Hex colour of a diverging scale linear in t, clamped to [-1, 1]; t = 0 is the center."""
-    t = max(-1.0, min(1.0, t))
-    hi = _POSITIVE if t >= 0 else _NEGATIVE
-    u = abs(t)
-    rgb = tuple(round(a + (b - a) * u) for a, b in zip(_CENTER, hi))
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def _colors(t: np.ndarray) -> list[str]:
+    """Hex colour of each value of a diverging scale linear in t, clamped to
+    [-1, 1]; t = 0 is the center, and t >= 0, -0.0 too, takes the positive
+    side.  Channels round half to even, as Python's ``round`` does."""
+    t = np.where(t < 1.0, t, 1.0)  # as max(-1.0, min(1.0, t)), NaN giving 1.0
+    t = np.where(t > -1.0, t, -1.0)
+    center = np.array(_CENTER)
+    hi = np.where((t >= 0)[:, None], _POSITIVE, _NEGATIVE)
+    rgb = np.rint(center + (hi - center) * np.abs(t)[:, None]).astype(np.int64)
+    return [f"#{c:06x}" for c in (rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2]).tolist()]
 
 
 _PX_PER_M = 1000.0
@@ -266,8 +269,9 @@ def render_svg_slice(m: DifficultyMap) -> bytes:
     )
 
     cell_px = res * _PX_PER_M
-    for x, y, tau in zip(m.features[:, 0].tolist(), m.features[:, 1].tolist(), m.tau_hat.tolist()):
-        color = _color(tau / scale_max)
+    cells = zip(m.features[:, 0].tolist(), m.features[:, 1].tolist(), m.tau_hat.tolist(),
+                _colors(m.tau_hat / scale_max))
+    for x, y, tau, color in cells:
         out.write(
             f'<rect x="{sx(x - res / 2):.2f}" y="{sy(y + res / 2):.2f}" '
             f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="{color}">'
@@ -298,7 +302,7 @@ def render_svg_slice(m: DifficultyMap) -> bytes:
     # legend: min / 0 / max swatches
     ly = height - _LEGEND_H + 10
     swatch = 24.0
-    entries = [(-scale_max, _color(-1.0)), (0.0, _color(0.0)), (scale_max, _color(1.0))]
+    entries = zip((-scale_max, 0.0, scale_max), _colors(np.array([-1.0, 0.0, 1.0])))
     for idx, (value, color) in enumerate(entries):
         lx = _MARGIN + idx * 130.0
         out.write(

@@ -7,7 +7,11 @@ so a parsed model is structurally equal to the original and predicts
 bit-for-bit identically (JSON's shortest-round-trip float encoding is exact
 for float64).  Causal trees and the baselines' CARTs share one node codec,
 which nests their pre-order nodes; a causal leaf's ``leaf_id`` is its rank.
-Leaves, params and specs are written and read field by field.
+It writes and reads each tree in one pass over its nodes: the writer spells
+a tree's text exactly as ``json.dumps(doc, indent=2, sort_keys=True)``
+would, and the reader checks each node's fields as it builds the node.
+Params and specs are written from their dataclass fields and read by
+:func:`~reachmap.fileio.from_fields`.
 
 Parse failures raise :class:`MalformedModel` with a ``$.dotted.path`` locating
 the offending element.
@@ -15,10 +19,13 @@ the offending element.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import re
 from dataclasses import fields, replace
-from itertools import count
-from typing import Any, Iterator, Union
+from operator import attrgetter
+from typing import Any, Callable, Union, get_type_hints
 
 import numpy as np
 
@@ -57,6 +64,16 @@ _T_KINDS = {
     "t_knn": ("knn", KnnSpec),
 }
 
+#: (name, whether it holds an integer) of each field of each node class, in field order
+_NODE_FIELDS = {
+    cls: tuple((f.name, get_type_hints(cls)[f.name] is int) for f in fields(cls))
+    for cls in (Split, Leaf, RegLeaf)
+}
+#: a leaf's field values, in the sorted order of their names
+_SORTED_FIELDS = {
+    cls: attrgetter(*sorted(name for name, _ in _NODE_FIELDS[cls])) for cls in (Leaf, RegLeaf)
+}
+
 
 # --- encoding ----------------------------------------------------------------
 
@@ -70,40 +87,20 @@ def _to_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _node_to_dict(nodes: Iterator, ranks: Iterator) -> dict:
-    """The subtree whose pre-order nodes come next in ``nodes``, nested.
-
-    Leaves store their dataclass fields; a causal leaf also stores its
-    ``leaf_id``, the next of ``ranks``.
-    """
-    node = next(nodes)
-    if isinstance(node, Split):
-        left = _node_to_dict(nodes, ranks)
-        return {"kind": "internal", **_to_dict(node), "left": left,
-                "right": _node_to_dict(nodes, ranks)}
-    if isinstance(node, Leaf):
-        return {"kind": "leaf", "leaf_id": next(ranks), **_to_dict(node)}
-    return {"kind": "leaf", **_to_dict(node)}
-
-
-def _root_to_dict(nodes: tuple) -> dict:
-    return _node_to_dict(iter(nodes), count())
-
-
-def _tree_to_dict(tree: CausalTree) -> dict:
+def _tree_to_dict(tree: CausalTree, root: Callable) -> dict:
     return {
         "feature_names": list(FEATURE_NAMES),
         "params": _to_dict(tree.params),
-        "root": _root_to_dict(tree.nodes),
+        "root": root(tree.nodes),
     }
 
 
-def _regressor_to_dict(r: Regressor) -> dict:
+def _regressor_to_dict(r: Regressor, root: Callable) -> dict:
     doc: dict[str, Any] = {"spec": _to_dict(r.spec)}
     if isinstance(r, CartRegressor):
-        doc.update(kind="cart", root=_root_to_dict(r.nodes))
+        doc.update(kind="cart", root=root(r.nodes))
     elif isinstance(r, ForestRegressor):
-        doc.update(kind="forest", roots=[_root_to_dict(nodes) for nodes in r.trees])
+        doc.update(kind="forest", roots=[root(nodes) for nodes in r.trees])
     elif isinstance(r, KnnRegressor):
         doc.update(
             kind="knn",
@@ -129,64 +126,214 @@ def model_kind(model: Model) -> str:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
-def model_to_dict(model: Model) -> dict:
+def _document(model: Model, root: Callable) -> dict:
+    """The model's document, with ``root(nodes)`` in place of each tree."""
     kind = model_kind(model)
     doc: dict[str, Any] = {"format_version": FORMAT_VERSION, "kind": kind}
     if isinstance(model, CausalTree):
-        doc.update(_tree_to_dict(model))
+        doc.update(_tree_to_dict(model, root))
     elif isinstance(model, CausalForest):
         doc.update(
             params=_to_dict(model.params),
             n_trees=model.n_trees,
             subsample_ratio=model.subsample_ratio,
-            trees=[_tree_to_dict(t) for t in model.trees],
+            trees=[_tree_to_dict(t, root) for t in model.trees],
         )
     else:
         doc.update(
             spec=_to_dict(model.spec),
-            model_individual=_regressor_to_dict(model.model_individual),
-            model_control=_regressor_to_dict(model.model_control),
+            model_individual=_regressor_to_dict(model.model_individual, root),
+            model_control=_regressor_to_dict(model.model_control, root),
         )
     return doc
 
 
+@functools.cache
+def _node_templates(level: int) -> tuple:
+    """The text of each node part at nesting ``level``, laid out as
+    ``json.dumps(doc, indent=2, sort_keys=True)`` lays it out, with ``%s``
+    for each value: a split's head (up to its left child), middle (up to its
+    right child) and tail, a causal leaf and a CART leaf."""
+    inner, end = "  " * (level + 1), "\n" + "  " * level + "}"
+
+    def head(keys, kind):
+        return "{\n" + ",\n".join(f'{inner}"{k}": ' + (f'"{kind}"' if k == "kind" else "%s")
+                                   for k in keys)
+
+    def leaf(cls, *extra):
+        return head(sorted(["kind", *extra, *(name for name, _ in _NODE_FIELDS[cls])]), "leaf") + end
+
+    return (
+        head(["feature_index", "gain", "kind"], "internal") + f',\n{inner}"left": ',
+        f',\n{inner}"right": ',
+        f',\n{inner}"threshold": %s' + end,
+        leaf(Leaf, "leaf_id"),
+        leaf(RegLeaf),
+    )
+
+
+def _tree_text(nodes: tuple, level: int) -> str:
+    """The JSON text of the tree with pre-order ``nodes`` nested ``level``
+    deep, byte for byte as the document's ``json.dumps`` would write it.
+
+    One pass, no recursion.  The values are spelled by one ``json.dumps``
+    of them all, so numbers are written exactly as ``json`` writes them.
+    """
+    parts = []  # the text, with %s for each value
+    values = []  # the values, in text order
+    pending = []  # of each open split: its tail and threshold, then its right-child key
+    depth = rank = 0
+    for node in nodes:
+        t = _node_templates(level + depth)
+        if isinstance(node, Split):
+            parts.append(t[0])
+            values += (node.feature_index, node.gain)
+            pending += [(t[2], node.threshold), t[1]]
+            depth += 1
+            continue
+        if isinstance(node, Leaf):
+            parts.append(t[3])
+            values.append(rank)  # "leaf_id" sorts before every field name of a causal leaf
+            values += _SORTED_FIELDS[Leaf](node)
+            rank += 1
+        else:
+            parts.append(t[4])
+            values += _SORTED_FIELDS[RegLeaf](node)
+        # a leaf ends the left subtree of the innermost open split, or the
+        # right subtrees of splits, which it then closes
+        while pending:
+            item = pending.pop()
+            if type(item) is str:
+                parts.append(item)
+                break
+            parts.append(item[0])
+            values.append(item[1])
+            depth -= 1
+    tokens = json.dumps(values)[1:-1].split(", ")
+    return "".join(parts) % tuple(tokens)
+
+
+_TREE_SLOT = re.compile(r'"<tree (\d+)>"')
+
+
 def serialize_model(model: Model) -> str:
-    return json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
+    """The model's v1 document: ``json.dumps(doc, indent=2, sort_keys=True)``
+    and a newline, where each tree is written by :func:`_tree_text`."""
+    trees: list = []
+
+    def slot(nodes: tuple) -> str:
+        trees.append(nodes)
+        return f"<tree {len(trees) - 1}>"
+
+    pieces = _TREE_SLOT.split(json.dumps(_document(model, slot), indent=2, sort_keys=True))
+    for i in range(1, len(pieces), 2):
+        line = pieces[i - 1][pieces[i - 1].rfind("\n") + 1:]
+        pieces[i] = _tree_text(trees[int(pieces[i])], (len(line) - len(line.lstrip(" "))) // 2)
+    return "".join(pieces) + "\n"
 
 
 # --- decoding ----------------------------------------------------------------
 
 
+_ABSENT = object()
+
+
+def _node_path(path: str, chain: tuple) -> str:
+    """The path of a node from its tree's ``path`` and its ``chain``: the
+    parent's chain and the step to the node, or () at the root."""
+    steps = []
+    while chain:
+        chain, step = chain
+        steps.append(step)
+    return path + "".join(reversed(steps))
+
+
+def _number(v: Any) -> Any:
+    """``v`` as a float if it is a finite int or float other than a bool, else _ABSENT."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return _ABSENT
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond float range
+        return _ABSENT
+    return x if math.isfinite(x) else _ABSENT
+
+
+def _field_error(path: str, key: str, v: Any, integer: bool) -> MalformedModel:
+    """The error for the value ``v`` of node field ``key``, which failed its check."""
+    if v is _ABSENT:
+        reason = "missing required field"
+    elif integer:
+        reason = f"expected an integer, got {v!r}"
+    elif isinstance(v, bool) or not isinstance(v, (int, float)):
+        reason = f"expected a number, got {v!r}"
+    else:
+        reason = f"expected a finite number, got {v!r}"
+    return MalformedModel(f"{path}.{key}", reason)
+
+
 def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tuple:
     """The pre-order nodes of the nested tree ``root``; leaves are parsed as
     ``leaf_cls``, a causal leaf's ``leaf_id`` must be its rank, and no leaf
-    may lie deeper than ``max_depth``."""
+    may lie deeper than ``max_depth``.
+
+    One pass, no recursion.  A node's fields are checked in field order: an
+    integer must be exactly an int, a number a finite int or float that is
+    no bool.  The first faulty node in pre-order raises; only then is its
+    path spelled out.
+    """
+    node_fields = {"internal": _NODE_FIELDS[Split], "leaf": _NODE_FIELDS[leaf_cls]}
+    isfinite = math.isfinite
     nodes: list = []
-    ranks = count()
-    stack = [(root, path, 0)]
+    rank = 0
+    stack: list = [(root, (), 0)]  # (node, chain, depth); see _node_path
     while stack:
-        d, path, depth = stack.pop()
-        d = expect_dict(d, path, MalformedModel)
-        kind = get(d, "kind", path, MalformedModel)
+        d, chain, depth = stack.pop()
+        if not isinstance(d, dict):
+            raise MalformedModel(_node_path(path, chain),
+                                 f"expected an object, got {type(d).__name__}")
+        kind = d.get("kind", _ABSENT)
+        if kind != "leaf" and kind != "internal":
+            if kind is _ABSENT:
+                raise _field_error(_node_path(path, chain), "kind", kind, False)
+            raise MalformedModel(f"{_node_path(path, chain)}.kind",
+                                 f"expected 'leaf' or 'internal', got {kind!r}")
+        values = []
+        for key, integer in node_fields[kind]:
+            v = d.get(key, _ABSENT)
+            if integer:
+                if type(v) is not int:
+                    raise _field_error(_node_path(path, chain), key, v, True)
+            elif type(v) is not float or not isfinite(v):
+                x = _number(v)  # an int is a number too
+                if x is _ABSENT:
+                    raise _field_error(_node_path(path, chain), key, v, False)
+                v = x
+            values.append(v)
         if kind == "leaf":
-            nodes.append(from_fields(leaf_cls, d, path, MalformedModel))
             if leaf_cls is Leaf:
-                leaf_id, rank = get(d, "leaf_id", path, MalformedModel), next(ranks)
+                leaf_id = d.get("leaf_id", _ABSENT)
+                if leaf_id is _ABSENT:
+                    raise _field_error(_node_path(path, chain), "leaf_id", leaf_id, True)
                 if type(leaf_id) is not int or leaf_id != rank:
-                    raise MalformedModel(f"{path}.leaf_id",
+                    raise MalformedModel(f"{_node_path(path, chain)}.leaf_id",
                                          f"expected {rank}, the leaf's rank, got {leaf_id!r}")
-        elif kind == "internal":
-            split = from_fields(Split, d, path, MalformedModel)
-            if not 0 <= split.feature_index < len(FEATURE_NAMES):
-                raise MalformedModel(f"{path}.feature_index",
-                                     f"out of range: {split.feature_index}")
-            if depth >= max_depth:
-                raise MalformedModel(path, f"a split at depth {depth}; max_depth is {max_depth}")
-            nodes.append(split)
-            stack.append((get(d, "right", path, MalformedModel), f"{path}.right", depth + 1))
-            stack.append((get(d, "left", path, MalformedModel), f"{path}.left", depth + 1))
-        else:
-            raise MalformedModel(f"{path}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
+                rank += 1
+            nodes.append(leaf_cls(*values))
+            continue
+        split = Split(*values)
+        if not 0 <= split.feature_index < len(FEATURE_NAMES):
+            raise MalformedModel(f"{_node_path(path, chain)}.feature_index",
+                                 f"out of range: {split.feature_index}")
+        if depth >= max_depth:
+            raise MalformedModel(_node_path(path, chain),
+                                 f"a split at depth {depth}; max_depth is {max_depth}")
+        nodes.append(split)
+        for side in ("right", "left"):  # the left child is next in pre-order
+            child = d.get(side, _ABSENT)
+            if child is _ABSENT:
+                raise _field_error(_node_path(path, chain), side, child, False)
+            stack.append((child, (chain, "." + side), depth + 1))
     return tuple(nodes)
 
 

@@ -170,10 +170,10 @@ class TestForest:
         d = random_dataset(np.random.default_rng(64), 0, 25)
         r = fit_base_regressor(ForestSpec(n_trees=7, max_depth=3, seed=5), d)
         from reference_predictors import route
-        from reachmap.model_io import _regressor_to_dict
+        from reference_writer import regressor_to_dict
 
         p = features_from_xyz(0.05, 0.1, 0.2)
-        roots = _regressor_to_dict(r)["roots"]
+        roots = regressor_to_dict(r)["roots"]
         want = statistics.fmean(route(root, p.as_array())["value"] for root in roots)
         assert predict_one(r, p) == pytest.approx(want, abs=1e-15)
 

@@ -23,7 +23,7 @@ from reachmap import (
     stratified_honest_split,
     validate_dataset,
 )
-from reachmap.domain import MAX_OUTCOME_S, derived_seeds
+from reachmap.domain import MAX_OUTCOME_S, canonical_order, derived_seeds
 from reachmap.errors import (
     DegenerateSplit,
     EmptyDataset,
@@ -170,6 +170,36 @@ class TestHugeOutcomes:
             split, low, high = side.nodes
             assert (split.feature_index, split.threshold) == (0, 0.5 * (0.3 + 0.4))
             assert (low.n, high.n) == (4, 4) and low.value < high.value
+
+
+#: heavy ties, both signed zeros, NaN, and any float
+ORDER_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.1, -0.1, 5e-324, math.nan]), st.floats())
+
+
+class TestCanonicalOrder:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_lexsort(self, data):
+        n = data.draw(st.integers(0, 30))
+        rows = data.draw(st.lists(st.tuples(*[ORDER_VALUES] * 5, st.sampled_from([0, 1])),
+                                  min_size=n, max_size=n))
+        table = np.array(rows, dtype=np.float64).reshape(n, 6)
+        d = make_dataset(table[:, :4], table[:, 5], table[:, 4])
+        if data.draw(st.booleans()):  # pre-sorted input
+            d = d.subset(self.lexsort(d))
+        assert canonical_order(d).tolist() == self.lexsort(d).tolist()
+
+    @staticmethod
+    def lexsort(d):
+        """The documented order: by group, x, y, z, outcome, then dist."""
+        return np.lexsort((d.features[:, 3], d.outcomes, d.features[:, 2], d.features[:, 1],
+                           d.features[:, 0], d.groups))
+
+    def test_sorted_rows_with_signed_zeros_keep_their_order(self):
+        d = make_dataset([[0.0, 0.1, 0.1, 0.2], [-0.0, 0.1, 0.1, 0.2], [0.0, 0.1, 0.1, 0.2]],
+                         [0, 0, 1], [1.0, 1.0, 1.0])
+        assert canonical_order(d).tolist() == [0, 1, 2]
+        assert canonical_order(d.subset(np.array([2, 1, 0]))).tolist() == [1, 2, 0]
 
 
 class TestHonestSplit:

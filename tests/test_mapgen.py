@@ -22,7 +22,7 @@ from reachmap import (
     KnnSpec,
 )
 from reachmap.causal_tree import CausalTree, Leaf, Split
-from reachmap.mapgen import _color
+from reachmap.mapgen import _CENTER, _NEGATIVE, _POSITIVE, _colors
 from reachmap.errors import (
     InvalidResolution,
     NoLeafIds,
@@ -238,10 +238,27 @@ class TestRenderSvg:
             render_svg_slice(m)
 
     def test_palette_interpolation(self):
-        assert _color(0.0) == "#f7f7f7"
-        assert _color(1.0) == "#b2182b"
-        assert _color(-1.0) == "#2166ac"
-        assert _color(2.0) == _color(1.0)  # clamped
+        assert _colors(np.array([0.0, 1.0, -1.0, 2.0])) == [
+            "#f7f7f7", "#b2182b", "#2166ac", "#b2182b"]  # 2.0 is clamped
+
+    def test_colors_match_the_scalar_palette(self):
+        # u = 0.5 puts four channels exactly on a half step
+        t = np.concatenate([
+            [1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 2.0, -2.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+             np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)],
+            np.arange(-128, 129) / 64.0,
+            np.random.default_rng(5).uniform(-1.2, 1.2, 2000),
+        ])
+        assert _colors(t) == [scalar_color(v) for v in t.tolist()]
+
+
+def scalar_color(t: float) -> str:
+    """The renderer's colour of one value, as it was computed per cell."""
+    t = max(-1.0, min(1.0, t))
+    hi = _POSITIVE if t >= 0 else _NEGATIVE
+    u = abs(t)
+    rgb = tuple(round(a + (b - a) * u) for a, b in zip(_CENTER, hi))
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
 class TestExportCsv:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import node_tuples, predict_one, random_dataset
@@ -29,6 +29,7 @@ from reachmap.causal_tree import Leaf, Split
 from reachmap.domain import derived_seeds
 from reachmap.errors import MalformedModel
 from reference_predictors import predict_point
+from reference_writer import reference_serialize
 
 
 def random_points(seed, count=25):
@@ -467,7 +468,8 @@ EDGE_FLOATS = st.one_of(
     FINITE,
 )
 SPLITS = st.builds(Split, st.integers(0, 3), EDGE_FLOATS, FINITE)
-COUNTS = st.integers(0, 10**6)
+#: leaf sizes, and integers beyond int64 and float precision
+COUNTS = st.one_of(st.integers(0, 10**6), st.sampled_from([2**53 + 1, 2**64, 10**30]))
 CAUSAL_LEAVES = st.builds(Leaf, EDGE_FLOATS, COUNTS, COUNTS, EDGE_FLOATS, EDGE_FLOATS)
 REG_LEAVES = st.builds(RegLeaf, EDGE_FLOATS, COUNTS)
 
@@ -512,6 +514,11 @@ def random_models(draw, kind: str):
     if kind == "causal_tree":
         nodes = draw(preorder_trees(CAUSAL_LEAVES))
         return CausalTree(nodes, CausalTreeParams(max_depth=tree_depth(nodes), seed=0))
+    if kind == "causal_forest":
+        members = draw(st.lists(preorder_trees(CAUSAL_LEAVES), min_size=1, max_size=2))
+        params = CausalTreeParams(max_depth=max(map(tree_depth, members)), seed=0)
+        return CausalForest(tuple(CausalTree(nodes, params) for nodes in members), params,
+                            len(members), 0.7)
     n_trees = 1 if kind == "t_cart" else draw(st.integers(1, 2))
     members = st.lists(preorder_trees(REG_LEAVES), min_size=n_trees, max_size=n_trees)
     sides = [draw(members) for _ in range(2)]
@@ -527,9 +534,15 @@ def random_models(draw, kind: str):
     return TLearner(ForestRegressor(tuple(sides[0]), ind), ForestRegressor(tuple(sides[1]), ctl), spec)
 
 
+#: random trees draw hundreds of floats, so shrinking a failure could take
+#: minutes; a failure is reported as first found
+RANDOM_TREES = settings(max_examples=30, deadline=None,
+                        phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
 @pytest.mark.parametrize("kind", ["causal_tree", "t_cart", "t_forest"])
 @given(data=st.data())
-@settings(max_examples=30, deadline=None)
+@RANDOM_TREES
 def test_random_tree_round_trip(kind, data):
     model = data.draw(random_models(kind))
     text = serialize_model(model)
@@ -549,3 +562,43 @@ def test_random_tree_round_trip(kind, data):
     assert est.tau_hat.tobytes() == np.array([tau for tau, _ in ref]).tobytes()
     if kind == "causal_tree":
         assert est.leaf_id.tolist() == [leaf_id for _, leaf_id in ref]
+
+
+# --- the writer against the reference encoder -------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["causal_tree", "causal_forest", "t_cart", "t_forest"])
+@given(data=st.data())
+@RANDOM_TREES
+def test_writer_matches_reference_encoder(kind, data):
+    model = data.draw(random_models(kind))
+    assert serialize_model(model) == reference_serialize(model)
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    CausalTreeParams(max_depth=4, min_group_leaf=2, seed=3),
+    CartSpec(max_depth=4, min_leaf=2, seed=3),
+    ForestSpec(n_trees=3, max_depth=4, min_leaf=2, seed=3),
+    KnnSpec(k=3, standardize=True, seed=3),
+], ids=["causal_forest", "causal_tree", "t_cart", "t_forest", "t_knn"])
+def test_fitted_documents_match_reference_encoder(spec):
+    d = random_dataset(np.random.default_rng(31), 40, 40, effect=0.4)
+    if spec is None:
+        model = fit_causal_forest(d, CausalTreeParams(max_depth=3, min_group_leaf=2, seed=3), 3, 0.8)
+    elif isinstance(spec, CausalTreeParams):
+        model = fit_causal_tree(d, spec)
+    else:
+        model = fit_t_learner(d, spec)
+    assert serialize_model(model) == reference_serialize(model)
+
+
+def test_writer_spells_numbers_as_json_does():
+    """Values a fitted model never holds still get ``json``'s spelling:
+    NaN and the infinities, numpy scalars, and an int in a float field."""
+    nodes = (Split(np.int64(2).item(), np.float64(0.25), float("nan")),
+             Leaf(float("inf"), 3, 4, np.float64(-0.0), float("-inf")),
+             Split(1, 7, np.float64(1e-320)), Leaf(-1e308, 2**70, 0, 5e-324, 1.0),
+             Leaf(0.1, 1, 1, 2.5, 2))
+    model = CausalTree(nodes, CausalTreeParams(max_depth=2, seed=0))
+    assert serialize_model(model) == reference_serialize(model)

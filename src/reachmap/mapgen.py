@@ -206,19 +206,23 @@ _CENTER = (247, 247, 247)
 _POSITIVE = (178, 24, 43)
 
 
-def _colors(t: np.ndarray) -> list[str]:
-    """Hex colour of each value of a diverging scale linear in t, clamped to
-    [-1, 1]; t = 0 is the center, and t >= 0, -0.0 too, takes the positive
-    side.  Channels round half to even, as Python's ``round`` does."""
+def _colors(t: np.ndarray) -> list[int]:
+    """Colour of each value of a diverging scale linear in t, clamped to
+    [-1, 1], as 0xRRGGBB: t = 0 is the center, and t >= 0, -0.0 too, takes
+    the positive side.  Channels round half to even, as Python's ``round``
+    does."""
     t = np.where(t < 1.0, t, 1.0)  # as max(-1.0, min(1.0, t)), NaN giving 1.0
     t = np.where(t > -1.0, t, -1.0)
-    center = np.array(_CENTER)
-    hi = np.where((t >= 0)[:, None], _POSITIVE, _NEGATIVE)
-    rgb = np.rint(center + (hi - center) * np.abs(t)[:, None]).astype(np.int64)
-    return [f"#{c:06x}" for c in (rgb[:, 0] << 16 | rgb[:, 1] << 8 | rgb[:, 2]).tolist()]
+    positive, u = t >= 0, np.abs(t)
+    rgb = np.zeros(t.shape, dtype=np.int64)
+    for shift, a, b_pos, b_neg in zip((16, 8, 0), _CENTER, _POSITIVE, _NEGATIVE):
+        rgb |= np.rint(a + (np.where(positive, b_pos, b_neg) - a) * u).astype(np.int64) << shift
+    return rgb.tolist()
 
 
 _PX_PER_M = 1000.0
+#: cells rendered per batch of colours
+_SVG_CHUNK = 4096
 _MARGIN = 70.0
 _LEGEND_H = 70.0
 
@@ -269,14 +273,16 @@ def render_svg_slice(m: DifficultyMap) -> bytes:
     )
 
     cell_px = res * _PX_PER_M
-    cells = zip(m.features[:, 0].tolist(), m.features[:, 1].tolist(), m.tau_hat.tolist(),
-                _colors(m.tau_hat / scale_max))
-    for x, y, tau, color in cells:
-        out.write(
-            f'<rect x="{sx(x - res / 2):.2f}" y="{sy(y + res / 2):.2f}" '
-            f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="{color}">'
-            f"<title>x={x:.3f} y={y:.3f} tau={tau:.4f}</title></rect>\n"
-        )
+    for start in range(0, len(m), _SVG_CHUNK):  # bounds the cells held as Python objects
+        part = slice(start, start + _SVG_CHUNK)
+        tau_hat = m.tau_hat[part]
+        for x, y, tau, color in zip(m.features[part, 0].tolist(), m.features[part, 1].tolist(),
+                                    tau_hat.tolist(), _colors(tau_hat / scale_max)):
+            out.write(
+                f'<rect x="{sx(x - res / 2):.2f}" y="{sy(y + res / 2):.2f}" '
+                f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="#{color:06x}">'
+                f"<title>x={x:.3f} y={y:.3f} tau={tau:.4f}</title></rect>\n"
+            )
 
     # axes
     axis_y = sy(0.0)
@@ -307,7 +313,7 @@ def render_svg_slice(m: DifficultyMap) -> bytes:
         lx = _MARGIN + idx * 130.0
         out.write(
             f'<rect x="{lx:.1f}" y="{ly:.1f}" width="{swatch:.1f}" height="{swatch:.1f}" '
-            f'fill="{color}" stroke="black" stroke-width="0.5"/>\n'
+            f'fill="#{color:06x}" stroke="black" stroke-width="0.5"/>\n'
         )
         out.write(
             f'<text x="{lx + swatch + 6:.1f}" y="{ly + 17:.1f}" '

@@ -212,6 +212,12 @@ class TestRenderSvg:
         root = ET.fromstring(data.decode("utf-8"))
         assert root.tag.endswith("svg")
 
+    def test_batches_do_not_change_bytes(self, monkeypatch):
+        m = self.grid_map()
+        whole = render_svg_slice(m)
+        monkeypatch.setattr("reachmap.mapgen._SVG_CHUNK", 5)  # 56 cells in 12 batches
+        assert render_svg_slice(m) == whole
+
     def test_byte_deterministic(self):
         m = self.grid_map()
         assert render_svg_slice(m) == render_svg_slice(m)
@@ -239,7 +245,7 @@ class TestRenderSvg:
 
     def test_palette_interpolation(self):
         assert _colors(np.array([0.0, 1.0, -1.0, 2.0])) == [
-            "#f7f7f7", "#b2182b", "#2166ac", "#b2182b"]  # 2.0 is clamped
+            0xf7f7f7, 0xb2182b, 0x2166ac, 0xb2182b]  # 2.0 is clamped
 
     def test_colors_match_the_scalar_palette(self):
         # u = 0.5 puts four channels exactly on a half step
@@ -249,7 +255,7 @@ class TestRenderSvg:
             np.arange(-128, 129) / 64.0,
             np.random.default_rng(5).uniform(-1.2, 1.2, 2000),
         ])
-        assert _colors(t) == [scalar_color(v) for v in t.tolist()]
+        assert [f"#{c:06x}" for c in _colors(t)] == [scalar_color(v) for v in t.tolist()]
 
 
 def scalar_color(t: float) -> str:

@@ -248,28 +248,24 @@ def _node_path(path: str, chain: tuple) -> str:
     return path + "".join(reversed(steps))
 
 
-def _number(v: Any) -> Any:
-    """``v`` as a float if it is a finite int or float other than a bool, else _ABSENT."""
+def _number(v: Any, where: str) -> float:
+    """``v``, the value of the number field at ``where``, as a float: a
+    finite int or float other than a bool; MalformedModel otherwise."""
+    if v is _ABSENT:
+        raise MalformedModel(where, "missing required field")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return _ABSENT
+        raise MalformedModel(where, f"expected a number, got {v!r}")
     try:
         x = float(v)
     except OverflowError:  # an integer beyond float range
-        return _ABSENT
-    return x if math.isfinite(x) else _ABSENT
+        x = math.inf
+    if not math.isfinite(x):
+        raise MalformedModel(where, f"expected a finite number, got {v!r}")
+    return x
 
 
-def _field_error(path: str, key: str, v: Any, integer: bool) -> MalformedModel:
-    """The error for the value ``v`` of node field ``key``, which failed its check."""
-    if v is _ABSENT:
-        reason = "missing required field"
-    elif integer:
-        reason = f"expected an integer, got {v!r}"
-    elif isinstance(v, bool) or not isinstance(v, (int, float)):
-        reason = f"expected a number, got {v!r}"
-    else:
-        reason = f"expected a finite number, got {v!r}"
-    return MalformedModel(f"{path}.{key}", reason)
+def _missing(path: str, key: str) -> MalformedModel:
+    return MalformedModel(f"{path}.{key}", "missing required field")
 
 
 def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tuple:
@@ -295,7 +291,7 @@ def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tu
         kind = d.get("kind", _ABSENT)
         if kind != "leaf" and kind != "internal":
             if kind is _ABSENT:
-                raise _field_error(_node_path(path, chain), "kind", kind, False)
+                raise _missing(_node_path(path, chain), "kind")
             raise MalformedModel(f"{_node_path(path, chain)}.kind",
                                  f"expected 'leaf' or 'internal', got {kind!r}")
         values = []
@@ -303,18 +299,18 @@ def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tu
             v = d.get(key, _ABSENT)
             if integer:
                 if type(v) is not int:
-                    raise _field_error(_node_path(path, chain), key, v, True)
+                    if v is _ABSENT:
+                        raise _missing(_node_path(path, chain), key)
+                    raise MalformedModel(f"{_node_path(path, chain)}.{key}",
+                                         f"expected an integer, got {v!r}")
             elif type(v) is not float or not isfinite(v):
-                x = _number(v)  # an int is a number too
-                if x is _ABSENT:
-                    raise _field_error(_node_path(path, chain), key, v, False)
-                v = x
+                v = _number(v, f"{_node_path(path, chain)}.{key}")  # an int is a number too
             values.append(v)
         if kind == "leaf":
             if leaf_cls is Leaf:
                 leaf_id = d.get("leaf_id", _ABSENT)
                 if leaf_id is _ABSENT:
-                    raise _field_error(_node_path(path, chain), "leaf_id", leaf_id, True)
+                    raise _missing(_node_path(path, chain), "leaf_id")
                 if type(leaf_id) is not int or leaf_id != rank:
                     raise MalformedModel(f"{_node_path(path, chain)}.leaf_id",
                                          f"expected {rank}, the leaf's rank, got {leaf_id!r}")
@@ -332,7 +328,7 @@ def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tu
         for side in ("right", "left"):  # the left child is next in pre-order
             child = d.get(side, _ABSENT)
             if child is _ABSENT:
-                raise _field_error(_node_path(path, chain), side, child, False)
+                raise _missing(_node_path(path, chain), side)
             stack.append((child, (chain, "." + side), depth + 1))
     return tuple(nodes)
 

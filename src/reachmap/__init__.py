@@ -33,7 +33,6 @@ from .domain import (
     FEATURE_NAMES,
     Dataset,
     GroupLabel,
-    TaskFeatures,
     Workspace,
     dataset_from_csv,
     dataset_to_csv,
@@ -51,7 +50,6 @@ from .evaluation import (
     bench_config_from_json,
     bench_rows_to_csv,
     format_bench_table,
-    matched_holdout_truth,
     model_entry,
     paired_t_test,
     r_squared,
@@ -78,7 +76,6 @@ from .synth import (
     dgp_from_config,
     dgp_to_config,
     generate_dataset,
-    sample_workspace_point,
     true_tau,
 )
 

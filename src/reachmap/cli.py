@@ -158,7 +158,7 @@ def run_command(ns: argparse.Namespace) -> int:
 
     if ns.command == "predict":
         model = load_model(ns.model)
-        est = model.predict(features_from_xyz(ns.x, ns.y, ns.z).as_array()[None, :])
+        est = model.predict(features_from_xyz(ns.x, ns.y, ns.z))
         leaf = "none" if est.leaf_id is None else str(est.leaf_id[0])
         print(f"tau_hat_s={est.tau_hat[0]:.9f} leaf_id={leaf}")
         return 0

@@ -45,26 +45,6 @@ class GroupLabel(IntEnum):
 
 
 @dataclass(frozen=True)
-class TaskFeatures:
-    """A reach target.
-
-    ``x`` is lateral (positive = participant's right), ``y`` forward, ``z``
-    vertical, ``dist`` the Euclidean distance from the home origin.  All in
-    meters.  ``dist`` is stored rather than recomputed at use sites so that
-    externally supplied datasets may carry a measured distance; consistency
-    is only enforced when built via :func:`features_from_xyz`.
-    """
-
-    x: float
-    y: float
-    z: float
-    dist: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.dist], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class Workspace:
     """Reachable region: half-cylinder of given radius (XY semicircle, y >= 0) and height."""
 
@@ -77,28 +57,34 @@ class Workspace:
         if not (self.height > 0 and math.isfinite(self.height)):
             raise ValueError(f"height must be positive, got {self.height}")
 
-    def contains(self, p: TaskFeatures) -> bool:
-        return (
-            p.x * p.x + p.y * p.y <= self.radius * self.radius
-            and p.y >= 0.0
-            and 0.0 <= p.z <= self.height
-        )
+    def contains(self, X: np.ndarray) -> np.ndarray:
+        """Whether each row of the (m, 4) feature array ``X`` lies in the region."""
+        x, y, z = X[:, 0], X[:, 1], X[:, 2]
+        in_circle = x * x + y * y <= self.radius * self.radius
+        return in_circle & (y >= 0.0) & (0.0 <= z) & (z <= self.height)
 
 
-def features_from_xyz(x: float, y: float, z: float) -> TaskFeatures:
-    """Build features for a point, deriving dist from the home origin.
+def features_from_xyz(x, y, z) -> np.ndarray:
+    """Feature rows (m, 4) for points given by coordinates, each a number or
+    an (m,) array; dist is derived from the home origin.
 
-    Raises InvalidFeature when any coordinate is non-finite, or when the
-    derived dist overflows (a coordinate beyond about 1e154).
+    ``x`` is lateral (positive = participant's right), ``y`` forward, ``z``
+    vertical, ``dist`` the Euclidean distance from the home origin, all in
+    meters.  Raises InvalidFeature at the first row with a non-finite
+    coordinate, or whose dist overflows (a coordinate beyond about 1e154).
     """
-    for name, v in (("x", x), ("y", y), ("z", z)):
-        if not math.isfinite(v):
-            raise InvalidFeature(f"{name} must be finite, got {v!r}")
-    x, y, z = float(x), float(y), float(z)
-    dist = math.sqrt(x * x + y * y + z * z)
-    if not math.isfinite(dist):
-        raise InvalidFeature(f"dist of ({x!r}, {y!r}, {z!r}) is not finite")
-    return TaskFeatures(x, y, z, dist)
+    xyz = np.column_stack(np.broadcast_arrays(*np.atleast_1d(x, y, z))).astype(np.float64)
+    x, y, z = xyz.T
+    with np.errstate(over="ignore"):
+        dist = np.sqrt(x * x + y * y + z * z)
+    bad = ~np.isfinite(dist)  # a non-finite coordinate makes dist non-finite too
+    if bad.any():
+        row = xyz[np.argmax(bad)].tolist()
+        for name, v in zip("xyz", row):
+            if not math.isfinite(v):
+                raise InvalidFeature(f"{name} must be finite, got {v!r}")
+        raise InvalidFeature(f"dist of ({row[0]!r}, {row[1]!r}, {row[2]!r}) is not finite")
+    return np.column_stack((xyz, dist))
 
 
 class Dataset:

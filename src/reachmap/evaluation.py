@@ -6,11 +6,6 @@ holdout points against the analytic ground-truth effect.  Per-model r-squared
 values across runs aggregate into mean, standard error and a two-sided paired
 t-test against the reference model (the first configured one), giving a table
 with one row per model.
-
-On synthetic benches the ground truth is the exact generating-process effect.
-For externally supplied datasets without a known effect,
-:func:`matched_holdout_truth` builds surrogate per-point values by comparing
-each held-out individual outcome to its k nearest held-out control outcomes.
 """
 
 from __future__ import annotations
@@ -22,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .baselines import CartSpec, ForestSpec, KnnSpec, fit_base_regressor, fit_t_learner
+from .baselines import CartSpec, ForestSpec, KnnSpec, fit_t_learner
 from .causal_tree import (
     CausalForestSettings,
     CausalTreeParams,
@@ -30,7 +25,7 @@ from .causal_tree import (
     fit_causal_forest,
     fit_causal_tree,
 )
-from .domain import Dataset, GroupLabel, derived_seeds, validate_dataset
+from .domain import Dataset, derived_seeds
 from .errors import (
     BenchmarkError,
     InsufficientSamples,
@@ -40,7 +35,7 @@ from .errors import (
     ZeroVariance,
 )
 from .fileio import decode_json, expect_dict, from_fields, get, reject_unknown
-from .synth import DgpSpec, dgp_from_mapping, generate_dataset, sample_workspace_point, true_tau
+from .synth import DgpSpec, _draw_features, dgp_from_mapping, generate_dataset, true_tau
 
 
 # --- metrics -----------------------------------------------------------------
@@ -85,24 +80,6 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> float:
     n = d.size
     t = float(np.mean(d) / (np.std(d, ddof=1) / math.sqrt(n)))
     return float(2.0 * stdtr(n - 1, -abs(t)))  # stdtr: Student's t CDF
-
-
-def matched_holdout_truth(holdout: Dataset, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Surrogate ground truth for datasets without a known effect.
-
-    For each held-out Individual sample, the surrogate effect is its outcome
-    minus the mean outcome of its k nearest held-out Control samples: the
-    prediction of a k-nearest-neighbour regressor fit on the controls
-    (Euclidean in feature space, ties in canonical order; all controls are
-    used when fewer than k exist).  Returns the (m, 4) features and the (m,)
-    effects of the individual samples, in holdout order.
-    """
-    spec = KnnSpec(k=k, seed=0)
-    validate_dataset(holdout)
-    controls = holdout.restrict_to_group(GroupLabel.CONTROL)
-    individuals = holdout.restrict_to_group(GroupLabel.INDIVIDUAL)
-    nearest = fit_base_regressor(spec, controls).predict(individuals.features)
-    return individuals.features, individuals.outcomes - nearest
 
 
 # --- benchmark ---------------------------------------------------------------
@@ -178,12 +155,8 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRow]:
                 cfg.dgp, cfg.n_control, cfg.n_individual, data_seed
             )
             rng = np.random.default_rng(holdout_seed)
-            points = [
-                sample_workspace_point(cfg.dgp.workspace, rng)
-                for _ in range(cfg.holdout_points)
-            ]
-            truth = [true_tau(cfg.dgp, p) for p in points]
-            X = np.array([(p.x, p.y, p.z, p.dist) for p in points])
+            X, _ = _draw_features(cfg.dgp.workspace, rng, cfg.holdout_points)
+            truth = true_tau(cfg.dgp, X)
         except (ReachmapError, ValueError) as e:
             raise BenchmarkError(f"run {run}: {type(e).__name__}: {e}") from e
 

@@ -257,16 +257,22 @@ def render_svg_slice(m: DifficultyMap) -> bytes:
     def sy(y_m: float) -> float:
         return _MARGIN + (max_y - y_m) * _PX_PER_M
 
-    out = io.StringIO()
-    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-    out.write(
+    # encoded piece by piece into one buffer: the whole SVG is never held as
+    # text and as bytes at once
+    out = io.BytesIO()
+
+    def write(text: str) -> None:
+        out.write(text.encode("utf-8"))
+
+    write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    write(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width:.1f}" height="{height:.1f}" '
         f'viewBox="0 0 {width:.1f} {height:.1f}">\n'
     )
-    out.write(f"<title>personalized difficulty, z = {m.z_slice:.3f} m</title>\n")
-    out.write(f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="white"/>\n')
-    out.write(
+    write(f"<title>personalized difficulty, z = {m.z_slice:.3f} m</title>\n")
+    write(f'<rect x="0" y="0" width="{width:.1f}" height="{height:.1f}" fill="white"/>\n')
+    write(
         f'<text x="{width / 2:.1f}" y="{_MARGIN / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">'
         f"estimated difficulty tau_hat (s), z = {m.z_slice:.3f} m</text>\n"
@@ -276,31 +282,32 @@ def render_svg_slice(m: DifficultyMap) -> bytes:
     for start in range(0, len(m), _SVG_CHUNK):  # bounds the cells held as Python objects
         part = slice(start, start + _SVG_CHUNK)
         tau_hat = m.tau_hat[part]
-        for x, y, tau, color in zip(m.features[part, 0].tolist(), m.features[part, 1].tolist(),
-                                    tau_hat.tolist(), _colors(tau_hat / scale_max)):
-            out.write(
-                f'<rect x="{sx(x - res / 2):.2f}" y="{sy(y + res / 2):.2f}" '
-                f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="#{color:06x}">'
-                f"<title>x={x:.3f} y={y:.3f} tau={tau:.4f}</title></rect>\n"
-            )
+        cells = zip(m.features[part, 0].tolist(), m.features[part, 1].tolist(),
+                    tau_hat.tolist(), _colors(tau_hat / scale_max))
+        write("".join(
+            f'<rect x="{sx(x - res / 2):.2f}" y="{sy(y + res / 2):.2f}" '
+            f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="#{color:06x}">'
+            f"<title>x={x:.3f} y={y:.3f} tau={tau:.4f}</title></rect>\n"
+            for x, y, tau, color in cells
+        ))
 
     # axes
     axis_y = sy(0.0)
-    out.write(
+    write(
         f'<line x1="{sx(min_x):.2f}" y1="{axis_y:.2f}" x2="{sx(max_x):.2f}" '
         f'y2="{axis_y:.2f}" stroke="black" stroke-width="1"/>\n'
     )
-    out.write(
+    write(
         f'<text x="{width / 2:.1f}" y="{axis_y + 35:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">x (m)</text>\n'
     )
-    out.write(
+    write(
         f'<text x="{_MARGIN - 45:.1f}" y="{sy(max_y / 2):.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 {_MARGIN - 45:.1f} {sy(max_y / 2):.1f})">y (m)</text>\n'
     )
     for x_tick in (min_x, 0.0, max_x):
-        out.write(
+        write(
             f'<text x="{sx(x_tick):.2f}" y="{axis_y + 18:.1f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{x_tick:.2f}</text>\n'
         )
@@ -311,16 +318,16 @@ def render_svg_slice(m: DifficultyMap) -> bytes:
     entries = zip((-scale_max, 0.0, scale_max), _colors(np.array([-1.0, 0.0, 1.0])))
     for idx, (value, color) in enumerate(entries):
         lx = _MARGIN + idx * 130.0
-        out.write(
+        write(
             f'<rect x="{lx:.1f}" y="{ly:.1f}" width="{swatch:.1f}" height="{swatch:.1f}" '
             f'fill="#{color:06x}" stroke="black" stroke-width="0.5"/>\n'
         )
-        out.write(
+        write(
             f'<text x="{lx + swatch + 6:.1f}" y="{ly + 17:.1f}" '
             f'font-family="sans-serif" font-size="12">{value:+.3f} s</text>\n'
         )
-    out.write("</svg>\n")
-    return out.getvalue().encode("utf-8")
+    write("</svg>\n")
+    return out.getvalue()
 
 
 MAP_CSV_HEADER = "x_m,y_m,z_m,dist_m,tau_hat_s,leaf_id"

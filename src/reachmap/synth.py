@@ -14,10 +14,13 @@ of three presets:
 * ``regional`` - axis-aligned pockets: 1.0 s on the right side above z = 0.2 m,
   0.5 s on the left side beyond 0.2 m reach, else 0.  Exactly representable by
   an axis-aligned tree, so estimator error is not a representation limit;
-* ``smooth``   - a Gaussian bump centered in the workspace.
+* ``smooth``   - a Gaussian bump centered in the workspace,
+  0.8 * exp(-d2 / (2 * 0.1**2)) s with d2 the squared distance from
+  (0.15, 0.15, 0.10) m.
 
 Outcomes add independent Gaussian noise and clamp at a positive floor; the
-clamp is identical across groups.
+clamp is identical across groups.  Points are (m, 4) feature rows in
+``FEATURE_NAMES`` order.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from typing import Optional
 
 import numpy as np
 
-from .domain import Dataset, GroupLabel, TaskFeatures, Workspace, features_from_xyz
+from .domain import Dataset, GroupLabel, Workspace
 from .errors import MalformedConfig, OutOfWorkspace
 from .fileio import expect_dict, from_fields, reject_unknown, write_text_atomic
 
@@ -87,8 +92,8 @@ class DgpSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The generating process a dataset was drawn from; ``true_tau(spec, p)``
-    gives its effect at any workspace point."""
+    """The generating process a dataset was drawn from; ``true_tau(spec, X)``
+    gives its effect at workspace points."""
 
     spec: DgpSpec
 
@@ -98,40 +103,75 @@ _SMOOTH_AMPLITUDE = 0.8
 _SMOOTH_BANDWIDTH = 0.1
 
 
-def true_tau(spec: DgpSpec, p: TaskFeatures) -> float:
-    """Ground-truth individual effect at p; raises OutOfWorkspace outside the region."""
-    if not spec.workspace.contains(p):
-        raise OutOfWorkspace(f"point ({p.x}, {p.y}, {p.z}) is outside the workspace")
+def _each(f, col: np.ndarray) -> np.ndarray:
+    """``f`` of each element, called on Python floats a few thousand at a time.
+
+    Generation keeps libm's log2 and exp and Python's float ``**``, whose
+    results differ in the last bit from numpy's log2, exp and square at some
+    inputs.
+    """
+    pieces = (col[lo:lo + 4096].tolist() for lo in range(0, len(col), 4096))
+    return np.fromiter(map(f, chain.from_iterable(pieces)), np.float64, len(col))
+
+
+def _square(v: float) -> float:
+    return v**2
+
+
+def true_tau(spec: DgpSpec, X: np.ndarray) -> np.ndarray:
+    """Ground-truth individual effect at each row of the (m, 4) feature array
+    ``X``; raises OutOfWorkspace at the first row outside the region."""
+    inside = spec.workspace.contains(X)
+    if not inside.all():
+        x, y, z = X[np.argmin(inside), :3].tolist()
+        raise OutOfWorkspace(f"point ({x}, {y}, {z}) is outside the workspace")
+    x, y, z, dist = X.T
     preset = spec.effect_preset
     if preset is EffectPreset.NULL:
-        return 0.0
+        return np.zeros(len(X))
     if preset is EffectPreset.REGIONAL:
-        if p.x >= 0.0 and p.z >= 0.2:
-            return 1.0
-        if p.x < 0.0 and p.dist >= 0.2:
-            return 0.5
-        return 0.0
+        left = np.where((x < 0.0) & (dist >= 0.2), 0.5, 0.0)
+        return np.where((x >= 0.0) & (z >= 0.2), 1.0, left)
     cx, cy, cz = _SMOOTH_CENTER
-    d2 = (p.x - cx) ** 2 + (p.y - cy) ** 2 + (p.z - cz) ** 2
-    return _SMOOTH_AMPLITUDE * math.exp(-d2 / (2.0 * _SMOOTH_BANDWIDTH**2))
+    d2 = _each(_square, x - cx) + _each(_square, y - cy) + _each(_square, z - cz)
+    return _SMOOTH_AMPLITUDE * _each(math.exp, -d2 / (2.0 * _SMOOTH_BANDWIDTH**2))
 
 
-def baseline_time(spec: DgpSpec, p: TaskFeatures) -> float:
-    """Noise-free control completion time mu0(p)."""
+def baseline_time(spec: DgpSpec, X: np.ndarray) -> np.ndarray:
+    """Noise-free control completion time mu0 at each row of the (m, 4) feature array ``X``."""
     b = spec.baseline
-    return b.a + b.b * math.log2(1.0 + p.dist / b.w)
+    return b.a + b.b * _each(math.log2, 1.0 + X[:, 3] / b.w)
 
 
-def sample_workspace_point(ws: Workspace, rng: np.random.Generator) -> TaskFeatures:
-    """Uniform draw from the half-cylinder, rejection-sampling (x, y) in its bounding box."""
+def _draw_point(ws: Workspace, rng: np.random.Generator) -> tuple[float, float, float]:
+    """Uniform draw (x, y, z) from the half-cylinder, rejection-sampling (x, y) in its bounding box."""
     r = ws.radius
     while True:
         x = rng.uniform(-r, r)
         y = rng.uniform(0.0, r)
         if x * x + y * y <= r * r:
             break
-    z = rng.uniform(0.0, ws.height)
-    return features_from_xyz(x, y, z)
+    return x, y, rng.uniform(0.0, ws.height)
+
+
+def _draw_features(
+    ws: Workspace, rng: np.random.Generator, n: int, noise_sigma: Optional[float] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` uniform draws from the half-cylinder as (n, 4) feature rows.
+
+    With ``noise_sigma``, each point's draws are followed by its sample's
+    Normal(0, noise_sigma^2) noise draw.  Returns the rows and the (n,) noise,
+    which is empty without ``noise_sigma``.
+    """
+    feats = np.empty((n, 4))
+    noise = np.empty(0 if noise_sigma is None else n)
+    for i in range(n):
+        feats[i, :3] = _draw_point(ws, rng)
+        if noise_sigma is not None:
+            noise[i] = rng.normal(0.0, noise_sigma)
+    x, y, z = feats[:, 0], feats[:, 1], feats[:, 2]
+    feats[:, 3] = np.sqrt(x * x + y * y + z * z)
+    return feats, noise
 
 
 #: most samples generate_dataset draws per group; samples are drawn one at a
@@ -157,23 +197,14 @@ def generate_dataset(
             f"at most {MAX_GROUP_SAMPLES} samples per group, "
             f"got {n_control} control and {n_individual} individual"
         )
-    rng = np.random.default_rng(seed)
     n = n_control + n_individual
-    feats = np.empty((n, 4), dtype=np.float64)
-    groups = np.empty(n, dtype=np.int8)
-    outcomes = np.empty(n, dtype=np.float64)
-
-    for i in range(n):
-        group = GroupLabel.CONTROL if i < n_control else GroupLabel.INDIVIDUAL
-        p = sample_workspace_point(spec.workspace, rng)
-        mu = baseline_time(spec, p)
-        if group is GroupLabel.INDIVIDUAL:
-            mu += true_tau(spec, p)
-        eps = rng.normal(0.0, spec.noise_sigma)
-        feats[i] = (p.x, p.y, p.z, p.dist)
-        groups[i] = int(group)
-        outcomes[i] = max(spec.floor, mu + eps)
-
+    feats, outcomes = _draw_features(spec.workspace, np.random.default_rng(seed), n, spec.noise_sigma)
+    mu = baseline_time(spec, feats)
+    mu[n_control:] += true_tau(spec, feats[n_control:])
+    outcomes += mu  # eps + mu == mu + eps bit for bit
+    np.maximum(outcomes, spec.floor, out=outcomes)
+    groups = np.full(n, GroupLabel.CONTROL, dtype=np.int8)
+    groups[n_control:] = GroupLabel.INDIVIDUAL
     return Dataset(feats, groups, outcomes), GroundTruth(spec)
 
 

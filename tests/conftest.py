@@ -71,13 +71,13 @@ def tied_dataset(draw, n_control: st.SearchStrategy, n_individual: st.SearchStra
     return make_dataset(feats, [0] * n_control + [1] * n_individual, outcomes)
 
 
-def predict_one(model, p):
-    """``model.predict`` at the one task point ``p``, as scalars.
+def predict_one(model, row):
+    """``model.predict`` at the one task point ``row``, a (4,) feature row, as scalars.
 
     A float for a base regressor, otherwise a DifficultyEstimate holding a
     float ``tau_hat`` and an int or None ``leaf_id``.
     """
-    out = model.predict(p.as_array()[None, :])
+    out = model.predict(np.asarray(row, dtype=np.float64)[None, :])
     if isinstance(out, np.ndarray):
         return float(out[0])
     leaf_id = None if out.leaf_id is None else int(out.leaf_id[0])
@@ -162,15 +162,14 @@ def tree_root(tree: CausalTree) -> dict:
     return json.loads(serialize_model(tree))["root"]
 
 
-def oracle_route(tree: CausalTree, features) -> dict:
-    """Independent routing: value < threshold goes left, else right.
+def oracle_route(tree: CausalTree, row) -> dict:
+    """Independent routing of a (4,) feature row: value < threshold goes left, else right.
 
     Returns the leaf's document node, which holds its ``leaf_id``.
     """
-    vec = (features.x, features.y, features.z, features.dist)
     node = tree_root(tree)
     while node["kind"] == "internal":
-        node = node["left"] if vec[node["feature_index"]] < node["threshold"] else node["right"]
+        node = node["left"] if row[node["feature_index"]] < node["threshold"] else node["right"]
     return node
 
 

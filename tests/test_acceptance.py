@@ -56,7 +56,7 @@ def test_criterion_1_leaf_effect_oracle():
         _, est = rm.stratified_honest_split(d, params.honest_fraction, params.seed)
         routed = {}
         for row, group, outcome in zip(est.features.tolist(), est.groups.tolist(), est.outcomes.tolist()):
-            routed.setdefault(oracle_route(tree, rm.TaskFeatures(*row))["leaf_id"], []).append((group, outcome))
+            routed.setdefault(oracle_route(tree, row)["leaf_id"], []).append((group, outcome))
         for leaf_id, leaf in enumerate(tree.leaves()):
             samples = routed[leaf_id]
             ind = [t for g, t in samples if g == 1]

@@ -55,7 +55,7 @@ def oracle_cart_split(X, y, min_leaf):
 
 def oracle_knn(feats, outcomes, query, k):
     """Brute-force scan: squared distance, canonical index breaks ties."""
-    q = query.as_array()
+    q = np.asarray(query)
     scored = sorted(
         (float(((feats[i] - q) ** 2).sum()), i) for i in range(len(outcomes))
     )
@@ -68,13 +68,13 @@ class TestCart:
         r = fit_base_regressor(CartSpec(min_leaf=1, seed=0), single_group([2.5] * 6))
         [root] = r.nodes
         assert isinstance(root, RegLeaf)
-        assert predict_one(r, features_from_xyz(0.1, 0.1, 0.1)) == 2.5
+        assert predict_one(r, features_from_xyz(0.1, 0.1, 0.1)[0]) == 2.5
 
     def test_depth_zero_is_mean(self):
         r = fit_base_regressor(
             CartSpec(max_depth=0, min_leaf=1, seed=0), single_group([1.0, 2.0, 3.0])
         )
-        assert predict_one(r, features_from_xyz(0.2, 0, 0)) == 2.0
+        assert predict_one(r, features_from_xyz(0.2, 0, 0)[0]) == 2.0
 
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(50)
@@ -148,14 +148,14 @@ class TestForest:
         r = fit_base_regressor(ForestSpec(n_trees=10, seed=1), d)
         lo, hi = float(d.outcomes.min()), float(d.outcomes.max())
         for _ in range(25):
-            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
+            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0]
             assert lo <= predict_one(r, p) <= hi
 
     def test_same_seed_same_predictions(self):
         d = random_dataset(np.random.default_rng(61), 0, 30)
         a = fit_base_regressor(ForestSpec(n_trees=5, seed=3), d)
         b = fit_base_regressor(ForestSpec(n_trees=5, seed=3), d)
-        p = features_from_xyz(0.1, 0.1, 0.1)
+        p = features_from_xyz(0.1, 0.1, 0.1)[0]
         assert predict_one(a, p) == predict_one(b, p)
 
     def test_different_seeds_can_differ(self):
@@ -163,7 +163,7 @@ class TestForest:
         a = fit_base_regressor(ForestSpec(n_trees=5, seed=3), d)
         b = fit_base_regressor(ForestSpec(n_trees=5, seed=4), d)
         rng = np.random.default_rng(63)
-        points = [features_from_xyz(*rng.uniform(-0.3, 0.3, 3)) for _ in range(20)]
+        points = [features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0] for _ in range(20)]
         assert any(predict_one(a, p) != predict_one(b, p) for p in points)
 
     def test_prediction_is_tree_mean(self):
@@ -172,9 +172,9 @@ class TestForest:
         from reference_predictors import route
         from reference_writer import regressor_to_dict
 
-        p = features_from_xyz(0.05, 0.1, 0.2)
+        p = features_from_xyz(0.05, 0.1, 0.2)[0]
         roots = regressor_to_dict(r)["roots"]
-        want = statistics.fmean(route(root, p.as_array())["value"] for root in roots)
+        want = statistics.fmean(route(root, p)["value"] for root in roots)
         assert predict_one(r, p) == pytest.approx(want, abs=1e-15)
 
 
@@ -182,30 +182,30 @@ class TestKnn:
     def test_exact_recall_k1(self):
         d = single_group([1.0, 2.0, 3.0], xs=[0.0, 0.1, 0.2])
         r = fit_base_regressor(KnnSpec(k=1, seed=0), d)
-        assert predict_one(r, features_from_xyz(0.1, 0, 0)) == 2.0
+        assert predict_one(r, features_from_xyz(0.1, 0, 0)[0]) == 2.0
 
     def test_k_equals_n_is_global_mean(self):
         d = single_group([1.0, 2.0, 3.0, 4.0, 5.0])
         r = fit_base_regressor(KnnSpec(k=5, seed=0), d)
         for xyz in [(0, 0, 0), (0.3, 0.1, 0.4), (-0.2, 0.0, 0.1)]:
-            assert predict_one(r, features_from_xyz(*xyz)) == 3.0
+            assert predict_one(r, features_from_xyz(*xyz)[0]) == 3.0
 
     def test_two_points_k2(self):
         d = single_group([1.0, 2.0], xs=[0.1, 0.3])
         r = fit_base_regressor(KnnSpec(k=2, seed=0), d)
-        assert predict_one(r, features_from_xyz(0.05, 0.2, 0.0)) == 1.5
+        assert predict_one(r, features_from_xyz(0.05, 0.2, 0.0)[0]) == 1.5
 
     def test_k_exceeding_n_uses_all(self):
         d = single_group([2.0, 4.0])
         r = fit_base_regressor(KnnSpec(k=9, seed=0), d)
-        assert predict_one(r, features_from_xyz(0, 0, 0)) == 3.0
+        assert predict_one(r, features_from_xyz(0, 0, 0)[0]) == 3.0
 
     def test_exact_tie_uses_canonical_order(self):
         # two training points equidistant from the query; the canonically
         # earlier one (smaller x) must be chosen
         d = single_group([10.0, 20.0], xs=[-0.1, 0.1])
         r = fit_base_regressor(KnnSpec(k=1, seed=0), d)
-        assert predict_one(r, features_from_xyz(0.0, 0.0, 0.0)) == 10.0
+        assert predict_one(r, features_from_xyz(0.0, 0.0, 0.0)[0]) == 10.0
 
     @pytest.mark.parametrize("trial", range(25))
     def test_matches_brute_force(self, trial):
@@ -220,7 +220,7 @@ class TestKnn:
         feats = d.features[order]
         outs = [float(d.outcomes[i]) for i in order]
         for _ in range(5):
-            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
+            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0]
             assert predict_one(r, p) == pytest.approx(
                 oracle_knn(feats, outs, p, k), abs=1e-12
             )
@@ -231,7 +231,7 @@ class TestKnn:
         d = single_group([1.0, 2.0, 3.0], xs=xs)
         raw = fit_base_regressor(KnnSpec(k=1, seed=0), d)
         std = fit_base_regressor(KnnSpec(k=1, standardize=True, seed=0), d)
-        p = features_from_xyz(0.0005, 0, 0)
+        p = features_from_xyz(0.0005, 0, 0)[0]
         assert predict_one(raw, p) in (1.0, 2.0)
         assert predict_one(std, p) in (1.0, 2.0)
 
@@ -253,13 +253,13 @@ class TestTLearner:
         t = fit_t_learner(d, spec)
         rng = np.random.default_rng(70)
         for _ in range(10):
-            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
+            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0]
             assert predict_one(t, p).tau_hat == 0.0
 
     def test_constant_groups_cart(self):
         d = mirrored([2.0] * 5, [1.5] * 5)
         t = fit_t_learner(d, CartSpec(min_leaf=1, seed=0))
-        est = predict_one(t, features_from_xyz(0.1, 0.1, 0.1))
+        est = predict_one(t, features_from_xyz(0.1, 0.1, 0.1)[0])
         assert est.tau_hat == 0.5
         assert est.leaf_id is None
 
@@ -268,7 +268,7 @@ class TestTLearner:
             [[0.1, 0, 0, 0.1], [0.1, 0, 0, 0.1]], [1, 0], [1.9, 1.2]
         )
         t = fit_t_learner(d, KnnSpec(k=1, seed=0))
-        assert predict_one(t, features_from_xyz(0, 0.2, 0)).tau_hat == pytest.approx(
+        assert predict_one(t, features_from_xyz(0, 0.2, 0)[0]).tau_hat == pytest.approx(
             0.7, abs=1e-12
         )
 
@@ -283,7 +283,7 @@ class TestTLearner:
             Dataset(d.features, d.groups, shifted_outcomes), spec_cls(seed=1)
         )
         for _ in range(15):
-            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
+            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0]
             delta = predict_one(moved, p).tau_hat - predict_one(base, p).tau_hat
             assert abs(delta - c) < 1e-12
 
@@ -291,7 +291,7 @@ class TestTLearner:
         # individual side must ignore control outcomes entirely
         d = mirrored([1.0, 1.0, 1.0, 1.0], [5.0, 6.0, 7.0, 8.0])
         t = fit_t_learner(d, CartSpec(min_leaf=1, seed=0))
-        p = features_from_xyz(0.05, 0, 0)
+        p = features_from_xyz(0.05, 0, 0)[0]
         assert predict_one(t.model_individual, p) == 1.0
 
     def test_missing_group(self):
@@ -303,7 +303,7 @@ class TestTLearner:
         d = random_dataset(np.random.default_rng(72), 25, 25, effect=0.4)
         a = fit_t_learner(d, ForestSpec(n_trees=5, seed=2))
         b = fit_t_learner(d, ForestSpec(n_trees=5, seed=2))
-        p = features_from_xyz(0.1, 0.05, 0.2)
+        p = features_from_xyz(0.1, 0.05, 0.2)[0]
         assert predict_one(a, p).tau_hat == predict_one(b, p).tau_hat
 
 

@@ -20,7 +20,6 @@ from conftest import (
 from reachmap import (
     CausalTreeParams,
     Dataset,
-    TaskFeatures,
     best_split,
     features_from_xyz,
     fit_causal_forest,
@@ -54,7 +53,7 @@ def traced_dataset(repeat=1):
                  ((0.1, 0.0, 0.0), 0, 1.0), ((0.0, 0.1, 0.0), 0, 1.0),
                  ((0.3, 0.0, 0.0), 1, 2.0), ((0.0, 0.3, 0.0), 1, 2.0),
                  ((0.3, 0.0, 0.0), 0, 1.0), ((0.0, 0.3, 0.0), 0, 1.0)]
-    feats = np.array([features_from_xyz(*xyz).as_array() for xyz, _, _ in rows])
+    feats = features_from_xyz(*np.array([xyz for xyz, _, _ in rows]).T)
     return Dataset(
         feats,
         np.array([g for _, g, _ in rows], dtype=np.int8),
@@ -226,7 +225,7 @@ class TestFitCausalTree:
         _, est = stratified_honest_split(d, params.honest_fraction, params.seed)
         routed = {}
         for row, group, outcome in zip(est.features.tolist(), est.groups.tolist(), est.outcomes.tolist()):
-            routed.setdefault(oracle_route(tree, TaskFeatures(*row))["leaf_id"], []).append((group, outcome))
+            routed.setdefault(oracle_route(tree, row)["leaf_id"], []).append((group, outcome))
         for leaf_id, leaf in enumerate(tree.leaves()):
             samples = routed[leaf_id]
             ind = [t for g, t in samples if g == 1]
@@ -289,7 +288,7 @@ class TestPredict:
         d = two_group([2.4, 2.4], [2.0, 2.0])
         tree = fit_causal_tree(d, CausalTreeParams(max_depth=0, min_group_leaf=1, seed=0))
         for xyz in [(0, 0, 0), (0.2, 0.1, 0.3), (-0.25, 0.01, 0.39)]:
-            est = predict_one(tree, features_from_xyz(*xyz))
+            est = predict_one(tree, features_from_xyz(*xyz)[0])
             assert est.tau_hat == tree.nodes[0].tau_hat
             assert est.leaf_id == 0
 
@@ -297,8 +296,8 @@ class TestPredict:
         tree = fit_causal_tree(
             traced_dataset(repeat=2), CausalTreeParams(max_depth=1, min_group_leaf=1, seed=0)
         )
-        near = predict_one(tree, features_from_xyz(0.05, 0, 0))
-        far = predict_one(tree, features_from_xyz(0.35, 0, 0))
+        near = predict_one(tree, features_from_xyz(0.05, 0, 0)[0])
+        far = predict_one(tree, features_from_xyz(0.35, 0, 0)[0])
         assert near.tau_hat == 0.0 and near.leaf_id == 0
         assert far.tau_hat == 1.0 and far.leaf_id == 1
 
@@ -307,7 +306,7 @@ class TestPredict:
             traced_dataset(repeat=2), CausalTreeParams(max_depth=1, min_group_leaf=1, seed=0)
         )
         thr = tree.nodes[0].threshold
-        at = predict_one(tree, features_from_xyz(thr, 0, 0))  # dist == threshold
+        at = predict_one(tree, features_from_xyz(thr, 0, 0)[0])  # dist == threshold
         assert at.leaf_id == 1
 
     def test_piecewise_constant(self):
@@ -316,7 +315,7 @@ class TestPredict:
         values = {leaf_id: leaf.tau_hat for leaf_id, leaf in enumerate(tree.leaves())}
         rng = np.random.default_rng(32)
         for _ in range(50):
-            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
+            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0]
             est = predict_one(tree, p)
             assert est.tau_hat == values[est.leaf_id]
             assert oracle_route(tree, p)["leaf_id"] == est.leaf_id
@@ -329,7 +328,7 @@ class TestCausalForest:
         assert len(forest.trees) == 1
         rng = np.random.default_rng(42)
         for _ in range(20):
-            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
+            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0]
             assert predict_one(forest, p).tau_hat == predict_one(forest.trees[0], p).tau_hat
             assert predict_one(forest, p).leaf_id is None
 
@@ -338,14 +337,14 @@ class TestCausalForest:
         forest = fit_causal_forest(d, CausalTreeParams(max_depth=2, min_group_leaf=2, seed=6), 5, 0.8)
         rng = np.random.default_rng(44)
         for _ in range(20):
-            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))
+            p = features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0]
             member_mean = sum(predict_one(t, p).tau_hat for t in forest.trees) / 5
             assert predict_one(forest, p).tau_hat == pytest.approx(member_mean, abs=1e-15)
 
     def test_constant_outcomes_zero_everywhere(self):
         d = two_group([1.5] * 10, [1.5] * 10)
         forest = fit_causal_forest(d, CausalTreeParams(min_group_leaf=1, seed=7), 3, 1.0)
-        assert predict_one(forest, features_from_xyz(0.1, 0.1, 0.1)).tau_hat == 0.0
+        assert predict_one(forest, features_from_xyz(0.1, 0.1, 0.1)[0]).tau_hat == 0.0
 
     def test_degenerate_subsample(self):
         d = random_dataset(np.random.default_rng(45), 2, 2)
@@ -357,7 +356,7 @@ class TestCausalForest:
         params = CausalTreeParams(max_depth=2, min_group_leaf=2, seed=9)
         f1 = fit_causal_forest(d, params, 4, 0.8)
         f2 = fit_causal_forest(d, params, 4, 0.8)
-        p = features_from_xyz(0.1, 0.05, 0.2)
+        p = features_from_xyz(0.1, 0.05, 0.2)[0]
         assert predict_one(f1, p).tau_hat == predict_one(f2, p).tau_hat
 
 

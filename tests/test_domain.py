@@ -11,7 +11,6 @@ from reachmap import (
     CausalTreeParams,
     Dataset,
     GroupLabel,
-    TaskFeatures,
     Workspace,
     dataset_from_csv,
     dataset_to_csv,
@@ -38,13 +37,22 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 class TestFeatures:
     def test_axis_case(self):
-        assert features_from_xyz(0.3, 0, 0).dist == pytest.approx(0.3, abs=1e-9)
+        [[x, y, z, dist]] = features_from_xyz(0.3, 0, 0)
+        assert (x, y, z) == (0.3, 0.0, 0.0)
+        assert dist == pytest.approx(0.3, abs=1e-9)
 
     def test_origin(self):
-        assert features_from_xyz(0, 0, 0).dist == 0.0
+        assert features_from_xyz(0, 0, 0).tolist() == [[0.0, 0.0, 0.0, 0.0]]
 
     def test_pythagorean(self):
-        assert features_from_xyz(0.1, 0.2, 0.2).dist == pytest.approx(0.3, abs=1e-9)
+        assert features_from_xyz(0.1, 0.2, 0.2)[0, 3] == pytest.approx(0.3, abs=1e-9)
+
+    def test_one_row_per_point(self):
+        X = features_from_xyz([0.3, 0.0, 0.1], [0.0, 0.0, 0.2], 0.2)
+        assert X.shape == (3, 4) and X.dtype == np.float64
+        assert X[:, :3].tolist() == [[0.3, 0.0, 0.2], [0.0, 0.0, 0.2], [0.1, 0.2, 0.2]]
+        for x, y, z, dist in X.tolist():
+            assert dist == math.sqrt(x * x + y * y + z * z)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_rejected(self, bad):
@@ -54,16 +62,22 @@ class TestFeatures:
             features_from_xyz(0, bad, 0)
         with pytest.raises(InvalidFeature):
             features_from_xyz(0, 0, bad)
+        # rows 1 and 2 are both bad; row 1's y is reported
+        with pytest.raises(InvalidFeature, match=f"^y must be finite, got {bad!r}$"):
+            features_from_xyz([0.1, 0.2, bad], [0.0, bad, 0.0], 0.0)
 
     @pytest.mark.parametrize("xyz", [(1e200, 0, 0), (0, -1e200, 0), (0, 0, 1e155), (1e154, 1e154, 1e154)])
     def test_overflowing_dist_rejected(self, xyz):
         with pytest.raises(InvalidFeature, match="dist"):
             features_from_xyz(*xyz)
+        # row 1 overflows before row 2's non-finite x
+        with pytest.raises(InvalidFeature, match=r"^dist of \("):
+            features_from_xyz(*np.array([(0.1, 0.1, 0.1), xyz, (math.nan, 0, 0)]).T)
 
     @given(finite, finite, finite)
     def test_dist_matches_euclidean_norm(self, x, y, z):
-        p = features_from_xyz(x, y, z)
-        assert abs(p.dist - math.sqrt(x * x + y * y + z * z)) <= 1e-9
+        [[_, _, _, dist]] = features_from_xyz(x, y, z)
+        assert abs(dist - math.sqrt(x * x + y * y + z * z)) <= 1e-9
 
 
 class TestWorkspace:
@@ -83,7 +97,10 @@ class TestWorkspace:
         ],
     )
     def test_contains(self, point, inside):
-        assert Workspace().contains(features_from_xyz(*point)) is inside
+        ws = Workspace()
+        assert ws.contains(features_from_xyz(*point)).tolist() == [inside]
+        rows = features_from_xyz(*np.array([(0.0, 0.1, 0.2), point, (0.1, 0.1, 0.1)]).T)
+        assert ws.contains(rows).tolist() == [True, inside, True]
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
@@ -93,8 +110,9 @@ class TestWorkspace:
 
 
 def _pair_dataset(n_control=2, n_individual=2):
-    feats = [features_from_xyz(0.1 * (i + 1), 0, 0).as_array() for i in range(n_control)]
-    feats += [features_from_xyz(0, 0.1 * (i + 1), 0).as_array() for i in range(n_individual)]
+    xs = [0.1 * (i + 1) for i in range(n_control)] + [0.0] * n_individual
+    ys = [0.0] * n_control + [0.1 * (i + 1) for i in range(n_individual)]
+    feats = features_from_xyz(xs, ys, 0.0)
     groups = [GroupLabel.CONTROL] * n_control + [GroupLabel.INDIVIDUAL] * n_individual
     return make_dataset(feats, groups, [1.0] * n_control + [1.5] * n_individual)
 

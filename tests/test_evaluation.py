@@ -14,7 +14,6 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dataset
 import reachmap
 from reachmap import (
     BenchConfig,
@@ -22,9 +21,7 @@ from reachmap import (
     EffectPreset,
     bench_config_from_json,
     bench_rows_to_csv,
-    features_from_xyz,
     format_bench_table,
-    matched_holdout_truth,
     model_entry,
     paired_t_test,
     r_squared,
@@ -199,50 +196,6 @@ def test_cli_import_loads_no_heavy_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout == "[]\n"
-
-
-class TestMatchedHoldoutTruth:
-    def test_matching_neighbours_share_outcome(self):
-        feats = [[0.1, 0, 0, 0.1]] * 4 + [[0.1, 0.01, 0, 0.1]]
-        d = make_dataset(feats, [0, 0, 0, 0, 1], [2.0, 2.0, 2.0, 2.0, 2.0])
-        _, [tau] = matched_holdout_truth(d, k=5)
-        assert tau == 0.0
-
-    def test_nearest_five_mean(self):
-        ctl_feats = [[0.01 * i, 0, 0, 0.01 * i] for i in range(5)]
-        far_ctl = [[0.3, 0.3, 0.3, 0.52]]
-        ind = [[0.0, 0.01, 0.0, 0.01]]
-        d = make_dataset(
-            ctl_feats + far_ctl + ind,
-            [0] * 6 + [1],
-            [1.3, 1.4, 1.5, 1.6, 1.7, 9.9, 2.0],
-        )
-        [features], [tau] = matched_holdout_truth(d, k=5)
-        assert tau == pytest.approx(0.5, abs=1e-12)  # 2.0 - mean(1.3..1.7); far control excluded
-        assert features[1] == 0.01
-
-    def test_fewer_controls_than_k_uses_all(self):
-        d = make_dataset(
-            [[0.1, 0, 0, 0.1], [0.2, 0, 0, 0.2], [0.3, 0, 0, 0.3], [0.15, 0, 0, 0.15]],
-            [0, 0, 0, 1],
-            [1.0, 2.0, 3.0, 2.5],
-        )
-        _, [tau] = matched_holdout_truth(d, k=5)
-        assert tau == 0.5  # 2.5 - mean(1, 2, 3)
-
-    def test_ordered_by_holdout_position(self):
-        d = make_dataset(
-            [[0.1, 0, 0, 0.1], [0.0, 0, 0, 0.0], [0.2, 0, 0, 0.2]],
-            [1, 0, 1],
-            [2.0, 1.0, 3.0],
-        )
-        _, taus = matched_holdout_truth(d, k=1)
-        assert taus.tolist() == [1.0, 2.0]
-
-    def test_missing_group(self):
-        d = make_dataset([[0.1, 0, 0, 0.1]], [0], [1.0])
-        with pytest.raises(MissingGroup):
-            matched_holdout_truth(d)
 
 
 def small_bench(models, runs=3, master_seed=99, preset=EffectPreset.REGIONAL):

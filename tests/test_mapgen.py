@@ -9,13 +9,11 @@ import pytest
 from conftest import predict_one, random_dataset
 from reachmap import (
     CausalTreeParams,
-    TaskFeatures,
     Workspace,
     build_grid,
     difficulty_map,
     export_map_csv,
     extract_regions,
-    features_from_xyz,
     fit_causal_tree,
     fit_t_learner,
     render_svg_slice,
@@ -68,10 +66,8 @@ class TestBuildGrid:
 
     def test_all_points_inside_workspace(self):
         ws = Workspace()
-        for row in build_grid(ws, 0.04, z_slice=0.05).features.tolist():
-            assert ws.contains(TaskFeatures(*row))
-        for row in build_grid(ws, 0.09).features.tolist():
-            assert ws.contains(TaskFeatures(*row))
+        assert ws.contains(build_grid(ws, 0.04, z_slice=0.05).features).all()
+        assert ws.contains(build_grid(ws, 0.09).features).all()
 
     def test_layered_grid(self):
         ws = Workspace()
@@ -131,7 +127,7 @@ class TestDifficultyMap:
         grid = build_grid(Workspace(), 0.06, z_slice=0.15)
         m = difficulty_map(tree, grid)
         for row, tau, leaf_id in zip(m.features.tolist(), m.tau_hat.tolist(), m.leaf_id.tolist()):
-            direct = predict_one(tree, TaskFeatures(*row))
+            direct = predict_one(tree, row)
             assert tau == direct.tau_hat and leaf_id == direct.leaf_id
 
 

@@ -34,7 +34,7 @@ from reference_writer import reference_serialize
 
 def random_points(seed, count=25):
     rng = np.random.default_rng(seed)
-    return [features_from_xyz(*rng.uniform(-0.3, 0.3, 3)) for _ in range(count)]
+    return [features_from_xyz(*rng.uniform(-0.3, 0.3, 3))[0] for _ in range(count)]
 
 
 def t_learner_doc(spec):
@@ -52,7 +52,7 @@ class TestTreeRoundTrip:
         tree = fitted_tree(max_depth=0)
         back = parse_model(serialize_model(tree))
         assert back == tree
-        p = features_from_xyz(0.1, 0.1, 0.1)
+        p = features_from_xyz(0.1, 0.1, 0.1)[0]
         assert predict_one(back, p) == predict_one(tree, p)
 
     def test_structural_equality_and_bitwise_predictions(self):

@@ -7,7 +7,6 @@ from reachmap import (
     BaselineParams,
     DgpSpec,
     EffectPreset,
-    TaskFeatures,
     Workspace,
     baseline_time,
     dgp_from_config,
@@ -15,13 +14,12 @@ from reachmap import (
     features_from_xyz,
     generate_dataset,
     leaf_estimate,
-    sample_workspace_point,
     true_tau,
     validate_dataset,
 )
 from reachmap.domain import Dataset
 from reachmap.errors import MalformedConfig, OutOfWorkspace
-from reachmap.synth import MAX_GROUP_SAMPLES
+from reachmap.synth import MAX_GROUP_SAMPLES, _draw_features, _draw_point
 
 
 def dgp(preset=EffectPreset.NULL, **kw):
@@ -31,18 +29,16 @@ def dgp(preset=EffectPreset.NULL, **kw):
 class TestSampleWorkspacePoint:
     def test_points_always_inside(self):
         ws = Workspace()
-        rng = np.random.default_rng(1)
-        for _ in range(500):
-            assert ws.contains(sample_workspace_point(ws, rng))
+        X, noise = _draw_features(ws, np.random.default_rng(1), 500)
+        assert ws.contains(X).all()
+        assert noise.shape == (0,)
 
     def test_same_seed_same_sequence(self):
         ws = Workspace()
-        rng_a = np.random.default_rng(9)
-        rng_b = np.random.default_rng(9)
-        a = [sample_workspace_point(ws, rng_a) for _ in range(10)]
-        b = [sample_workspace_point(ws, rng_b) for _ in range(10)]
-        assert a == b
-        assert len({(p.x, p.y, p.z) for p in a}) == 10  # sequence advances
+        a, _ = _draw_features(ws, np.random.default_rng(9), 10)
+        b, _ = _draw_features(ws, np.random.default_rng(9), 10)
+        assert np.array_equal(a, b)
+        assert len({tuple(row) for row in a[:, :3].tolist()}) == 10  # sequence advances
 
     def test_rejected_candidate_is_retried(self):
         # scripted draws: (0.25, 0.25) violates x^2 + y^2 <= 0.09 and must be
@@ -55,47 +51,50 @@ class TestSampleWorkspacePoint:
                 return self.values.pop(0)
 
         ws = Workspace()
-        assert not ws.contains(features_from_xyz(0.25, 0.25, 0.1))
-        p = sample_workspace_point(ws, Scripted([0.25, 0.25, -0.1, 0.2, 0.3]))
-        assert (p.x, p.y, p.z) == (-0.1, 0.2, 0.3)
+        assert not ws.contains(features_from_xyz(0.25, 0.25, 0.1))[0]
+        assert _draw_point(ws, Scripted([0.25, 0.25, -0.1, 0.2, 0.3])) == (-0.1, 0.2, 0.3)
+
+
+def rows(*points):
+    """Feature rows of the given (x, y, z) points."""
+    return features_from_xyz(*np.array(points, dtype=np.float64).T)
 
 
 class TestTrueTau:
     def test_null_everywhere(self):
-        rng = np.random.default_rng(2)
         spec = dgp(EffectPreset.NULL)
-        for _ in range(50):
-            assert true_tau(spec, sample_workspace_point(spec.workspace, rng)) == 0.0
+        X, _ = _draw_features(spec.workspace, np.random.default_rng(2), 50)
+        assert true_tau(spec, X).tolist() == [0.0] * 50
 
     def test_regional_values(self):
         spec = dgp(EffectPreset.REGIONAL)
-        assert true_tau(spec, features_from_xyz(0.1, 0.1, 0.3)) == 1.0
-        assert true_tau(spec, features_from_xyz(-0.2, 0.1, 0.0)) == 0.5  # dist 0.224
-        assert true_tau(spec, features_from_xyz(-0.1, 0.1, 0.0)) == 0.0  # dist 0.141
-        assert true_tau(spec, features_from_xyz(0.1, 0.1, 0.1)) == 0.0
+        X = rows((0.1, 0.1, 0.3), (-0.2, 0.1, 0.0), (-0.1, 0.1, 0.0), (0.1, 0.1, 0.1))
+        # dist 0.224 and 0.141 on the left side
+        assert true_tau(spec, X).tolist() == [1.0, 0.5, 0.0, 0.0]
 
     def test_smooth_peak_and_decay(self):
         spec = dgp(EffectPreset.SMOOTH)
-        assert true_tau(spec, features_from_xyz(0.15, 0.15, 0.10)) == 0.8
-        off = true_tau(spec, features_from_xyz(0.15, 0.15, 0.20))
+        peak, off = true_tau(spec, rows((0.15, 0.15, 0.10), (0.15, 0.15, 0.20)))
+        assert peak == 0.8
         assert off == pytest.approx(0.8 * math.exp(-0.5), rel=1e-12)
 
     def test_outside_workspace_rejected(self):
         spec = dgp()
         with pytest.raises(OutOfWorkspace):
-            true_tau(spec, features_from_xyz(0.25, 0.25, 0.1))
+            true_tau(spec, rows((0.25, 0.25, 0.1)))
+        # rows 1 and 2 are both outside; row 1 is reported
+        with pytest.raises(OutOfWorkspace, match=r"^point \(0\.25, 0\.25, 0\.1\) "):
+            true_tau(spec, rows((0.1, 0.1, 0.1), (0.25, 0.25, 0.1), (0.0, 0.1, 0.5)))
 
 
 class TestBaseline:
     def test_fitts_formula_at_one_doubling(self):
-        p = features_from_xyz(0.05, 0.0, 0.0)
-        assert baseline_time(dgp(), p) == pytest.approx(0.7, abs=1e-15)
+        [t] = baseline_time(dgp(), features_from_xyz(0.05, 0.0, 0.0))
+        assert t == pytest.approx(0.7, abs=1e-15)
 
     def test_monotone_in_distance(self):
-        spec = dgp()
-        dists = np.linspace(0.0, 0.3, 40)
-        times = [baseline_time(spec, features_from_xyz(d, 0, 0)) for d in dists]
-        assert all(b > a for a, b in zip(times, times[1:]))
+        times = baseline_time(dgp(), features_from_xyz(np.linspace(0.0, 0.3, 40), 0, 0))
+        assert np.all(np.diff(times) > 0)
 
 
 class TestGenerateDataset:
@@ -105,15 +104,30 @@ class TestGenerateDataset:
         assert truth.spec.effect_preset is EffectPreset.NULL
         assert validate_dataset(d) == (7, 5)
 
+    @staticmethod
+    def oracle_tau(preset, x, y, z, dist):
+        """The effect as the synth module docstring states it, for one point."""
+        if preset is EffectPreset.NULL:
+            return 0.0
+        if preset is EffectPreset.REGIONAL:
+            if x >= 0.0 and z >= 0.2:
+                return 1.0
+            return 0.5 if x < 0.0 and dist >= 0.2 else 0.0
+        d2 = (x - 0.15) ** 2 + (y - 0.15) ** 2 + (z - 0.10) ** 2
+        return 0.8 * math.exp(-d2 / (2.0 * 0.1**2))
+
     def test_zero_noise_outcomes_are_exact(self):
-        spec = dgp(EffectPreset.REGIONAL, noise_sigma=0.0)
-        d, _ = generate_dataset(spec, 40, 40, seed=3)
-        for row, group, outcome in zip(d.features.tolist(), d.groups.tolist(), d.outcomes.tolist()):
-            p = TaskFeatures(*row)
-            want = baseline_time(spec, p)
-            if group == 1:
-                want += true_tau(spec, p)
-            assert outcome == max(spec.floor, want)
+        # numpy's log2 and square differ from libm's log2 and float ** at a
+        # few inputs in 10,000, so a smaller draw may not tell them apart
+        for preset in EffectPreset:
+            spec = dgp(preset, noise_sigma=0.0)
+            d, _ = generate_dataset(spec, 10_000, 10_000, seed=3)
+            b = spec.baseline
+            for row, group, outcome in zip(d.features.tolist(), d.groups.tolist(), d.outcomes.tolist()):
+                want = b.a + b.b * math.log2(1.0 + row[3] / b.w)
+                if group == 1:
+                    want += self.oracle_tau(preset, *row)
+                assert outcome == max(spec.floor, want), (preset, row)
 
     def test_floor_clamps(self):
         spec = dgp(baseline=BaselineParams(a=0.0, b=0.0), noise_sigma=0.0)
@@ -139,16 +153,11 @@ class TestGenerateDataset:
         # same task points offered to both groups, no noise: the two-mean
         # estimate over any within-region subset recovers tau exactly
         spec = dgp(EffectPreset.REGIONAL, noise_sigma=0.0)
-        rng = np.random.default_rng(6)
-        feats, groups, outcomes = [], [], []
-        while len(feats) < 60:
-            p = sample_workspace_point(spec.workspace, rng)
-            if not (p.x >= 0 and p.z >= 0.2):  # keep to the tau = 1.0 pocket
-                continue
-            mu = baseline_time(spec, p)
-            feats.append(p.as_array()); groups.append(0); outcomes.append(mu)
-            feats.append(p.as_array()); groups.append(1); outcomes.append(mu + 1.0)
-        d = Dataset(np.array(feats), np.array(groups, dtype=np.int8), np.array(outcomes))
+        X, _ = _draw_features(spec.workspace, np.random.default_rng(6), 400)
+        X = X[(X[:, 0] >= 0) & (X[:, 2] >= 0.2)][:30]  # keep to the tau = 1.0 pocket
+        assert len(X) == 30
+        mu = baseline_time(spec, X)
+        d = Dataset(np.vstack([X, X]), np.repeat(np.int8([0, 1]), 30), np.concatenate([mu, mu + 1.0]))
         assert leaf_estimate(d).tau_hat == pytest.approx(1.0, abs=1e-12)
 
 

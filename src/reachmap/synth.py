@@ -170,7 +170,7 @@ def _draw_features(
         if noise_sigma is not None:
             noise[i] = rng.normal(0.0, noise_sigma)
     x, y, z = feats[:, 0], feats[:, 1], feats[:, 2]
-    feats[:, 3] = np.sqrt(x * x + y * y + z * z)
+    feats[:, 3] = np.sqrt(x * x + y * y + z * z)  # features_from_xyz's dist, in place
     return feats, noise
 
 

@@ -32,10 +32,10 @@ from .causal_tree import (
     _forest_mean,
     _grow,
     _leaf_values,
-    _mean,
     _Node,
     _node_columns,
     _Ranked,
+    _spread,
     _times_4_pow,
 )
 from .domain import (
@@ -152,18 +152,9 @@ class _SseSearch:
         rows, and outcomes that are not all equal (nothing to reduce).
         """
         rows, b = _concat_rows(nodes, 0)
-        y = self.outcomes(rows)
-        n = np.diff(b)
-        search = (
-            room
-            & (n >= 2 * self.min_leaf)
-            & (np.maximum.reduceat(y, b[:-1]) != np.minimum.reduceat(y, b[:-1]))
-        ).tolist()
+        varies, means, yc, scales = _spread(self.outcomes(rows), b)
+        search = (room & (np.diff(b) >= 2 * self.min_leaf) & varies).tolist()
         b = b.tolist()
-        means = [_mean(y[s:e]) for s, e in zip(b, b[1:])]
-        # center at the node mean: keeps the prefix-sum SSE arithmetic stable
-        yc = y - np.repeat(means, n)
-        scales = np.maximum.reduceat(np.abs(yc), b[:-1]).tolist()
         out = []
         for k, (node_rows, s, e, go) in enumerate(zip(nodes, b, b[1:], search)):
             if not go:
@@ -371,14 +362,17 @@ class TLearner:
         return DifficultyEstimate(tau, None)
 
 
+def side_specs(spec: RegressorSpec) -> tuple[RegressorSpec, RegressorSpec]:
+    """The control-side and individual-side specs of a T-learner: ``spec``
+    with the first and the second of two seeds derived from its own."""
+    ctl_seed, ind_seed = derived_seeds(spec.seed, 2)
+    return replace(spec, seed=ctl_seed), replace(spec, seed=ind_seed)
+
+
 def fit_t_learner(d: Dataset, spec: RegressorSpec) -> TLearner:
     """Fit the control-side and individual-side regressors on their own samples."""
     validate_dataset(d)
-    ctl_seed, ind_seed = derived_seeds(spec.seed, 2)
-    model_control = fit_base_regressor(
-        replace(spec, seed=ctl_seed), d.restrict_to_group(GroupLabel.CONTROL)
-    )
-    model_individual = fit_base_regressor(
-        replace(spec, seed=ind_seed), d.restrict_to_group(GroupLabel.INDIVIDUAL)
-    )
+    ctl_spec, ind_spec = side_specs(spec)
+    model_control = fit_base_regressor(ctl_spec, d.restrict_to_group(GroupLabel.CONTROL))
+    model_individual = fit_base_regressor(ind_spec, d.restrict_to_group(GroupLabel.INDIVIDUAL))
     return TLearner(model_individual, model_control, spec)

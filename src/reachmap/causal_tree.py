@@ -132,12 +132,8 @@ class CausalTree:
     def predict(self, X: np.ndarray) -> DifficultyEstimate:
         """Route each row of the (m, 4) ``X`` to its leaf and return its effect."""
         X = _feature_rows(X)
-        tau = np.empty(X.shape[0])
         leaf_id = np.empty(X.shape[0], dtype=np.int64)
-        for rank, leaf, rows in _route(self.nodes, X):
-            tau[rows] = leaf.tau_hat
-            leaf_id[rows] = rank
-        return DifficultyEstimate(tau, leaf_id)
+        return DifficultyEstimate(_leaf_values(self.nodes, X, "tau_hat", leaf_id), leaf_id)
 
     def leaves(self) -> tuple[Leaf, ...]:
         """The leaves from left to right: ``leaves()[k]`` is leaf k."""
@@ -244,8 +240,6 @@ class _Ranked:
 
     def rank(self, f, rows: np.ndarray) -> np.ndarray:
         """The ranks of node rows ``rows`` in column f, or in column ``f[i]`` for row i."""
-        if np.ndim(f) == 0:
-            return self.ranks[f].take(self.matrix_rows(rows))
         return self.ranks.ravel().take(f * self.ranks.shape[1] + self.matrix_rows(rows))
 
     def value(self, f: int, rows: np.ndarray) -> np.ndarray:
@@ -539,6 +533,22 @@ def _partition(matrices: tuple, forks: list) -> tuple[list, list]:
     return list(zip(*lefts)), list(zip(*rights))
 
 
+def _spread(y: np.ndarray, b: np.ndarray) -> tuple:
+    """Of each node, whose outcomes are ``y[b[k]:b[k+1]]``: whether its
+    outcomes vary, their mean, the outcomes centred at it (all nodes'
+    together), and the near-tie scale max|y - mean|.
+
+    Where outcomes are constant every gain is exactly zero.  Centring leaves
+    every gain unchanged but keeps the prefix-sum arithmetic well
+    conditioned for offset-heavy outcomes.
+    """
+    varies = np.maximum.reduceat(y, b[:-1]) != np.minimum.reduceat(y, b[:-1])
+    bounds = b.tolist()
+    means = [_mean(y[s:e]) for s, e in zip(bounds, bounds[1:])]
+    yc = y - np.repeat(means, np.diff(b))
+    return varies, means, yc, np.maximum.reduceat(np.abs(yc), b[:-1]).tolist()
+
+
 def _concat_rows(nodes: list, j: int) -> tuple:
     """The rows in matrix ``j`` of each of ``nodes`` (tuples of row
     arrays), concatenated, and the bounds of each node's part."""
@@ -572,37 +582,25 @@ class _EffectSearch:
         """
         rows, b = _concat_rows(nodes, 0)
         erows, be = _concat_rows(nodes, 1)
-        y = self.y.take(rows)
-        ge = self.ge.take(erows)
         n = np.diff(b)
         ne = np.diff(be)
         n1 = np.add.reduceat(self.g.take(rows), b[:-1], dtype=np.intp)
-        n1e = np.add.reduceat(ge, be[:-1], dtype=np.intp)
+        n1e = np.add.reduceat(self.ge.take(erows), be[:-1], dtype=np.intp)
+        varies, means, _, scales = _spread(self.y.take(rows), b)
         fewest = np.minimum(np.minimum(n1, n - n1), np.minimum(n1e, ne - n1e))
-        search = (
-            room
-            & (fewest >= 2 * self.m)  # else no cut leaves m of each group on both sides
-            # constant outcomes: every contrast is exactly zero
-            & (np.maximum.reduceat(y, b[:-1]) != np.minimum.reduceat(y, b[:-1]))
-        ).tolist()
-        b, be = b.tolist(), be.tolist()
-        means = [_mean(y[s:e]) if go else 0.0 for s, e, go in zip(b, b[1:], search)]
-        # centering leaves every tau_L - tau_R contrast unchanged but keeps the
-        # prefix-sum arithmetic well conditioned for offset-heavy outcomes
-        yc = y - np.repeat(means, n)
-        scales = np.maximum(np.maximum.reduceat(yc, b[:-1]), -np.minimum.reduceat(yc, b[:-1]))
+        # with fewer, no cut leaves m of each group on both sides
+        search = (room & (fewest >= 2 * self.m) & varies).tolist()
         stats = zip(n1.tolist(), (n - n1).tolist(), n1e.tolist(), (ne - n1e).tolist())
-        out = []
-        for k, (node_rows, go, st) in enumerate(zip(nodes, search, stats)):
-            if go:
-                out.append(_Node(node_rows, _ALL, means[k], float(scales[k]), 1, st))
-            else:
-                g = ge[be[k] : be[k + 1]]
-                out.append(_leaf(g, ~g, self.ye[erows[be[k] : be[k + 1]]]))
-        return out
+        return [
+            _Node(node_rows, _ALL, mean, scale, 1, st) if go else self._leaf(node_rows[1])
+            for node_rows, go, mean, scale, st in zip(nodes, search, means, scales, stats)
+        ]
 
     def leaf(self, node: _Node) -> Leaf:
-        rows = node.rows[1]
+        return self._leaf(node.rows[1])
+
+    def _leaf(self, rows: np.ndarray) -> Leaf:
+        """The leaf of the estimation rows ``rows``."""
         ge = self.ge.take(rows)
         return _leaf(ge, ~ge, self.ye.take(rows))
 
@@ -798,11 +796,14 @@ def _route(nodes: tuple, X: np.ndarray) -> Iterator[tuple]:
         raise ValueError(f"{len(nodes)} nodes end before their tree does")
 
 
-def _leaf_values(nodes: tuple, X: np.ndarray, name: str) -> np.ndarray:
-    """The float field ``name`` of the leaf each row of ``X`` reaches."""
+def _leaf_values(nodes: tuple, X: np.ndarray, name: str, ranks=None) -> np.ndarray:
+    """The float field ``name`` of the leaf each row of ``X`` reaches; with
+    ``ranks``, an (m,) integer array, also fills in each row's leaf rank."""
     out = np.empty(X.shape[0])
-    for _, leaf, rows in _route(nodes, X):
+    for rank, leaf, rows in _route(nodes, X):
         out[rows] = getattr(leaf, name)
+        if ranks is not None:
+            ranks[rows] = rank
     return out
 
 
@@ -848,6 +849,13 @@ class CausalForestSettings:
             raise ValueError(f"subsample_ratio must be in (0, 1], got {self.subsample_ratio}")
 
 
+def forest_member(params: CausalTreeParams, member: int) -> tuple[int, CausalTreeParams]:
+    """The subsample seed and the tree params of a forest's member
+    ``member``: the forest's ``params`` with the member's own derived seed."""
+    sub_seed, fit_seed = derived_seeds(params.seed, 2, (member,))
+    return sub_seed, replace(params, seed=fit_seed)
+
+
 def fit_causal_forest(
     d: Dataset,
     params: CausalTreeParams,
@@ -873,7 +881,7 @@ def fit_causal_forest(
 
     trees = []
     for member in range(n_trees):
-        sub_seed, fit_seed = derived_seeds(params.seed, 2, (member,))
+        sub_seed, member_params = forest_member(params, member)
         rng = np.random.default_rng(sub_seed)
         picked = []
         for g in (0, 1):
@@ -886,7 +894,7 @@ def fit_causal_forest(
             # the rows rng.permutation(rows)[:k] draws, kept in canonical order
             picked.append(rows[np.sort(rng.permutation(rows.size)[:k])])
         sub = d.subset(np.concatenate(picked))
-        trees.append(fit_causal_tree(sub, replace(params, seed=fit_seed)))
+        trees.append(fit_causal_tree(sub, member_params))
     return CausalForest(
         trees=tuple(trees),
         params=params,

@@ -73,7 +73,8 @@ def features_from_xyz(x, y, z) -> np.ndarray:
     meters.  Raises InvalidFeature at the first row with a non-finite
     coordinate, or whose dist overflows (a coordinate beyond about 1e154).
     """
-    xyz = np.column_stack(np.broadcast_arrays(*np.atleast_1d(x, y, z))).astype(np.float64)
+    xyz = np.column_stack(np.broadcast_arrays(*np.atleast_1d(x, y, z)))
+    xyz = xyz.astype(np.float64, copy=False)
     x, y, z = xyz.T
     with np.errstate(over="ignore"):
         dist = np.sqrt(x * x + y * y + z * z)

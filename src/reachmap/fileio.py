@@ -74,17 +74,22 @@ def reject_unknown(obj: dict, known: Iterable[str], path: str, error) -> None:
         raise error(path, f"unknown keys {sorted(unknown)}")
 
 
-def number(obj: dict, key: str, path: str, error) -> float:
-    v = get(obj, key, path, error)
+def finite_number(v: Any, where: str, error) -> float:
+    """``v``, the value at ``where``, as a float: a finite int or float
+    other than a bool; ``error`` otherwise."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise error(f"{path}.{key}", f"expected a number, got {v!r}")
+        raise error(where, f"expected a number, got {v!r}")
     try:
         x = float(v)
     except OverflowError:  # an integer beyond float range
         x = math.inf
     if not math.isfinite(x):  # json.loads accepts NaN and +-Infinity
-        raise error(f"{path}.{key}", f"expected a finite number, got {v!r}")
+        raise error(where, f"expected a finite number, got {v!r}")
     return x
+
+
+def number(obj: dict, key: str, path: str, error) -> float:
+    return finite_number(get(obj, key, path, error), f"{path}.{key}", error)
 
 
 def _exactly(t: type, what: str) -> Callable:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .causal_tree import DifficultyPredictor
-from .domain import Workspace
+from .domain import Workspace, features_from_xyz
 from .errors import (
     InvalidResolution,
     NoLeafIds,
@@ -103,9 +103,7 @@ def build_grid(
 
     z, y, x = (a.ravel() for a in np.meshgrid(zs, ys, xs, indexing="ij"))
     keep = x * x + y * y <= r * r
-    x, y, z = x[keep], y[keep], z[keep]
-    features = np.column_stack([x, y, z, np.sqrt(x * x + y * y + z * z)])
-    return Grid(features, float(resolution), z_slice)
+    return Grid(features_from_xyz(x[keep], y[keep], z[keep]), float(resolution), z_slice)
 
 
 @dataclass(frozen=True)

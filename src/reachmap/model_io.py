@@ -23,9 +23,9 @@ import functools
 import json
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 from operator import attrgetter
-from typing import Any, Callable, Union, get_type_hints
+from typing import Any, Callable, Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .baselines import (
     Regressor,
     RegressorSpec,
     TLearner,
+    side_specs,
 )
 from .causal_tree import (
     CausalForest,
@@ -48,10 +49,11 @@ from .causal_tree import (
     CausalTreeParams,
     Leaf,
     Split,
+    forest_member,
 )
-from .domain import FEATURE_NAMES, derived_seeds
+from .domain import FEATURE_NAMES
 from .errors import MalformedModel
-from .fileio import decode_json, expect_dict, from_fields, get, write_text_atomic
+from .fileio import decode_json, expect_dict, finite_number, from_fields, get, write_text_atomic
 
 FORMAT_VERSION = 1
 
@@ -248,22 +250,6 @@ def _node_path(path: str, chain: tuple) -> str:
     return path + "".join(reversed(steps))
 
 
-def _number(v: Any, where: str) -> float:
-    """``v``, the value of the number field at ``where``, as a float: a
-    finite int or float other than a bool; MalformedModel otherwise."""
-    if v is _ABSENT:
-        raise MalformedModel(where, "missing required field")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise MalformedModel(where, f"expected a number, got {v!r}")
-    try:
-        x = float(v)
-    except OverflowError:  # an integer beyond float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise MalformedModel(where, f"expected a finite number, got {v!r}")
-    return x
-
-
 def _missing(path: str, key: str) -> MalformedModel:
     return MalformedModel(f"{path}.{key}", "missing required field")
 
@@ -303,8 +289,10 @@ def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tu
                         raise _missing(_node_path(path, chain), key)
                     raise MalformedModel(f"{_node_path(path, chain)}.{key}",
                                          f"expected an integer, got {v!r}")
-            elif type(v) is not float or not isfinite(v):
-                v = _number(v, f"{_node_path(path, chain)}.{key}")  # an int is a number too
+            elif type(v) is not float or not isfinite(v):  # an int is a number too
+                if v is _ABSENT:
+                    raise _missing(_node_path(path, chain), key)
+                v = finite_number(v, f"{_node_path(path, chain)}.{key}", MalformedModel)
             values.append(v)
         if kind == "leaf":
             if leaf_cls is Leaf:
@@ -333,7 +321,9 @@ def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tu
     return tuple(nodes)
 
 
-def _tree_from_dict(d: Any, path: str) -> CausalTree:
+def _tree_from_dict(d: Any, path: str, expected: Optional[CausalTreeParams] = None) -> CausalTree:
+    """The causal tree ``d``; a forest's member must have the params
+    ``expected``: the forest's, with the member's seed."""
     d = expect_dict(d, path, MalformedModel)
     names = get(d, "feature_names", path, MalformedModel)
     if names != list(FEATURE_NAMES):
@@ -341,6 +331,9 @@ def _tree_from_dict(d: Any, path: str) -> CausalTree:
                              f"expected {list(FEATURE_NAMES)}, got {names!r}")
     params = from_fields(CausalTreeParams, get(d, "params", path, MalformedModel),
                          f"{path}.params", MalformedModel)
+    if expected is not None and params != expected:
+        raise MalformedModel(f"{path}.params", f"expected {expected}, the forest's params "
+                             "with this member's derived seed")
     root = get(d, "root", path, MalformedModel)
     return CausalTree(_nodes_from_dict(root, f"{path}.root", Leaf, params.max_depth), params)
 
@@ -415,31 +408,22 @@ def model_from_dict(doc: Any) -> Model:
         trees_v = get(doc, "trees", "$", MalformedModel)
         if not isinstance(trees_v, list) or len(trees_v) != ensemble.n_trees:
             raise MalformedModel("$.trees", f"expected a list of {ensemble.n_trees} trees")
-        trees = tuple(_tree_from_dict(t, f"$.trees[{i}]") for i, t in enumerate(trees_v))
-        return CausalForest(
-            trees=trees,
-            params=from_fields(CausalTreeParams, get(doc, "params", "$", MalformedModel),
-                               "$.params", MalformedModel),
-            n_trees=ensemble.n_trees,
-            subsample_ratio=ensemble.subsample_ratio,
-        )
+        params = from_fields(CausalTreeParams, get(doc, "params", "$", MalformedModel),
+                             "$.params", MalformedModel)
+        trees = tuple(_tree_from_dict(t, f"$.trees[{i}]", forest_member(params, i)[1])
+                      for i, t in enumerate(trees_v))
+        return CausalForest(trees, params, ensemble.n_trees, ensemble.subsample_ratio)
 
     if isinstance(kind, str) and kind in _T_KINDS:
         base_kind, spec_cls = _T_KINDS[kind]
         spec = from_fields(spec_cls, get(doc, "spec", "$", MalformedModel), "$.spec",
                            MalformedModel)
-        ctl_seed, ind_seed = derived_seeds(spec.seed, 2)  # as fit_t_learner derives them
-        return TLearner(
-            model_individual=_regressor_from_dict(
-                get(doc, "model_individual", "$", MalformedModel), "$.model_individual",
-                base_kind, replace(spec, seed=ind_seed),
-            ),
-            model_control=_regressor_from_dict(
-                get(doc, "model_control", "$", MalformedModel), "$.model_control",
-                base_kind, replace(spec, seed=ctl_seed),
-            ),
-            spec=spec,
+        ctl_spec, ind_spec = side_specs(spec)
+        ind, ctl = (
+            _regressor_from_dict(get(doc, side, "$", MalformedModel), f"$.{side}", base_kind, s)
+            for side, s in (("model_individual", ind_spec), ("model_control", ctl_spec))
         )
+        return TLearner(ind, ctl, spec)
 
     raise MalformedModel("$.kind", f"unknown model kind {kind!r}")
 

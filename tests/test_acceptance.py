@@ -11,7 +11,6 @@ import statistics
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np

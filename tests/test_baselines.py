@@ -17,7 +17,7 @@ from reachmap import (
 )
 from reachmap.baselines import RegLeaf
 from reachmap.causal_tree import Split
-from reachmap.domain import Dataset, GroupLabel
+from reachmap.domain import Dataset
 from reachmap.errors import EmptyDataset, InsufficientSamples, MissingGroup
 
 

@@ -26,6 +26,7 @@ from reachmap import (
 )
 from reachmap.baselines import _LOCKSTEP, _exact_sse_gain
 from reachmap.causal_tree import _BLOCK_CAP, _exact_effect_gain
+from reachmap.domain import MAX_OUTCOME_S
 
 KINDS = ("causal_tree", "causal_forest", "t_cart", "t_forest")
 
@@ -60,6 +61,22 @@ class TestSameModels:
             kind, d, seed, max_depth=3 + seed, min_leaf=1 + seed,
             n_trees=3 + seed, mtry=1 + seed,
         )
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("shape", ["near_max_outcome", "rounded"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_outcome_shapes(self, kind, shape, seed):
+        # outcomes offset near the bound, which only centring keeps well
+        # conditioned, or on a 0.1 s grid, where outcomes tie and small nodes
+        # are constant
+        rng = np.random.default_rng(20 + seed)
+        d = random_dataset(rng, int(rng.integers(40, 160)), int(rng.integers(40, 160)), effect=0.4)
+        if shape == "near_max_outcome":
+            y = MAX_OUTCOME_S - 10 + 1e-3 * d.outcomes
+        else:
+            y = np.round(d.outcomes, 1)
+        d = Dataset(d.features, d.groups, y)
+        assert_same_model(kind, d, seed, max_depth=4 + seed, min_leaf=1 + seed, n_trees=3, mtry=2)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -9,7 +9,6 @@ from conftest import (
     make_dataset,
     oracle_best_split,
     oracle_route,
-    oracle_two_mean,
     predict_one,
     random_dataset,
     tied_dataset,

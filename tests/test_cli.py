@@ -270,6 +270,22 @@ class TestErrors:
         assert len(err) == 1
         assert err[0].startswith(f"error: MalformedModel: $.model_individual.{edit}:")
 
+    def test_causal_forest_member_params(self, workdir, capsys):
+        data, model = workdir / "d.csv", workdir / "m.json"
+        run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 300, "--n1", 300,
+             "--seed", 3, "--out", data])
+        run(["fit", "--data", data, "--model", "causal_forest", "--n-trees", 3, "--seed", 3,
+             "--out", model])
+        doc = json.loads(model.read_text())
+        doc["trees"][1]["params"].update(max_depth=40, min_group_leaf=999, honest_fraction=0.01,
+                                         seed=0)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["predict", "--model", model, "--x", 0.1, "--y", 0.2, "--z", 0.1]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: MalformedModel: $.trees[1].params: expected ")
+
     def test_malformed_dgp_config(self, workdir, capsys):
         cfg = workdir / "bad.cfg"
         cfg.write_text("effect_preset = haunted\n")

@@ -9,7 +9,6 @@ from conftest import make_dataset, random_dataset
 from reachmap import (
     CartSpec,
     CausalTreeParams,
-    Dataset,
     GroupLabel,
     Workspace,
     dataset_from_csv,

@@ -25,7 +25,7 @@ from reachmap import (
     serialize_model,
 )
 from reachmap.baselines import CartRegressor, ForestRegressor, RegLeaf, TLearner
-from reachmap.causal_tree import Leaf, Split
+from reachmap.causal_tree import Leaf, Split, forest_member
 from reachmap.domain import derived_seeds
 from reachmap.errors import MalformedModel
 from reference_predictors import predict_point
@@ -267,6 +267,16 @@ class TestMalformed:
         with pytest.raises(MalformedModel, match=rf"^\$\.{side}\.spec: expected "):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [("max_depth", 3), ("seed", 0)])
+    def test_forest_member_params_are_the_forest_params_with_its_seed(self, field, value):
+        d = random_dataset(np.random.default_rng(11), 15, 15)
+        forest = fit_causal_forest(d, CausalTreeParams(max_depth=2, min_group_leaf=2, seed=3), 3, 0.9)
+        doc = json.loads(serialize_model(forest))
+        doc["trees"][1]["params"][field] = value
+        with pytest.raises(MalformedModel, match=r"^\$\.trees\[1\]\.params: expected "
+                                                 r"CausalTreeParams\(max_depth=2, "):
+            parse_model(json.dumps(doc))
+
     @pytest.mark.parametrize("kind", ["causal_tree", "t_cart", "t_forest"])
     def test_tree_deeper_than_max_depth(self, kind):
         if kind == "causal_tree":
@@ -342,8 +352,9 @@ def _message_docs() -> dict:
     """A 4-member causal forest and a t_forest of 2 members per side, all
     of depth 3, as the documents ``json.loads`` gives."""
     params = CausalTreeParams(max_depth=3, min_group_leaf=2, seed=0)
-    tree = CausalTree(_shaped_nodes(lambda i: Leaf(0.5 + i, 3, 4, 1.5 + i, 1.0)), params)
-    forest = CausalForest(trees=(tree,) * 4, params=params, n_trees=4, subsample_ratio=0.7)
+    nodes = _shaped_nodes(lambda i: Leaf(0.5 + i, 3, 4, 1.5 + i, 1.0))
+    trees = tuple(CausalTree(nodes, forest_member(params, i)[1]) for i in range(4))
+    forest = CausalForest(trees=trees, params=params, n_trees=4, subsample_ratio=0.7)
     spec = ForestSpec(n_trees=2, max_depth=3, seed=0)
     ctl_seed, ind_seed = derived_seeds(spec.seed, 2)
     members = (_shaped_nodes(lambda i: RegLeaf(1.0 + i, 3)),) * 2
@@ -508,17 +519,18 @@ def tree_depth(nodes: tuple) -> int:
 
 @st.composite
 def random_models(draw, kind: str):
-    """A random model whose spec allows its trees' depth and whose
-    T-learner sides carry the spec with their derived seeds, as the reader
-    requires."""
+    """A random model whose spec allows its trees' depth and whose forest
+    members and T-learner sides carry the params or spec with their derived
+    seeds, as the reader requires."""
     if kind == "causal_tree":
         nodes = draw(preorder_trees(CAUSAL_LEAVES))
         return CausalTree(nodes, CausalTreeParams(max_depth=tree_depth(nodes), seed=0))
     if kind == "causal_forest":
         members = draw(st.lists(preorder_trees(CAUSAL_LEAVES), min_size=1, max_size=2))
         params = CausalTreeParams(max_depth=max(map(tree_depth, members)), seed=0)
-        return CausalForest(tuple(CausalTree(nodes, params) for nodes in members), params,
-                            len(members), 0.7)
+        trees = tuple(CausalTree(nodes, forest_member(params, i)[1])
+                      for i, nodes in enumerate(members))
+        return CausalForest(trees, params, len(members), 0.7)
     n_trees = 1 if kind == "t_cart" else draw(st.integers(1, 2))
     members = st.lists(preorder_trees(REG_LEAVES), min_size=n_trees, max_size=n_trees)
     sides = [draw(members) for _ in range(2)]

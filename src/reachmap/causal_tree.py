@@ -16,6 +16,12 @@ keep at least ``min_group_leaf`` samples of each group in *both* halves, which
 guarantees every leaf effect is well defined without pruning.  Ties break
 toward the lowest feature index, then the lowest threshold; a point exactly at
 a threshold routes right (values < threshold go left).
+
+The estimation half is checked by order statistics, not counts.  Of a
+group's values v_(1) <= ... <= v_(n) in a node, at least m lie below a
+threshold exactly when v_(m) < threshold, and at least m lie at or above it
+exactly when v_(n-m+1) >= threshold: the m-th smallest value and the m-th
+largest bound every admissible threshold.
 """
 
 from __future__ import annotations
@@ -102,23 +108,19 @@ def leaf_estimate(samples: Dataset) -> Leaf:
 
     Requires at least one sample of each group; raises MissingGroup otherwise.
     """
-    groups = samples.groups
-    return _leaf(
-        groups == int(GroupLabel.INDIVIDUAL), groups == int(GroupLabel.CONTROL), samples.outcomes
-    )
+    y, groups = samples.outcomes, samples.groups
+    return _leaf(y[groups == int(GroupLabel.INDIVIDUAL)], y[groups == int(GroupLabel.CONTROL)])
 
 
-def _leaf(ind: np.ndarray, ctl: np.ndarray, y: np.ndarray) -> Leaf:
-    """:func:`leaf_estimate` of the outcomes ``y`` with group masks ``ind`` and ``ctl``."""
-    n_ind = int(np.count_nonzero(ind))
-    n_ctl = int(np.count_nonzero(ctl))
-    if n_ind == 0:
+def _leaf(y_ind: np.ndarray, y_ctl: np.ndarray) -> Leaf:
+    """:func:`leaf_estimate` of the individual outcomes ``y_ind`` and the control ones ``y_ctl``."""
+    if y_ind.size == 0:
         raise MissingGroup("leaf estimate needs Individual samples")
-    if n_ctl == 0:
+    if y_ctl.size == 0:
         raise MissingGroup("leaf estimate needs Control samples")
-    mean_ind = float(_mean(y[ind]))
-    mean_ctl = float(_mean(y[ctl]))
-    return Leaf(mean_ind - mean_ctl, n_ind, n_ctl, mean_ind, mean_ctl)
+    mean_ind = float(_mean(y_ind))
+    mean_ctl = float(_mean(y_ctl))
+    return Leaf(mean_ind - mean_ctl, y_ind.size, y_ctl.size, mean_ind, mean_ctl)
 
 
 @dataclass(frozen=True)
@@ -242,18 +244,9 @@ class _Ranked:
         """The ranks of node rows ``rows`` in column f, or in column ``f[i]`` for row i."""
         return self.ranks.ravel().take(f * self.ranks.shape[1] + self.matrix_rows(rows))
 
-    def value(self, f: int, rows: np.ndarray) -> np.ndarray:
+    def value(self, f, rows: np.ndarray) -> np.ndarray:
+        """The values of node rows ``rows`` in column f, or in column ``f[i]`` for row i."""
         return self.values[self.offsets[f] + self.rank(f, rows)]
-
-    def below(self, features: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        """The count of distinct values below each threshold in the column
-        of its row's feature: ``features`` is (R,), ``thresholds`` (R, ...)."""
-        out = np.empty(thresholds.shape, dtype=np.int64)
-        for f in np.unique(features).tolist():
-            on_f = features == f
-            start = self.offsets[f]
-            out[on_f] = self.values[start : start + self.sizes[f]].searchsorted(thresholds[on_f])
-        return out
 
     def sorted_block(self, rows: list, j: int) -> tuple:
         """The block of the (node, features) ``rows`` over the node rows in
@@ -520,9 +513,7 @@ def _partition(matrices: tuple, forks: list) -> tuple[list, list]:
     for j, m in enumerate(matrices):
         rows, bounds = _concat_rows([node.rows for node, _ in forks], j)
         sizes = np.diff(bounds)
-        # value < threshold exactly when rank < the count of distinct values below it
-        below = m.below(features, thresholds)
-        goes_left = m.rank(np.repeat(features, sizes), rows) < np.repeat(below, sizes)
+        goes_left = m.value(np.repeat(features, sizes), rows) < np.repeat(thresholds, sizes)
         n_left = np.add.reduceat(goes_left, bounds[:-1], dtype=np.intp)
         lo = rows.compress(goes_left)
         hi = rows.compress(~goes_left)
@@ -559,20 +550,23 @@ def _concat_rows(nodes: list, j: int) -> tuple:
 class _EffectSearch:
     """Split search of the honest causal tree over one pair of halves.
 
-    A node has rows in the split half (``matrices[0]``) and the estimation
-    half (``matrices[1]``).  Its stats are its split rows of each group and
-    its estimation rows of each group, individual then control.
+    A node has rows in the split half (``matrices[0]``) and in the
+    estimation half's individual rows (``matrices[1]``) and control rows
+    (``matrices[2]``), each kept in the half's order.  Its stats are its
+    split rows of each group, individual then control.
     """
 
     def __init__(self, split: Dataset, est: Dataset, m: int, max_depth: int):
         self.m = m
         self.max_depth = max_depth
-        self.matrices = (_Ranked.of(split.features), _Ranked.of(est.features))
+        ind = est.groups == int(GroupLabel.INDIVIDUAL)
+        parts = (split.features, est.features[ind], est.features[~ind])
+        self.matrices = tuple(_Ranked.of(X) for X in parts)
         self.g = split.groups == int(GroupLabel.INDIVIDUAL)
         self.y = split.outcomes
-        self.ge = est.groups == int(GroupLabel.INDIVIDUAL)
-        self.ye = est.outcomes
-        self.root = (np.arange(len(split), dtype=np.int32), np.arange(len(est), dtype=np.int32))
+        self.y_ind = est.outcomes[ind]
+        self.y_ctl = est.outcomes[~ind]
+        self.root = tuple(np.arange(X.ranks.shape[1], dtype=np.int32) for X in self.matrices)
 
     def open(self, room: np.ndarray, nodes: list) -> list:
         """A node to search, or a leaf, per tuple of row arrays in ``nodes``.
@@ -581,28 +575,25 @@ class _EffectSearch:
         each group in both halves, and outcomes that are not all equal.
         """
         rows, b = _concat_rows(nodes, 0)
-        erows, be = _concat_rows(nodes, 1)
         n = np.diff(b)
-        ne = np.diff(be)
         n1 = np.add.reduceat(self.g.take(rows), b[:-1], dtype=np.intp)
-        n1e = np.add.reduceat(self.ge.take(erows), be[:-1], dtype=np.intp)
         varies, means, _, scales = _spread(self.y.take(rows), b)
-        fewest = np.minimum(np.minimum(n1, n - n1), np.minimum(n1e, ne - n1e))
+        fewest_est = [min(node[1].size, node[2].size) for node in nodes]
+        fewest = np.minimum(np.minimum(n1, n - n1), fewest_est)
         # with fewer, no cut leaves m of each group on both sides
         search = (room & (fewest >= 2 * self.m) & varies).tolist()
-        stats = zip(n1.tolist(), (n - n1).tolist(), n1e.tolist(), (ne - n1e).tolist())
+        stats = zip(n1.tolist(), (n - n1).tolist())
         return [
-            _Node(node_rows, _ALL, mean, scale, 1, st) if go else self._leaf(node_rows[1])
+            _Node(node_rows, _ALL, mean, scale, 1, st) if go else self._leaf(node_rows)
             for node_rows, go, mean, scale, st in zip(nodes, search, means, scales, stats)
         ]
 
     def leaf(self, node: _Node) -> Leaf:
-        return self._leaf(node.rows[1])
+        return self._leaf(node.rows)
 
-    def _leaf(self, rows: np.ndarray) -> Leaf:
-        """The leaf of the estimation rows ``rows``."""
-        ge = self.ge.take(rows)
-        return _leaf(ge, ~ge, self.ye.take(rows))
+    def _leaf(self, rows: tuple) -> Leaf:
+        """The leaf of a node's row arrays ``rows``: its estimation rows' outcomes."""
+        return _leaf(self.y_ind.take(rows[1]), self.y_ctl.take(rows[2]))
 
     def exact(self, node: _Node, f: int, thr: float) -> Fraction:
         rows = node.rows[0]
@@ -612,11 +603,16 @@ class _EffectSearch:
     def gains(self, rows, ks, lens, ids, fcol, thresholds, distinct):
         """Block scorer of the effect contrast (see the module docstring)."""
         m = self.m
-        n1, n0, n1e, n0e = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
-        # the estimation counts first, while few of the scorer's arrays are alive
-        c1e, c0e = self._estimation_counts(rows, fcol, thresholds)
-        valid = distinct & (c1e >= m) & (n1e - c1e >= m) & (c0e >= m) & (n0e - c0e >= m)
-        del c1e, c0e
+        n1, n0 = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
+        valid = distinct
+        for j in (1, 2):
+            # each estimation group's m-th smallest and m-th largest value
+            # (see the module docstring); a searched node has 2m of each
+            est = self.matrices[j]
+            _, ranks, _, n_g = est.sorted_block(rows, j)
+            at = np.column_stack((np.full(n_g.size, m - 1), n_g - m))
+            bounds = est.values[est.offsets[fcol] + np.take_along_axis(ranks, at, axis=1)]
+            valid = valid & (thresholds > bounds[:, :1]) & (thresholds <= bounds[:, 1:])
 
         gs = self.g.take(ids)
         ys = self.y.take(ids) - _node_columns(rows, ks, "mean")[:, None]
@@ -641,29 +637,6 @@ class _EffectSearch:
         n_r = n - n_l
         gains = (n_l * n_r) / (n * n).astype(np.float64) * (tau_l - tau_r) ** 2
         return np.where(valid, gains, -np.inf)
-
-    def _estimation_counts(self, rows, fcol, thresholds):
-        """Estimation rows of each group, individual then control, with a
-        value below each threshold, by one ``searchsorted`` over the block.
-
-        A value lies below a threshold exactly when its rank lies below the
-        count of distinct values below it.  Ranks ascend along a sorted
-        block row, padding ranks last, and offsetting block row r by r *
-        span makes the whole block one sorted array.
-        """
-        est = self.matrices[1]
-        ids, ranks, _, _ = est.sorted_block(rows, 1)
-        span = int(est.sizes.max()) + 1
-        step = np.arange(len(ranks))[:, None]
-        first = step * ranks.shape[1]
-        below = est.below(fcol[:, 0], thresholds)
-        pos = (ranks + step * span).ravel().searchsorted(below + step * span)
-        del ranks, below
-        # padding sorts after every count, so only a row's own rows are counted
-        ind = np.concatenate(([0], np.cumsum(self.ge.take(ids).ravel())))
-        del ids
-        c1e = ind.take(pos) - ind.take(first)
-        return c1e, pos - first - c1e
 
 
 #: the features a node searches when it draws none

@@ -1,16 +1,15 @@
 """Shared test helpers: random dataset builders and independent oracles.
 
-The oracles here deliberately avoid the library's own code paths: routing and
-means are recomputed with plain Python loops and ``statistics`` functions so
-the production vectorised implementations are checked against a second,
-independently written route.
+The oracles here deliberately avoid the library's own code paths: split
+gains are recomputed in ``Fraction`` arithmetic and routing with plain Python
+loops over the model document, so the production vectorised implementations
+are checked against a second, independently written route.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import statistics
 from fractions import Fraction
 from typing import Optional
 
@@ -100,13 +99,6 @@ def node_tuples(model) -> list[tuple]:
 
 
 # --- independent oracles -------------------------------------------------------
-
-
-def oracle_two_mean(dataset: Dataset) -> float:
-    """Leaf effect recomputed with plain-Python means."""
-    ind = [dataset.outcomes[i] for i in range(len(dataset)) if dataset.groups[i] == 1]
-    ctl = [dataset.outcomes[i] for i in range(len(dataset)) if dataset.groups[i] == 0]
-    return statistics.fmean(ind) - statistics.fmean(ctl)
 
 
 def oracle_best_split(

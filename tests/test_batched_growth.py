@@ -24,8 +24,9 @@ from reachmap import (
     fit_t_learner,
     serialize_model,
 )
+from reachmap import causal_tree
 from reachmap.baselines import _LOCKSTEP, _exact_sse_gain
-from reachmap.causal_tree import _BLOCK_CAP, _exact_effect_gain
+from reachmap.causal_tree import _BLOCK_CAP, Leaf, _EffectSearch, _exact_effect_gain
 from reachmap.domain import MAX_OUTCOME_S
 
 KINDS = ("causal_tree", "causal_forest", "t_cart", "t_forest")
@@ -51,6 +52,37 @@ def assert_same_model(kind, d, seed, max_depth, min_leaf, n_trees=3, mtry=2):
     assert serialize_model(new) == serialize_model(old)
 
 
+def spy_constant_causal_nodes(monkeypatch) -> list:
+    """What the causal search opens from each node that ``causal_tree._spread``
+    finds constant while it has depth to spare and 2m rows of each group in
+    both halves, so that only the constant-outcome rule keeps it from a search.
+
+    The list fills in while the library fits; the reference growers never
+    call the causal search.
+    """
+    found, varies = [], []
+    real_open, real_spread = _EffectSearch.open, causal_tree._spread
+
+    def spread(y, b):
+        out = real_spread(y, b)
+        varies.append(out[0])
+        return out
+
+    def open_(search, room, nodes):
+        opened = real_open(search, room, nodes)
+        for node, spare, vary, out in zip(nodes, room, varies.pop(), opened):
+            g = search.g.take(node[0])
+            n1 = int(np.count_nonzero(g))
+            fewest = min(n1, g.size - n1, node[1].size, node[2].size)
+            if spare and not vary and fewest >= 2 * search.m:
+                found.append(out)
+        return opened
+
+    monkeypatch.setattr(causal_tree, "_spread", spread)
+    monkeypatch.setattr(_EffectSearch, "open", open_)
+    return found
+
+
 class TestSameModels:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", KINDS)
@@ -63,20 +95,27 @@ class TestSameModels:
         )
 
     @pytest.mark.parametrize("seed", range(2))
-    @pytest.mark.parametrize("shape", ["near_max_outcome", "rounded"])
+    @pytest.mark.parametrize("shape", ["near_max_outcome", "rounded", "constant_region"])
     @pytest.mark.parametrize("kind", KINDS)
-    def test_outcome_shapes(self, kind, shape, seed):
+    def test_outcome_shapes(self, kind, shape, seed, monkeypatch):
         # outcomes offset near the bound, which only centring keeps well
-        # conditioned, or on a 0.1 s grid, where outcomes tie and small nodes
-        # are constant
+        # conditioned; on a 0.1 s grid, where outcomes tie and small nodes
+        # are constant; or three values, one of them on all of x < 0 and an
+        # effect on x >= 0, where causal nodes large enough to search are
+        # constant
         rng = np.random.default_rng(20 + seed)
         d = random_dataset(rng, int(rng.integers(40, 160)), int(rng.integers(40, 160)), effect=0.4)
         if shape == "near_max_outcome":
             y = MAX_OUTCOME_S - 10 + 1e-3 * d.outcomes
-        else:
+        elif shape == "rounded":
             y = np.round(d.outcomes, 1)
+        else:
+            y = np.where(d.features[:, 0] < 0, 2.0, np.where(d.groups == 1, 3.0, 2.5))
         d = Dataset(d.features, d.groups, y)
+        constant = spy_constant_causal_nodes(monkeypatch)
         assert_same_model(kind, d, seed, max_depth=4 + seed, min_leaf=1 + seed, n_trees=3, mtry=2)
+        if shape == "constant_region" and kind.startswith("causal"):
+            assert constant and all(isinstance(node, Leaf) for node in constant)
 
     @settings(max_examples=25, deadline=None)
     @given(

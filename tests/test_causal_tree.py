@@ -60,6 +60,20 @@ def traced_dataset(repeat=1):
     )
 
 
+def assert_oracle_split(split_d, est_d, m):
+    """``best_split`` agrees with the exhaustive exact-arithmetic oracle;
+    returns the oracle's pick."""
+    got = best_split(split_d, est_d, CausalTreeParams(min_group_leaf=m, seed=0))
+    want = oracle_best_split(split_d, est_d, m)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.feature_index, got.threshold) == (want[0], want[1])
+        assert got.gain == pytest.approx(want[2], abs=1e-12)
+    return want
+
+
 class TestLeafEstimate:
     def test_two_mean_arithmetic(self):
         d = two_group([1.2, 1.4], [1.0, 1.1, 0.9])
@@ -127,14 +141,34 @@ class TestBestSplit:
         m = int(rng.integers(1, 3))
         split_d = random_dataset(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         est_d = random_dataset(rng, int(rng.integers(2, 9)), int(rng.integers(2, 9)))
-        got = best_split(split_d, est_d, CausalTreeParams(min_group_leaf=m, seed=0))
-        want = oracle_best_split(split_d, est_d, m)
-        if want is None:
-            assert got is None
+        assert_oracle_split(split_d, est_d, m)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("group", [0, 1])
+    @pytest.mark.parametrize("position", ["mth_smallest", "mth_largest"])
+    def test_estimation_values_on_the_threshold(self, position, group, m):
+        # split half: candidates at x = 0.25, 0.5 and 0.75, and the cut at
+        # 0.5 has the best gain; estimation values sit exactly on them
+        x = [0.125, 0.375, 0.625, 0.875] * (2 * m)
+        g = [1] * (4 * m) + [0] * (4 * m)
+        split_d = make_dataset(
+            [[v, 0, 0, v] for v in x], g, [1.0, 1.0, 2.0, 2.0] * m + [1.0] * (4 * m)
+        )
+        if position == "mth_smallest":
+            # m - 1 values below 0.5 and the m-th smallest, tied, on it: the
+            # cut leaves m - 1 on the left, and so does the one at 0.25
+            own = [0.0] * (m - 1) + [0.5, 0.5] + [1.0] * m
+            expected = 0.75
         else:
-            assert got is not None
-            assert (got.feature_index, got.threshold) == (want[0], want[1])
-            assert got.gain == pytest.approx(want[2], abs=1e-12)
+            # the m-th largest on 0.5, tied above it when m > 1: the cut
+            # leaves exactly m at or above it
+            own = [0.0] * m + [0.5] * min(m, 2) + [1.0] * max(m - 2, 0)
+            expected = 0.5
+        other = [0.0] * m + [1.0] * m
+        ind, ctl = (own, other) if group == 1 else (other, own)
+        groups = [1] * len(ind) + [0] * len(ctl)
+        est_d = make_dataset([[v, 0, 0, v] for v in ind + ctl], groups, [1.0] * len(groups))
+        assert assert_oracle_split(split_d, est_d, m)[:2] == (0, expected)
 
     @given(
         tied_dataset(st.integers(2, 8), st.integers(2, 8)),
@@ -143,14 +177,7 @@ class TestBestSplit:
     )
     @settings(max_examples=60, deadline=None)
     def test_tied_inputs_match_exhaustive_enumeration(self, split_d, est_d, m):
-        got = best_split(split_d, est_d, CausalTreeParams(min_group_leaf=m, seed=0))
-        want = oracle_best_split(split_d, est_d, m)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got.feature_index, got.threshold) == (want[0], want[1])
-            assert got.gain == pytest.approx(want[2], abs=1e-12)
+        assert_oracle_split(split_d, est_d, m)
 
 
 class TestFitCausalTree:

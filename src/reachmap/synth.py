@@ -26,6 +26,7 @@ clamp is identical across groups.  Points are (m, 4) feature rows in
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -143,15 +144,9 @@ def baseline_time(spec: DgpSpec, X: np.ndarray) -> np.ndarray:
     return b.a + b.b * _each(math.log2, 1.0 + X[:, 3] / b.w)
 
 
-def _draw_point(ws: Workspace, rng: np.random.Generator) -> tuple[float, float, float]:
-    """Uniform draw (x, y, z) from the half-cylinder, rejection-sampling (x, y) in its bounding box."""
-    r = ws.radius
-    while True:
-        x = rng.uniform(-r, r)
-        y = rng.uniform(0.0, r)
-        if x * x + y * y <= r * r:
-            break
-    return x, y, rng.uniform(0.0, ws.height)
+#: points _draw_features collects in Python before copying them into its
+#: arrays, so that its extra memory is one chunk's, not the whole draw's
+_DRAW_CHUNK = 4096
 
 
 def _draw_features(
@@ -159,16 +154,35 @@ def _draw_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` uniform draws from the half-cylinder as (n, 4) feature rows.
 
-    With ``noise_sigma``, each point's draws are followed by its sample's
-    Normal(0, noise_sigma^2) noise draw.  Returns the rows and the (n,) noise,
-    which is empty without ``noise_sigma``.
+    Each point rejection-samples (x, y) in the semicircle's bounding box, then
+    draws z.  With ``noise_sigma``, each point's draws are followed by its
+    sample's Normal(0, noise_sigma^2) noise draw.  Returns the rows and the
+    (n,) noise, which is empty without ``noise_sigma``.
+
+    Draws use numpy's own formulas, ``uniform(lo, hi) == lo + (hi - lo) *
+    random()`` and ``normal(0, s) == 0.0 + s * standard_normal()``, which take
+    the same values from the stream without ``uniform``'s and ``normal``'s
+    per-call argument handling.
     """
+    r, h = ws.radius, ws.height
+    x_span, rr = r - -r, r * r  # uniform(-r, r)'s hi - lo; uniform(0, v)'s is v
+    unit, std_normal = rng.random, rng.standard_normal
     feats = np.empty((n, 4))
     noise = np.empty(0 if noise_sigma is None else n)
-    for i in range(n):
-        feats[i, :3] = _draw_point(ws, rng)
-        if noise_sigma is not None:
-            noise[i] = rng.normal(0.0, noise_sigma)
+    for lo in range(0, n, _DRAW_CHUNK):
+        xyz, eps = array("d"), array("d")
+        for _ in range(min(_DRAW_CHUNK, n - lo)):
+            while True:
+                x = -r + x_span * unit()
+                y = 0.0 + r * unit()
+                if x * x + y * y <= rr:
+                    break
+            xyz.extend((x, y, 0.0 + h * unit()))
+            if noise_sigma is not None:
+                eps.append(0.0 + noise_sigma * std_normal())
+        hi = lo + len(xyz) // 3
+        feats[lo:hi, :3] = np.frombuffer(xyz).reshape(-1, 3)
+        noise[lo:hi] = eps  # an empty slice without noise_sigma
     x, y, z = feats[:, 0], feats[:, 1], feats[:, 2]
     feats[:, 3] = np.sqrt(x * x + y * y + z * z)  # features_from_xyz's dist, in place
     return feats, noise

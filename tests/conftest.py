@@ -1,4 +1,5 @@
-"""Shared test helpers: random dataset builders and independent oracles.
+"""Shared test helpers: random dataset builders, dataset CSV mutations and
+independent oracles.
 
 The oracles here deliberately avoid the library's own code paths: split
 gains are recomputed in ``Fraction`` arithmetic and routing with plain Python
@@ -68,6 +69,55 @@ def tied_dataset(draw, n_control: st.SearchStrategy, n_individual: st.SearchStra
     feats = np.column_stack([a, a, 0.3 - a, b])[:, perm]
     outcomes = draw(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=n, max_size=n))
     return make_dataset(feats, [0] * n_control + [1] * n_individual, outcomes)
+
+
+def _set_cell(j: int, fmt: str):
+    """A row edit that replaces cell ``j`` with ``fmt`` formatted with the old cell."""
+    return lambda cells: cells[:j] + [fmt.format(cells[j])] + cells[j + 1:]
+
+
+#: one fault or alternative spelling per kind, applied to one data row's
+#: cells; every kind the row parser reads apart from the plain form
+_ROW_EDITS = {
+    "quoted": _set_cell(0, '"{}"'),
+    "quoted_newline": _set_cell(5, '"{}\n"'),
+    "blank": _set_cell(1, ""),
+    "spaces": _set_cell(2, " {} "),
+    "underscore": _set_cell(5, "1_0"),
+    "nan": _set_cell(0, "nan"),
+    "inf": _set_cell(3, "-Infinity"),
+    "group_float": _set_cell(4, "1.0"),
+    "five_fields": lambda cells: cells[:5],
+    "seven_fields": lambda cells: cells + cells[-1:],
+    "blank_line": lambda cells: ["\n" + cells[0]] + cells[1:],
+    "long_cell": _set_cell(0, "0." + "1" * 131_072),
+    "nul": _set_cell(1, "{}\x00"),
+}
+
+#: mutations of the whole text
+_TEXT_EDITS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "bom": lambda text: "\ufeff" + text,
+    "no_final_newline": lambda text: text.rstrip("\n"),
+}
+
+#: every kind ``mutate_csv`` knows
+CSV_MUTATIONS = (*_ROW_EDITS, *_TEXT_EDITS, "invalid_utf8")
+
+
+def mutate_csv(text: str, kind: str, row: int) -> bytes:
+    """The dataset CSV ``text`` with the mutation ``kind`` of CSV_MUTATIONS,
+    at data row ``row`` where it edits one row, as UTF-8 file bytes."""
+    if kind in _TEXT_EDITS:
+        return _TEXT_EDITS[kind](text).encode("utf-8")
+    lines = text.split("\n")
+    if kind == "invalid_utf8":
+        return "\n".join(lines[:row + 1]).encode("utf-8") + b"\n\xff" + "\n".join(
+            lines[row + 1:]
+        ).encode("utf-8")
+    lines[row + 1] = ",".join(_ROW_EDITS[kind](lines[row + 1].split(",")))
+    return "\n".join(lines).encode("utf-8")
 
 
 def predict_one(model, row):

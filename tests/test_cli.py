@@ -1,11 +1,13 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from reachmap import dataset_to_csv, load_dataset_csv, load_model
 from reachmap.cli import main, parse_args
-from conftest import random_dataset
+from conftest import CSV_MUTATIONS, mutate_csv, random_dataset
 
 REGIONAL_CFG = "effect_preset = regional\nnoise_sigma = 0.1\n"
 
@@ -537,6 +539,57 @@ class TestDeterminism:
              "--out", workdir / "m.json"])
         assert data.read_bytes() == before
         assert (workdir / "regional.cfg").read_text() == REGIONAL_CFG
+
+
+class TestDatasetInput:
+    #: the mutations whose file the row parser accepts
+    ACCEPTED = {
+        "quoted", "quoted_newline", "spaces", "underscore", "crlf", "cr", "no_final_newline",
+    }
+
+    @pytest.mark.parametrize("kind", CSV_MUTATIONS)
+    def test_mutated_dataset_exits_cleanly(self, workdir, capsys, kind):
+        text = dataset_to_csv(random_dataset(np.random.default_rng(5), 40, 40, effect=0.4))
+        data = workdir / "d.csv"
+        data.write_bytes(mutate_csv(text, kind, 20))
+        code = run(["fit", "--data", data, "--model", "causal_tree", "--seed", 1,
+                    "--out", workdir / "m.json"])
+        out, err = capsys.readouterr()
+        assert code == (0 if kind in self.ACCEPTED else 1)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ")
+            assert "\n" not in err.strip()
+        assert "Traceback" not in out + err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_dataset_from_a_fifo_fits_as_the_file(self, workdir, ending):
+        # a pipe cannot seek, so it must go straight to the row parser: a
+        # CRLF text leaves the strict form at its header, and falling back
+        # from there would rewind
+        text = dataset_to_csv(random_dataset(np.random.default_rng(6), 1500, 1500, effect=0.4))
+        raw = text.replace("\n", ending).encode()
+        data, fifo = workdir / "d.csv", workdir / "d.fifo"
+        data.write_bytes(raw)
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(raw)
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            assert run(["fit", "--data", fifo, "--model", "causal_tree", "--seed", 2,
+                        "--out", workdir / "fifo.json"]) == 0
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert run(["fit", "--data", data, "--model", "causal_tree", "--seed", 2,
+                    "--out", workdir / "file.json"]) == 0
+        assert (workdir / "fifo.json").read_bytes() == (workdir / "file.json").read_bytes()
 
 
 class TestArgumentValidation:

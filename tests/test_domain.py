@@ -1,11 +1,13 @@
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dataset
+from conftest import CSV_MUTATIONS, make_dataset, mutate_csv, random_dataset
 from reachmap import (
     CartSpec,
     CausalTreeParams,
@@ -21,13 +23,21 @@ from reachmap import (
     stratified_honest_split,
     validate_dataset,
 )
-from reachmap.domain import MAX_OUTCOME_S, canonical_order, derived_seeds
+from reachmap import domain
+from reachmap.domain import (
+    MAX_OUTCOME_S,
+    _parse_csv,
+    _parse_strict,
+    canonical_order,
+    derived_seeds,
+)
 from reachmap.errors import (
     DegenerateSplit,
     EmptyDataset,
     InvalidFeature,
     InvalidSample,
     MissingGroup,
+    ReachmapError,
 )
 from reachmap.fileio import write_chunks_atomic
 
@@ -355,3 +365,124 @@ class TestCsv:
     def test_empty_body_rejected(self):
         with pytest.raises(EmptyDataset):
             dataset_from_csv("x_m,y_m,z_m,dist_m,group,time_s\n")
+
+
+def _outcome(read):
+    """What ``read()`` gives: the Dataset's dtypes and bits, or the error's
+    type, index and message."""
+    try:
+        d = read()
+    except (ReachmapError, ValueError) as e:
+        return type(e), getattr(e, "index", None), str(e)
+    return tuple((a.dtype, a.shape, a.tobytes()) for a in (d.features, d.groups, d.outcomes))
+
+
+def _row_parsed_text(text):
+    return _outcome(lambda: _parse_csv(io.StringIO(text, newline="")))
+
+
+def _row_parsed_file(path):
+    def read():
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            return _parse_csv(f)
+
+    return _outcome(read)
+
+
+def _assert_readers_agree(data: bytes, path):
+    """load_dataset_csv of the file ``data`` and, when it is UTF-8,
+    dataset_from_csv of its text give what the row parser gives alone."""
+    path.write_bytes(data)
+    assert _outcome(lambda: load_dataset_csv(path)) == _row_parsed_file(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    assert _outcome(lambda: dataset_from_csv(text)) == _row_parsed_text(text)
+
+
+#: cell spellings of a float: dataset_to_csv's repr and three it never writes
+_SPELLINGS = (repr, "{:.17g}".format, "{:.17e}".format, "{:.6E}".format)
+
+_csv_value = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def csv_text(draw):
+    """A dataset CSV text in strict form: dataset_to_csv's output, with each
+    number cell respelled in one of _SPELLINGS."""
+    n = draw(st.integers(1, 12))
+    groups = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    values = draw(st.lists(_csv_value, min_size=5 * n, max_size=5 * n))
+    d = make_dataset(
+        [v for i in range(n) for v in values[5 * i:5 * i + 4]], groups, values[4::5]
+    )
+    lines = dataset_to_csv(d).split("\n")
+    for i in range(1, n + 1):
+        cells = lines[i].split(",")
+        for j in (0, 1, 2, 3, 5):
+            cells[j] = draw(st.sampled_from(_SPELLINGS))(float(cells[j]))
+        lines[i] = ",".join(cells)
+    return "\n".join(lines)
+
+
+class TestCsvFastLane:
+    """load_dataset_csv and dataset_from_csv read a text in strict form a chunk
+    at a time; every text gives the Dataset bits, or the error type, index and
+    message, of the row parser alone."""
+
+    @given(text=csv_text(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_texts_read_as_the_row_parser_reads_them(self, tmp_path_factory, text, data):
+        kind = data.draw(st.sampled_from((None, *CSV_MUTATIONS)))
+        row = data.draw(st.integers(0, text.count("\n") - 2))
+        raw = text.encode("utf-8") if kind is None else mutate_csv(text, kind, row)
+        chunk = data.draw(st.sampled_from([1, 40, 200, domain._STRICT_CHUNK]))
+        with mock.patch.object(domain, "_STRICT_CHUNK", chunk):
+            if kind is None:  # the fast lane takes the strict form
+                assert _parse_strict(io.StringIO(text, newline="")) is not None
+            _assert_readers_agree(raw, tmp_path_factory.mktemp("csv") / "d.csv")
+
+    #: mutations that keep the text in strict form: float() reads " 1.5 " and
+    #: "1_0", and the last line may lack its LF
+    STRICT = {"spaces", "underscore", "no_final_newline"}
+
+    @pytest.mark.parametrize("kind", sorted(set(CSV_MUTATIONS) - STRICT))
+    def test_other_forms_leave_the_fast_lane(self, tmp_path, kind):
+        text = dataset_to_csv(random_dataset(np.random.default_rng(30), 20, 20))
+        path = tmp_path / "d.csv"
+        path.write_bytes(mutate_csv(text, kind, 10))
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            assert _parse_strict(f) is None
+
+    def test_a_lone_cr_ends_a_row(self, tmp_path):
+        # the row parser ends row 1 at the CR, with a blank last cell; split
+        # at commas and LFs alone, "\r0.2" would parse and the rows would
+        # lose their alignment
+        text = (
+            "x_m,y_m,z_m,dist_m,group,time_s\n"
+            "0.1,0.1,0.1,0.2,0,1.5\n"
+            "0.1,0.1,0.1,0.2,1,\r0.2,0.2,0.2,0.3,1,1\n"
+        )
+        with pytest.raises(InvalidSample, match="blank field") as exc:
+            dataset_from_csv(text)
+        assert exc.value.index == 1
+        _assert_readers_agree(text.encode("utf-8"), tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("kind", CSV_MUTATIONS)
+    def test_a_fault_in_a_later_chunk(self, tmp_path, kind):
+        text = dataset_to_csv(random_dataset(np.random.default_rng(31), 3000, 2000))
+        row = 4990
+        assert text.index(text.split("\n")[row + 1]) > domain._STRICT_CHUNK  # past the first chunk
+        _assert_readers_agree(mutate_csv(text, kind, row), tmp_path / "d.csv")
+
+    def test_a_long_strict_text_takes_the_fast_lane(self, tmp_path):
+        d = random_dataset(np.random.default_rng(32), 3000, 2000)
+        text = dataset_to_csv(d)
+        assert len(text) > domain._STRICT_CHUNK  # two chunks
+        assert _parse_strict(io.StringIO(text, newline="")) is not None
+        _assert_readers_agree(text.encode("utf-8"), tmp_path / "d.csv")
+        assert load_dataset_csv(tmp_path / "d.csv").outcomes.tobytes() == d.outcomes.tobytes()

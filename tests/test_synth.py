@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachmap import (
     BaselineParams,
@@ -19,7 +21,8 @@ from reachmap import (
 )
 from reachmap.domain import Dataset
 from reachmap.errors import MalformedConfig, OutOfWorkspace
-from reachmap.synth import MAX_GROUP_SAMPLES, _draw_features, _draw_point
+from reachmap.synth import MAX_GROUP_SAMPLES, MAX_WORKSPACE_M, _draw_features
+from reference_synth import draw_features as reference_draw_features
 
 
 def dgp(preset=EffectPreset.NULL, **kw):
@@ -41,18 +44,59 @@ class TestSampleWorkspacePoint:
         assert len({tuple(row) for row in a[:, :3].tolist()}) == 10  # sequence advances
 
     def test_rejected_candidate_is_retried(self):
-        # scripted draws: (0.25, 0.25) violates x^2 + y^2 <= 0.09 and must be
-        # discarded; the next (x, y) pair is accepted, then z is drawn
+        # scripted unit draws: x = -0.3 + 0.6 * u and y = 0.3 * u put (0.75,
+        # 0.9) at (0.15, 0.27), outside x^2 + y^2 <= 0.09, so that pair is
+        # discarded; the next pair is accepted, then z = 0.4 * u is drawn,
+        # then the noise
         class Scripted:
-            def __init__(self, values):
-                self.values = list(values)
+            def __init__(self, units, normals):
+                self.units, self.normals = list(units), list(normals)
 
-            def uniform(self, lo, hi):
-                return self.values.pop(0)
+            def random(self):
+                return self.units.pop(0)
+
+            def standard_normal(self):
+                return self.normals.pop(0)
 
         ws = Workspace()
-        assert not ws.contains(features_from_xyz(0.25, 0.25, 0.1))[0]
-        assert _draw_point(ws, Scripted([0.25, 0.25, -0.1, 0.2, 0.3])) == (-0.1, 0.2, 0.3)
+        assert not ws.contains(features_from_xyz(-0.3 + 0.6 * 0.75, 0.3 * 0.9, 0.1))[0]
+        rng = Scripted([0.75, 0.9, 0.5, 0.5, 0.25], [-1.5])
+        X, noise = _draw_features(ws, rng, 1, noise_sigma=2.0)
+        assert X[0, :3].tolist() == [0.0, 0.15, 0.1]
+        assert noise.tolist() == [-3.0]
+        assert rng.units == [] and rng.normals == []
+
+    @given(
+        radius=st.floats(1e-3, MAX_WORKSPACE_M),
+        height=st.floats(1e-3, MAX_WORKSPACE_M),
+        sigma=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1e3)),
+        n=st.integers(1, 2000),
+        seed=st.integers(0, 2**63),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_draws_match_the_uniform_and_normal_reference(self, radius, height, sigma, n, seed):
+        ws = Workspace(radius, height)
+        X, noise = _draw_features(ws, np.random.default_rng(seed), n, sigma)
+        X_ref, noise_ref = reference_draw_features(ws, np.random.default_rng(seed), n, sigma)
+        assert X.tobytes() == X_ref.tobytes()
+        assert noise.tobytes() == noise_ref.tobytes()
+
+    def test_numpy_uniform_and_normal_formulas(self):
+        # _draw_features relies on these two identities of numpy's samplers;
+        # a numpy whose formulas differ must fail here, not drift silently
+        def bits(values):
+            return np.array(values, dtype=np.float64).tobytes()
+
+        n = 100_000
+        lo, hi, s = -0.3, 0.3, 0.15
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        assert bits([a.uniform(lo, hi) for _ in range(n)]) == bits(
+            [lo + (hi - lo) * b.random() for _ in range(n)]
+        )
+        assert bits([a.normal(0.0, s) for _ in range(n)]) == bits(
+            [0.0 + s * b.standard_normal() for _ in range(n)]
+        )
+        assert a.random() == b.random()  # both consumed the same stream
 
 
 def rows(*points):

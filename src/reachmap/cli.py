@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,8 +40,23 @@ from .model_io import load_model, save_model
 from .synth import generate_dataset, load_dgp_config, save_dgp_config
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads a token starting ``-<digit>``, ``-.<digit>``,
+    ``-inf`` or ``-nan`` as a value, so ``--x -1e-3`` parses like
+    ``--x -0.001`` and ``--x -inf`` meets the finite-value check.
+
+    Python 3.11's argparse takes only ``-<digits>`` and ``-<digits>.<digits>``
+    for negative numbers and reads other such tokens as unknown flags; no
+    reachmap flag looks like a number.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reachmap",
         description=(
             "Personalized reaching-task difficulty: synthetic data generation, "

@@ -79,7 +79,11 @@ def workdir(tmp_path):
 
 
 def run(args):
-    return main([str(a) for a in args])
+    """``main``'s return code, or the code of the ``SystemExit`` a usage error raises."""
+    try:
+        return main([str(a) for a in args])
+    except SystemExit as e:
+        return e.code
 
 
 class TestPipeline:
@@ -620,3 +624,114 @@ class TestArgumentValidation:
                     "--max-depth", -2, "--seed", 1, "--out", workdir / "m.json"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: InvalidValue:")
+
+
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A 60 + 60 regional dataset and a causal tree fitted on it."""
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "regional.cfg").write_text(REGIONAL_CFG)
+    assert run(["gen", "--dgp", d / "regional.cfg", "--n0", 60, "--n1", 60,
+                      "--seed", 1, "--out", d / "d.csv"]) == 0
+    assert run(["fit", "--data", d / "d.csv", "--model", "causal_tree",
+                      "--seed", 2, "--out", d / "m.json"]) == 0
+    return d
+
+
+#: (command, flags, exit code).  ``gen`` draws 60 individual samples, ``fit``
+#: reads the 60 + 60 dataset, ``predict`` queries (0, 0.1, 0.2) unless the
+#: flags move it and ``map`` writes a CSV of the 0.2 m slice at 0.05 m unless
+#: the flags say otherwise; a later flag overrides an earlier one.
+FLAG_CASES = [
+    ("fit", "--model t_knn --k 0", 1),
+    ("fit", "--model t_knn --k -1", 1),
+    ("fit", "--model t_knn --k 1e9", 2),
+    ("fit", "--model t_knn --k 1000", 0),
+    ("fit", "--model causal_tree --max-depth -1", 1),
+    ("fit", "--model causal_tree --max-depth 0", 0),
+    ("fit", "--model causal_tree --max-depth 100000", 0),
+    ("fit", "--model t_cart --max-depth -1", 1),
+    ("fit", "--model t_cart --max-depth 100000 --min-leaf 1", 0),
+    ("fit", "--model causal_forest --n-trees 0", 1),
+    ("fit", "--model causal_forest --n-trees 1001", 1),
+    ("fit", "--model causal_forest --n-trees 1e8", 2),
+    ("fit", "--model t_forest --n-trees 0", 1),
+    ("fit", "--model t_forest --n-trees 1001", 1),
+    ("fit", "--model t_forest --n-trees -1", 1),
+    ("fit", "--model causal_tree --honest-fraction 0", 1),
+    ("fit", "--model causal_tree --honest-fraction 1", 1),
+    ("fit", "--model causal_tree --honest-fraction 1e-300", 1),
+    ("fit", "--model causal_tree --honest-fraction -1e-3", 1),
+    ("fit", "--model causal_tree --honest-fraction 5e-1", 0),
+    ("fit", "--model causal_forest --subsample-ratio 1e-300", 1),
+    ("fit", "--model causal_forest --subsample-ratio -1e-3", 1),
+    ("fit", "--model causal_forest --subsample-ratio 1.5", 1),
+    ("fit", "--model causal_tree --min-group-leaf 0", 1),
+    ("fit", "--model causal_tree --min-group-leaf 1000000", 1),
+    ("fit", "--model t_forest --features-per-split 0", 1),
+    ("fit", "--model t_forest --features-per-split 5", 1),
+    ("fit", "--model causal_tree --seed -5", 1),
+    ("fit", f"--model causal_tree --seed {2**70}", 0),
+    ("fit", "--model causal_tree --seed 1.5", 2),
+    ("predict", "--x 1e308", 1),
+    ("predict", "--x -1e308", 1),
+    ("predict", "--x 1e200", 1),
+    ("predict", "--x 1e400", 2),
+    ("predict", "--x -1e-3", 0),
+    ("predict", "--y -1E+2", 0),
+    ("predict", "--z -.5", 0),
+    ("predict", "--x --y 0.1", 2),
+    ("predict", "--x -inf", 2),
+    ("predict", "--z -NaN", 2),
+    ("predict", "--x -1e-3x", 2),
+    ("map", "--resolution 0", 1),
+    ("map", "--resolution 1e-9", 1),
+    ("map", "--resolution 0.3", 1),
+    ("map", "--resolution 0.29", 0),
+    ("map", "--resolution 1e308", 1),
+    ("map", "--resolution -1e-3", 1),
+    ("map", "--z-slice -1e-3", 1),
+    ("map", "--z-slice 1e308", 1),
+    ("gen", "--n0 0", 1),
+    ("gen", "--n0 -1", 1),
+    ("gen", "--n0 1000001", 1),
+    ("gen", "--n0 1e3", 2),
+    ("gen", "--seed -5", 1),
+    ("gen", f"--seed {2**70}", 0),
+]
+
+
+@pytest.mark.parametrize("command,flags,code", FLAG_CASES,
+                         ids=[f"{c} {f}" for c, f, _ in FLAG_CASES])
+def test_flag_values_exit_cleanly(fitted, tmp_path, capsys, command, flags, code):
+    """Every flag value ends in exit 0, 1 or 2 with no traceback, at most one
+    ``error:`` line and, on failure, nothing on stdout."""
+    base = {
+        "gen": ["--dgp", fitted / "regional.cfg", "--n0", 60, "--n1", 60, "--seed", 3,
+                "--out", tmp_path / "d.csv"],
+        "fit": ["--data", fitted / "d.csv", "--seed", 4, "--out", tmp_path / "m.json"],
+        "predict": ["--model", fitted / "m.json", "--x", 0, "--y", 0.1, "--z", 0.2],
+        "map": ["--model", fitted / "m.json", "--z-slice", 0.2, "--out-csv", tmp_path / "m.csv"],
+    }[command]
+    capsys.readouterr()
+    assert run([command, *base, *flags.split()]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == (code != 0)
+    assert (out == "") == (code != 0)
+
+
+def test_negative_numbers_in_exponent_form(fitted, capsys):
+    """``-1e-3`` is the number ``-0.001`` for every float flag, not a flag name."""
+    def predict(x):
+        capsys.readouterr()
+        assert run(["predict", "--model", fitted / "m.json", "--x", x,
+                          "--y", 0.1, "--z", 0.2]) == 0
+        return capsys.readouterr().out
+
+    assert predict("-1e-3") == predict("-0.001") == predict("-1E-3") == predict("-.1e-2")
+    assert run(["map", "--model", fitted / "m.json", "--z-slice", "-1e-3",
+                      "--out-csv", fitted / "never.csv"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: SliceOutOfRange:") and err.count("\n") == 1
+    assert not (fitted / "never.csv").exists()

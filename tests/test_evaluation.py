@@ -14,7 +14,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import reachmap
+import reachmap.cli
 from reachmap import (
     BenchConfig,
     DgpSpec,
@@ -187,15 +187,65 @@ class TestPairedTTest:
         assert np.float64(paired_t_test(a, b)).tobytes() == np.float64(want).tobytes()
 
 
-def test_cli_import_loads_no_heavy_scipy():
-    """The CLI needs only scipy.special; scipy.stats pulls in hundreds of modules."""
+#: Run in a fresh interpreter by ``test_only_bench_loads_scipy`` with the
+#: work directory as its argument: prints the loaded ``scipy`` modules after
+#: the imports, then after gen, fit, predict and map through ``cli.main``, and
+#: whether ``scipy.special`` is loaded after a bench.
+ONLY_BENCH_LOADS_SCIPY = """
+import contextlib, io, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import reachmap
+import reachmap.cli
+print("loaded:", scipy_modules())
+d = sys.argv[1] + "/"
+kinds = ("causal_tree", "causal_forest", "t_knn")
+commands = [
+    ["gen", "--dgp", d + "regional.cfg", "--n0", "60", "--n1", "60", "--seed", "1",
+     "--out", d + "d.csv"],
+    *(["fit", "--data", d + "d.csv", "--model", k, "--seed", "2", "--out", d + k + ".json"]
+      for k in kinds),
+    *(["predict", "--model", d + k + ".json", "--x", "0.1", "--y", "0.1", "--z", "0.2"]
+      for k in kinds),
+    ["map", "--model", d + "causal_forest.json", "--z-slice", "0.1", "--out-svg", d + "m.svg",
+     "--out-csv", d + "m.csv"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in commands:
+        assert reachmap.cli.main(argv) == 0, argv
+print("loaded:", scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    bench = ["bench", "--config", d + "bench.json", "--out", d + "fresh.csv"]
+    assert reachmap.cli.main(bench) == 0
+print("loaded:", "scipy.special" in sys.modules)
+"""
+
+
+def test_only_bench_loads_scipy(tmp_path):
+    """Importing the CLI and running gen, fit, predict and map load no scipy
+    module; bench loads ``scipy.special`` at its first p-value and writes the
+    same CSV as a bench in a process where scipy is already loaded."""
+    (tmp_path / "regional.cfg").write_text("effect_preset = regional\n")
+    (tmp_path / "bench.json").write_text(json.dumps({
+        "dgp": {"effect_preset": "regional", "noise_sigma": 0.1},
+        "models": [{"kind": "causal_tree", "max_depth": 2}, {"kind": "t_knn"}],
+        "n_control": 60, "n_individual": 60,
+        "runs": 3, "holdout_points": 40, "master_seed": 5,
+    }))
     src = str(Path(reachmap.__file__).parents[1])
-    code = ("import sys; import reachmap.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'stats'], ['scipy', 'optimize'], ['scipy', 'sparse'])))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout == "[]\n"
+    out = subprocess.run([sys.executable, "-c", ONLY_BENCH_LOADS_SCIPY, str(tmp_path)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == ["loaded: []", "loaded: []", "loaded: True"]
+
+    assert "scipy.special" in sys.modules  # this module imports scipy.stats
+    assert reachmap.cli.main(["bench", "--config", str(tmp_path / "bench.json"),
+                              "--out", str(tmp_path / "in_process.csv")]) == 0
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    assert fresh == (tmp_path / "in_process.csv").read_bytes()
+    assert fresh.count(b"\n") == 3
 
 
 def small_bench(models, runs=3, master_seed=99, preset=EffectPreset.REGIONAL):

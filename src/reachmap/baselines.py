@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 from operator import mul
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -94,8 +94,9 @@ class KnnSpec:
 RegressorSpec = Union[CartSpec, ForestSpec, KnnSpec]
 
 
-@dataclass(frozen=True)
-class RegLeaf:
+class RegLeaf(NamedTuple):
+    """A CART leaf: the mean outcome of its ``n`` rows."""
+
     value: float
     n: int
 

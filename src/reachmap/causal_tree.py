@@ -66,8 +66,7 @@ class CausalTreeParams:
             )
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     """An axis-aligned cut: feature_index in {0..3}, threshold in meters."""
 
     feature_index: int
@@ -75,8 +74,7 @@ class Split:
     gain: float
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """A causal-tree leaf; its leaf id is its rank among the tree's leaves."""
 
     tau_hat: float

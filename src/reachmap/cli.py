@@ -148,6 +148,8 @@ def _require_seed(seed: Optional[int], what: str) -> int:
             f"{what} draws random numbers; pass an explicit --seed "
             "(implicit time-based seeding is not supported)"
         )
+    if seed < 0:  # numpy's SeedSequence takes no negative seed
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
     return seed
 
 

@@ -266,11 +266,15 @@ def _bench_config_from_dict(doc) -> BenchConfig:
     models = get(doc, "models", "$", MalformedConfig)
     if not isinstance(models, list):
         raise MalformedConfig("$.models", f"expected a list, got {type(models).__name__}")
-    return from_fields(
+    cfg = from_fields(
         BenchConfig, doc, "$", MalformedConfig, defaults=True,
         dgp=dgp_from_mapping(get(doc, "dgp", "$", MalformedConfig), "$.dgp"),
         models=tuple(_entry_from_dict(m, f"$.models[{i}]") for i, m in enumerate(models)),
     )
+    if cfg.master_seed < 0:  # numpy's SeedSequence takes no negative seed
+        raise MalformedConfig("$.master_seed",
+                              f"expected a non-negative integer, got {cfg.master_seed}")
+    return cfg
 
 
 def bench_config_from_json(text: str) -> BenchConfig:

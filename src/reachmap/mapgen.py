@@ -218,6 +218,14 @@ def _colors(t: np.ndarray) -> list[int]:
     return rgb.tolist()
 
 
+def _distinct(v: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values of the float array ``v``, told apart by bit
+    pattern so that 0.0 and -0.0 stay apart, and each element's index
+    among them."""
+    bits, at = np.unique(np.asarray(v, dtype=np.float64).view(np.int64), return_inverse=True)
+    return bits.view(np.float64).tolist(), at
+
+
 _PX_PER_M = 1000.0
 #: cells rendered per batch of colours
 _SVG_CHUNK = 4096
@@ -276,17 +284,23 @@ def render_svg_slice(m: DifficultyMap) -> bytes:
         f"estimated difficulty tau_hat (s), z = {m.z_slice:.3f} m</text>\n"
     )
 
-    cell_px = res * _PX_PER_M
+    # a cell's text apart from its tau and colour depends on its x alone or
+    # its y alone, so each distinct x and y (by bit pattern) is spelled once
+    xs, x_at = _distinct(m.features[:, 0])
+    ys, y_at = _distinct(m.features[:, 1])
+    cell_px = f"{res * _PX_PER_M:.2f}"
+    x_head = [f'<rect x="{sx(x - res / 2):.2f}" y="' for x in xs]
+    y_head = [f'{sy(y + res / 2):.2f}" width="{cell_px}" height="{cell_px}" fill="#' for y in ys]
+    x_title = [f'"><title>x={x:.3f} y=' for x in xs]
+    y_title = [f"{y:.3f} tau=" for y in ys]
     for start in range(0, len(m), _SVG_CHUNK):  # bounds the cells held as Python objects
         part = slice(start, start + _SVG_CHUNK)
         tau_hat = m.tau_hat[part]
-        cells = zip(m.features[part, 0].tolist(), m.features[part, 1].tolist(),
-                    tau_hat.tolist(), _colors(tau_hat / scale_max))
+        cells = zip(x_at[part].tolist(), y_at[part].tolist(), tau_hat.tolist(),
+                    _colors(tau_hat / scale_max))
         write("".join(
-            f'<rect x="{sx(x - res / 2):.2f}" y="{sy(y + res / 2):.2f}" '
-            f'width="{cell_px:.2f}" height="{cell_px:.2f}" fill="#{color:06x}">'
-            f"<title>x={x:.3f} y={y:.3f} tau={tau:.4f}</title></rect>\n"
-            for x, y, tau, color in cells
+            f"{x_head[i]}{y_head[j]}{color:06x}{x_title[i]}{y_title[j]}{tau:.4f}</title></rect>\n"
+            for i, j, tau, color in cells
         ))
 
     # axes
@@ -333,8 +347,13 @@ MAP_CSV_HEADER = "x_m,y_m,z_m,dist_m,tau_hat_s,leaf_id"
 
 def export_map_csv(m: DifficultyMap) -> bytes:
     """Map as CSV in grid order; floats at 9 decimals, leaf_id blank when absent."""
+    # x, y and z are spelled once per distinct value, as in render_svg_slice
+    axes = [_distinct(m.features[:, a]) for a in range(3)]
+    xs, ys, zs = ([f"{v:.9f}," for v in values] for values, _ in axes)
+    leaves = [""] * len(m) if m.leaf_id is None else m.leaf_id.tolist()
+    cells = zip(*(at.tolist() for _, at in axes), m.features[:, 3].tolist(), m.tau_hat.tolist(),
+                leaves)
     lines = [MAP_CSV_HEADER]
-    leaves = [""] * len(m) if m.leaf_id is None else map(str, m.leaf_id.tolist())
-    for (x, y, z, dist), tau, leaf in zip(m.features.tolist(), m.tau_hat.tolist(), leaves):
-        lines.append(f"{x:.9f},{y:.9f},{z:.9f},{dist:.9f},{tau:.9f},{leaf}")
+    lines += [f"{xs[i]}{ys[j]}{zs[k]}{dist:.9f},{tau:.9f},{leaf}"
+              for i, j, k, dist, tau, leaf in cells]
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -68,7 +68,7 @@ _T_KINDS = {
 
 #: (name, whether it holds an integer) of each field of each node class, in field order
 _NODE_FIELDS = {
-    cls: tuple((f.name, get_type_hints(cls)[f.name] is int) for f in fields(cls))
+    cls: tuple((name, hint is int) for name, hint in get_type_hints(cls).items())
     for cls in (Split, Leaf, RegLeaf)
 }
 #: a leaf's field values, in the sorted order of their names
@@ -254,71 +254,125 @@ def _missing(path: str, key: str) -> MalformedModel:
     return MalformedModel(f"{path}.{key}", "missing required field")
 
 
+#: the fields the fast path of :func:`_nodes_from_dict` reads by name, in the
+#: order it builds each record from, with whether it tests for an int; a
+#: node class whose fields differ fails here, at import, not in a load
+_FAST_FIELDS = {
+    Split: (("feature_index", True), ("threshold", False), ("gain", False)),
+    Leaf: (("tau_hat", False), ("n_individual", True), ("n_control", True),
+           ("mean_individual", False), ("mean_control", False)),
+    RegLeaf: (("value", False), ("n", True)),
+}
+if _FAST_FIELDS != _NODE_FIELDS:
+    raise AssertionError(
+        f"_nodes_from_dict reads {_FAST_FIELDS}, the node classes have {_NODE_FIELDS}")
+
+
 def _nodes_from_dict(root: Any, path: str, leaf_cls: type, max_depth: int) -> tuple:
     """The pre-order nodes of the nested tree ``root``; leaves are parsed as
     ``leaf_cls``, a causal leaf's ``leaf_id`` must be its rank, and no leaf
     may lie deeper than ``max_depth``.
 
-    One pass, no recursion.  A node's fields are checked in field order: an
-    integer must be exactly an int, a number a finite int or float that is
-    no bool.  The first faulty node in pre-order raises; only then is its
-    path spelled out.
+    One pass, no recursion.  Each kind's fields (``_FAST_FIELDS``) are read
+    directly, with one type and finiteness test per value.  A node that
+    fails a test goes to :func:`_checked_fields`, which reads a number
+    written as an integer, or raises at the node's first fault; so the first
+    faulty node in pre-order raises, and only then is its path spelled out.
     """
-    node_fields = {"internal": _NODE_FIELDS[Split], "leaf": _NODE_FIELDS[leaf_cls]}
     isfinite = math.isfinite
+    # builds a node record from the tuple of its field values, skipping the
+    # NamedTuple's Python-level __new__, in about half the time
+    build = tuple.__new__
+    causal = leaf_cls is Leaf
+    n_features = len(FEATURE_NAMES)
     nodes: list = []
     rank = 0
     stack: list = [(root, (), 0)]  # (node, chain, depth); see _node_path
     while stack:
         d, chain, depth = stack.pop()
-        if not isinstance(d, dict):
-            raise MalformedModel(_node_path(path, chain),
-                                 f"expected an object, got {type(d).__name__}")
-        kind = d.get("kind", _ABSENT)
-        if kind != "leaf" and kind != "internal":
-            if kind is _ABSENT:
-                raise _missing(_node_path(path, chain), "kind")
-            raise MalformedModel(f"{_node_path(path, chain)}.kind",
-                                 f"expected 'leaf' or 'internal', got {kind!r}")
-        values = []
-        for key, integer in node_fields[kind]:
-            v = d.get(key, _ABSENT)
-            if integer:
-                if type(v) is not int:
-                    if v is _ABSENT:
-                        raise _missing(_node_path(path, chain), key)
-                    raise MalformedModel(f"{_node_path(path, chain)}.{key}",
-                                         f"expected an integer, got {v!r}")
-            elif type(v) is not float or not isfinite(v):  # an int is a number too
-                if v is _ABSENT:
-                    raise _missing(_node_path(path, chain), key)
-                v = finite_number(v, f"{_node_path(path, chain)}.{key}", MalformedModel)
-            values.append(v)
-        if kind == "leaf":
-            if leaf_cls is Leaf:
-                leaf_id = d.get("leaf_id", _ABSENT)
-                if leaf_id is _ABSENT:
-                    raise _missing(_node_path(path, chain), "leaf_id")
-                if type(leaf_id) is not int or leaf_id != rank:
-                    raise MalformedModel(f"{_node_path(path, chain)}.leaf_id",
-                                         f"expected {rank}, the leaf's rank, got {leaf_id!r}")
-                rank += 1
-            nodes.append(leaf_cls(*values))
-            continue
-        split = Split(*values)
-        if not 0 <= split.feature_index < len(FEATURE_NAMES):
-            raise MalformedModel(f"{_node_path(path, chain)}.feature_index",
-                                 f"out of range: {split.feature_index}")
-        if depth >= max_depth:
-            raise MalformedModel(_node_path(path, chain),
-                                 f"a split at depth {depth}; max_depth is {max_depth}")
-        nodes.append(split)
-        for side in ("right", "left"):  # the left child is next in pre-order
-            child = d.get(side, _ABSENT)
-            if child is _ABSENT:
-                raise _missing(_node_path(path, chain), side)
-            stack.append((child, (chain, "." + side), depth + 1))
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind == "internal":
+            f, thr, gain = d.get("feature_index"), d.get("threshold"), d.get("gain")
+            left, right = d.get("left", _ABSENT), d.get("right", _ABSENT)
+            if not (type(f) is int and 0 <= f < n_features
+                    and type(thr) is float and isfinite(thr)
+                    and type(gain) is float and isfinite(gain)
+                    and depth < max_depth and left is not _ABSENT and right is not _ABSENT):
+                f, thr, gain = _checked_fields(d, path, chain, depth, max_depth, leaf_cls, rank)
+            nodes.append(build(Split, (f, thr, gain)))
+            # the left child is next in pre-order
+            stack.append((right, (chain, ".right"), depth + 1))
+            stack.append((left, (chain, ".left"), depth + 1))
+        elif kind == "leaf" and causal:
+            tau, n_ind, n_ctl = d.get("tau_hat"), d.get("n_individual"), d.get("n_control")
+            mean_ind, mean_ctl = d.get("mean_individual"), d.get("mean_control")
+            if not (type(tau) is float and isfinite(tau)
+                    and type(n_ind) is int and type(n_ctl) is int
+                    and type(mean_ind) is float and isfinite(mean_ind)
+                    and type(mean_ctl) is float and isfinite(mean_ctl)
+                    and type(d.get("leaf_id")) is int and d["leaf_id"] == rank):
+                tau, n_ind, n_ctl, mean_ind, mean_ctl = _checked_fields(
+                    d, path, chain, depth, max_depth, leaf_cls, rank)
+            nodes.append(build(Leaf, (tau, n_ind, n_ctl, mean_ind, mean_ctl)))
+            rank += 1
+        elif kind == "leaf":
+            value, n = d.get("value"), d.get("n")
+            if not (type(value) is float and isfinite(value) and type(n) is int):
+                value, n = _checked_fields(d, path, chain, depth, max_depth, leaf_cls, rank)
+            nodes.append(build(RegLeaf, (value, n)))
+        else:
+            _checked_fields(d, path, chain, depth, max_depth, leaf_cls, rank)
     return tuple(nodes)
+
+
+def _checked_fields(d: Any, path: str, chain: tuple, depth: int, max_depth: int,
+                    leaf_cls: type, rank: int) -> list:
+    """The field values of the node ``d`` of :func:`_nodes_from_dict`, at
+    ``chain`` and ``depth``, with a number written as an integer read as a
+    float; or MalformedModel at the node's first fault.
+
+    A node's fields are checked in field order: an integer must be exactly
+    an int, a number a finite int or float that is no bool.  Then a causal
+    leaf's ``leaf_id`` must be ``rank``; a split's feature must exist, its
+    depth be below ``max_depth``, and its right child, then its left one,
+    be present.
+    """
+    where = _node_path(path, chain)
+    if not isinstance(d, dict):
+        raise MalformedModel(where, f"expected an object, got {type(d).__name__}")
+    kind = d.get("kind", _ABSENT)
+    if kind != "leaf" and kind != "internal":
+        if kind is _ABSENT:
+            raise _missing(where, "kind")
+        raise MalformedModel(f"{where}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
+    values = []
+    for key, integer in _NODE_FIELDS[leaf_cls if kind == "leaf" else Split]:
+        v = d.get(key, _ABSENT)
+        if v is _ABSENT:
+            raise _missing(where, key)
+        if integer:
+            if type(v) is not int:
+                raise MalformedModel(f"{where}.{key}", f"expected an integer, got {v!r}")
+        else:
+            v = finite_number(v, f"{where}.{key}", MalformedModel)
+        values.append(v)
+    if kind == "leaf":
+        if leaf_cls is Leaf:
+            leaf_id = d.get("leaf_id", _ABSENT)
+            if leaf_id is _ABSENT:
+                raise _missing(where, "leaf_id")
+            if type(leaf_id) is not int or leaf_id != rank:
+                raise MalformedModel(f"{where}.leaf_id",
+                                     f"expected {rank}, the leaf's rank, got {leaf_id!r}")
+        return values
+    if not 0 <= values[0] < len(FEATURE_NAMES):
+        raise MalformedModel(f"{where}.feature_index", f"out of range: {values[0]}")
+    if depth >= max_depth:
+        raise MalformedModel(where, f"a split at depth {depth}; max_depth is {max_depth}")
+    for side in ("right", "left"):
+        if side not in d:
+            raise _missing(where, side)
+    return values
 
 
 def _tree_from_dict(d: Any, path: str, expected: Optional[CausalTreeParams] = None) -> CausalTree:

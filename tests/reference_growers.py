@@ -211,7 +211,11 @@ def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
     return grow_causal_tree(split_half, estimation_half, params)
 
 
-def fit_causal_forest(d: Dataset, params: CausalTreeParams, n_trees: int, subsample_ratio: float) -> CausalForest:
+def fit_causal_forest(d: Dataset, params: CausalTreeParams, n_trees: int, subsample_ratio: float,
+                      fit_tree: Optional[Callable] = None) -> CausalForest:
+    """Members one at a time, each fit by ``fit_tree``: :func:`fit_causal_tree`
+    unless given."""
+    fit_tree = fit_tree or fit_causal_tree
     order = canonical_order(d)
     groups_in_order = d.groups[order]
     by_group = {g: order[groups_in_order == g] for g in (0, 1)}
@@ -225,7 +229,7 @@ def fit_causal_forest(d: Dataset, params: CausalTreeParams, n_trees: int, subsam
             k = int(math.floor(subsample_ratio * rows.size))
             picked.append(rng.permutation(rows)[:k])
         sub = d.subset(np.concatenate(picked))
-        trees.append(fit_causal_tree(sub, replace(params, seed=fit_seed)))
+        trees.append(fit_tree(sub, replace(params, seed=fit_seed)))
     return CausalForest(tuple(trees), params, n_trees, float(subsample_ratio))
 
 

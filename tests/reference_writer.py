@@ -29,11 +29,11 @@ def _node_to_dict(nodes: Iterator, ranks: Iterator) -> dict:
     node = next(nodes)
     if isinstance(node, Split):
         left = _node_to_dict(nodes, ranks)
-        return {"kind": "internal", **_to_dict(node), "left": left,
+        return {"kind": "internal", **node._asdict(), "left": left,
                 "right": _node_to_dict(nodes, ranks)}
     if isinstance(node, Leaf):
-        return {"kind": "leaf", "leaf_id": next(ranks), **_to_dict(node)}
-    return {"kind": "leaf", **_to_dict(node)}
+        return {"kind": "leaf", "leaf_id": next(ranks), **node._asdict()}
+    return {"kind": "leaf", **node._asdict()}
 
 
 def root_to_dict(nodes: tuple) -> dict:

@@ -28,13 +28,15 @@ from reachmap import causal_tree
 from reachmap.baselines import _LOCKSTEP, _exact_sse_gain
 from reachmap.causal_tree import _BLOCK_CAP, Leaf, _EffectSearch, _exact_effect_gain
 from reachmap.domain import MAX_OUTCOME_S
+from reachmap.errors import DegenerateSplit, ReachmapError
 
 KINDS = ("causal_tree", "causal_forest", "t_cart", "t_forest")
 
 
-def assert_same_model(kind, d, seed, max_depth, min_leaf, n_trees=3, mtry=2):
+def assert_same_model(kind, d, seed, max_depth, min_leaf, n_trees=3, mtry=2, honest_fraction=0.5):
     if kind in ("causal_tree", "causal_forest"):
-        p = CausalTreeParams(max_depth=max_depth, min_group_leaf=min_leaf, seed=seed)
+        p = CausalTreeParams(max_depth=max_depth, min_group_leaf=min_leaf,
+                             honest_fraction=honest_fraction, seed=seed)
         if kind == "causal_tree":
             new, old = fit_causal_tree(d, p), ref.fit_causal_tree(d, p)
         else:
@@ -157,6 +159,85 @@ class TestSameModels:
         n = _BLOCK_CAP
         d = random_dataset(np.random.default_rng(9), n, n, effect=0.3)
         assert_same_model("causal_tree", d, 9, max_depth=2, min_leaf=5)
+
+
+def fit_result(fit):
+    """The serialized model ``fit()`` returns, or the type and message of what it raises."""
+    try:
+        return serialize_model(fit())
+    except ReachmapError as e:
+        return type(e), str(e)
+
+
+def assert_same_forest(d, p, n_trees):
+    """The causal forest is the reference growers' forest, or raises what
+    the library's fit of a member's subsample alone raises; returns that."""
+    new = fit_result(lambda: fit_causal_forest(d, p, n_trees, 0.7))
+    if isinstance(new, str):
+        assert new == serialize_model(ref.fit_causal_forest(d, p, n_trees, 0.7))
+    else:
+        assert new == fit_result(
+            lambda: ref.fit_causal_forest(d, p, n_trees, 0.7, fit_tree=fit_causal_tree))
+    return new
+
+
+class TestForestMembers:
+    """Each member of a causal forest is the tree a fit of its subsample
+    alone grows, and a member that cannot host a root leaf raises what that
+    fit raises."""
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 9, 23])
+    def test_member_counts(self, n_trees):
+        d = random_dataset(np.random.default_rng(30 + n_trees), 50, 70, effect=0.4)
+        assert_same_model("causal_forest", d, n_trees, max_depth=4, min_leaf=2, n_trees=n_trees)
+
+    @pytest.mark.parametrize("max_depth", [0, 1, 5])
+    @pytest.mark.parametrize("honest_fraction", [0.5, 0.3, 0.8])
+    def test_depths_and_honest_fractions(self, max_depth, honest_fraction):
+        d = random_dataset(np.random.default_rng(40 + max_depth), 60, 45, effect=0.4)
+        assert_same_model("causal_forest", d, max_depth, max_depth=max_depth, min_leaf=2,
+                          n_trees=12, honest_fraction=honest_fraction)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        d=tied_dataset(st.integers(12, 40), st.integers(12, 40)),
+        seed=st.integers(0, 2**31),
+        max_depth=st.integers(0, 5),
+        min_leaf=st.integers(1, 3),
+        n_trees=st.integers(1, 23),
+        honest_fraction=st.sampled_from([0.5, 0.35, 0.75]),
+    )
+    def test_tied_dataset(self, d, seed, max_depth, min_leaf, n_trees, honest_fraction):
+        p = CausalTreeParams(max_depth=max_depth, min_group_leaf=min_leaf,
+                             honest_fraction=honest_fraction, seed=seed)
+        assert_same_forest(d, p, n_trees)
+
+    @pytest.mark.parametrize("n_individual,min_leaf,honest_fraction,message", [
+        # a subsample of 1 individual: its split half gets none
+        (2, 1, 0.5, "split half would have no INDIVIDUAL samples"),
+        # 8 individuals, 4 in the split half, under min leaf 5
+        (12, 5, 0.5, "split half has 14 control / 4 individual samples; "
+                     "root needs at least 5 of each"),
+        # 8 individuals, 2 in the estimation half, under min leaf 3
+        (12, 3, 0.8, "estimation half has 6 control / 2 individual samples; "
+                     "root needs at least 3 of each"),
+        # 4 individuals in each half, exactly min leaf 4: a forest
+        (12, 4, 0.5, None),
+    ])
+    def test_degenerate_member(self, n_individual, min_leaf, honest_fraction, message):
+        # the subsample sizes, and so whether a member can host a root
+        # leaf, are the same for every member
+        d = random_dataset(np.random.default_rng(n_individual), 40, n_individual, effect=0.4)
+        p = CausalTreeParams(max_depth=3, min_group_leaf=min_leaf,
+                             honest_fraction=honest_fraction, seed=min_leaf)
+        n_trees = 23
+        got = assert_same_forest(d, p, n_trees)
+        if message is None:
+            assert isinstance(got, str)
+            return
+        assert got == (DegenerateSplit, message)
+        if message.startswith("split half would"):  # the reference's own honest split raises it
+            assert got == fit_result(lambda: ref.fit_causal_forest(d, p, n_trees, 0.7))
 
 
 # Outcomes whose exact sums need many bits: large offsets with small

@@ -407,6 +407,20 @@ class TestErrors:
         assert code == 1
         assert "master_seed" in capsys.readouterr().err
 
+    def test_bench_negative_master_seed(self, workdir, capsys):
+        cfg = workdir / "bench.json"
+        cfg.write_text(json.dumps({
+            "dgp": {"effect_preset": "regional"},
+            "models": [{"kind": "causal_tree"}],
+            "n_control": 10, "n_individual": 10, "master_seed": -5,
+        }))
+        code = run(["bench", "--config", cfg, "--out", workdir / "out.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: MalformedConfig: $.master_seed: expected a non-negative integer, got -5\n"
+        )
+        assert not (workdir / "out.csv").exists()
+
     @pytest.mark.parametrize(
         "model, dgp, where",
         [
@@ -719,6 +733,20 @@ def test_flag_values_exit_cleanly(fitted, tmp_path, capsys, command, flags, code
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == (code != 0)
     assert (out == "") == (code != 0)
+
+
+@pytest.mark.parametrize("command", ["gen", "fit"])
+def test_negative_seed_names_the_flag(fitted, tmp_path, capsys, command):
+    base = {
+        "gen": ["--dgp", fitted / "regional.cfg", "--n0", 60, "--n1", 60],
+        "fit": ["--data", fitted / "d.csv", "--model", "causal_forest"],
+    }[command]
+    capsys.readouterr()
+    assert run([command, *base, "--seed", -5, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: InvalidValue: --seed must be a non-negative integer, got -5\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_numbers_in_exponent_form(fitted, capsys):

@@ -5,7 +5,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_render
 from conftest import predict_one, random_dataset
 from reachmap import (
     CausalTreeParams,
@@ -20,7 +23,7 @@ from reachmap import (
     KnnSpec,
 )
 from reachmap.causal_tree import CausalTree, Leaf, Split
-from reachmap.mapgen import _CENTER, _NEGATIVE, _POSITIVE, _colors
+from reachmap.mapgen import _CENTER, _NEGATIVE, _POSITIVE, DifficultyMap, _colors
 from reachmap.errors import (
     InvalidResolution,
     NoLeafIds,
@@ -297,3 +300,36 @@ class TestExportCsv:
         )
         reader = csv.DictReader(io.StringIO(export_map_csv(m).decode("utf-8")))
         assert {row["tau_hat_s"] for row in reader} == {"0.250000000"}
+
+
+#: effects a map cell may hold: signed zeros, tiny and rounding-edge values
+TAUS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-9, 0.00005, -0.00015, 1.0, -2.5]),
+    st.floats(-5.0, 5.0),
+)
+
+
+@st.composite
+def maps(draw) -> DifficultyMap:
+    """A slice or layered map of the standard workspace with effects drawn
+    from a few values (one for a constant map) and leaf ids or none; some
+    cells may have x written as 0.0 or -0.0."""
+    layered = draw(st.booleans())
+    res = draw(st.floats(0.04, 0.29) if layered else st.floats(0.01, 0.29))
+    grid = build_grid(Workspace(), res, None if layered else draw(st.floats(0.0, 0.4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(grid)
+    tau = rng.choice(np.array(draw(st.lists(TAUS, min_size=1, max_size=6))), n)
+    features = grid.features.copy()
+    if draw(st.booleans()):
+        features[rng.integers(0, n, 4), 0] = [0.0, -0.0, -0.0, 0.0]
+    leaf_id = rng.integers(0, 64, n) if draw(st.booleans()) else None
+    return DifficultyMap(features, tau, leaf_id, grid.resolution, grid.z_slice)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=maps())
+def test_render_matches_per_cell_reference(m):
+    assert export_map_csv(m) == reference_render.export_map_csv(m)
+    if m.z_slice is not None:
+        assert render_svg_slice(m) == reference_render.render_svg_slice(m)

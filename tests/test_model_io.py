@@ -1,4 +1,7 @@
+import copy
+import functools
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -28,6 +31,8 @@ from reachmap.baselines import CartRegressor, ForestRegressor, RegLeaf, TLearner
 from reachmap.causal_tree import Leaf, Split, forest_member
 from reachmap.domain import derived_seeds
 from reachmap.errors import MalformedModel
+from reachmap.model_io import _nodes_from_dict
+from reference_loader import nodes_from_dict as reference_nodes_from_dict
 from reference_predictors import predict_point
 from reference_writer import reference_serialize
 
@@ -467,6 +472,101 @@ def test_node_fault_messages(kind, faults, message):
     with pytest.raises(MalformedModel) as exc:
         parse_model(text)
     assert str(exc.value) == message
+
+
+# --- the node loader against the reference loader --------------------------------
+
+
+@functools.cache
+def _loader_roots() -> dict:
+    """The root dicts of a fitted causal tree and a fitted CART, as
+    ``json.loads`` gives them."""
+    d = random_dataset(np.random.default_rng(41), 40, 40, effect=0.5)
+    tree = fit_causal_tree(d, CausalTreeParams(max_depth=4, min_group_leaf=2, seed=4))
+    cart = fit_t_learner(d, CartSpec(max_depth=4, min_leaf=3, seed=4))
+    return {"causal": json.loads(serialize_model(tree))["root"],
+            "cart": json.loads(serialize_model(cart))["model_control"]["root"]}
+
+
+def _node_dicts(root: dict) -> list:
+    """The node dicts of the nested tree ``root`` in pre-order, each with its depth."""
+    out, stack = [], [(root, 0)]
+    while stack:
+        d, depth = stack.pop()
+        out.append((d, depth))
+        if d["kind"] == "internal":
+            stack += [(d["right"], depth + 1), (d["left"], depth + 1)]
+    return out
+
+
+#: values a mutation writes into a node: bools, ints and floats in and out
+#: of range, NaN, the infinities, an int beyond float range, wrong kinds and
+#: children that are no object
+MUTANT_VALUES = st.sampled_from([
+    True, False, 0, 1, -1, 3, 4, 7, 2.5, -0.0, float("nan"), float("inf"), float("-inf"),
+    10**400, "x", None, [1], {}, "leaf", "internal", "branch",
+])
+NODE_KEYS = ("kind", "feature_index", "threshold", "gain", "left", "right", "leaf_id",
+             "tau_hat", "n_individual", "n_control", "mean_individual", "mean_control",
+             "value", "n")
+
+
+@st.composite
+def mutated_trees(draw) -> tuple:
+    """A fitted tree's root dict with one to three node mutations, the leaf
+    class to read it as, and a depth limit at or below its depth."""
+    source = draw(st.sampled_from(["causal", "cart"]))
+    leaf_cls = {"causal": Leaf, "cart": RegLeaf}[source]
+    if draw(st.integers(0, 4)) == 0:  # a causal tree read as a CART, or the reverse
+        leaf_cls = {Leaf: RegLeaf, RegLeaf: Leaf}[leaf_cls]
+    root = copy.deepcopy(_loader_roots()[source])
+    nodes = _node_dicts(root)
+    depth = max(depth for _, depth in nodes)
+    for _ in range(draw(st.integers(1, 3))):
+        d, _ = draw(st.sampled_from(nodes))
+        key = draw(st.sampled_from(NODE_KEYS))
+        op = draw(st.sampled_from(["delete", "set", "int", "off_by_one", "deepen", "extra"]))
+        if op == "delete":
+            d.pop(key, None)
+        elif op == "set":
+            d[key] = draw(MUTANT_VALUES)
+        elif op == "int" and isinstance(d.get(key), float) and math.isfinite(d[key]):
+            d[key] = round(d[key])  # a number written as an integer
+        elif op == "off_by_one" and type(d.get("leaf_id")) is int:
+            d["leaf_id"] += draw(st.sampled_from([-1, 1]))
+        elif op == "deepen" and d.get("kind") == "leaf":
+            leaf = dict(d)
+            d.clear()
+            d.update(kind="internal", feature_index=draw(st.integers(-1, 4)), threshold=0.0,
+                     gain=0.0, left=dict(leaf), right=dict(leaf))
+        elif op == "extra":
+            d["note"] = draw(MUTANT_VALUES)
+    max_depth = draw(st.one_of(st.sampled_from([depth, depth + 1]), st.integers(0, depth)))
+    return root, leaf_cls, max_depth
+
+
+def _load_result(load, root, leaf_cls, max_depth):
+    """The reprs of the nodes ``load`` reads, or its MalformedModel path and reason."""
+    try:
+        return [repr(node) for node in load(root, "$.root", leaf_cls, max_depth)]
+    except MalformedModel as e:
+        return e.path, e.reason
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=mutated_trees())
+def test_loader_matches_reference_loader(case):
+    root, leaf_cls, max_depth = case
+    assert (_load_result(_nodes_from_dict, root, leaf_cls, max_depth)
+            == _load_result(reference_nodes_from_dict, root, leaf_cls, max_depth))
+
+
+def test_loader_reads_unmutated_trees_as_the_reference_does():
+    for source, leaf_cls in (("causal", Leaf), ("cart", RegLeaf)):
+        root = _loader_roots()[source]
+        nodes = _load_result(_nodes_from_dict, root, leaf_cls, 4)
+        assert isinstance(nodes, list) and len(nodes) > 7
+        assert nodes == _load_result(reference_nodes_from_dict, root, leaf_cls, 4)
 
 
 # --- round trip of random trees --------------------------------------------------

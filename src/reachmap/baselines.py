@@ -113,6 +113,45 @@ _LOCKSTEP = 50
 #: float64 elements of one chunk of k-NN query differences (about 1 MB)
 _KNN_CHUNK = 1 << 17
 
+#: 32-bit words a t_forest member takes from its generator at a time for
+#: its feature draws (:func:`_words`); the draws do not depend on it
+_WORD_CHUNK = 256
+
+
+def _words(rng: np.random.Generator):
+    """The successive ``next_uint32`` words of ``rng``, taken ``_WORD_CHUNK`` at a time.
+
+    Taking words ahead of their use changes nothing only while nothing
+    else draws from ``rng`` afterwards.
+    """
+    while True:
+        yield from rng.integers(0, 1 << 32, size=_WORD_CHUNK, dtype=np.uint32).tolist()
+
+
+def _bounded(words, j: int) -> int:
+    """A draw on [0, j], j >= 1, from ``words`` by Lemire's method, as numpy's
+    ``buffered_bounded_lemire_uint32`` makes it."""
+    m = next(words) * (j + 1)
+    if m & 0xFFFFFFFF < j + 1:
+        threshold = (0xFFFFFFFF - j) % (j + 1)
+        while m & 0xFFFFFFFF < threshold:
+            m = next(words) * (j + 1)
+    return m >> 32
+
+
+def _choice(words, n: int, k: int) -> list:
+    """``sorted(rng.choice(n, k, replace=False).tolist())`` for k < n <= 10000,
+    from the words of ``rng``: numpy's Floyd's algorithm, then the draws of
+    its shuffle of the picks, which sorting undoes."""
+    picked = []
+    for j in range(n - k, n):
+        v = _bounded(words, j)
+        picked.append(j if v in picked else v)
+    for i in range(k - 1, 0, -1):
+        _bounded(words, i)
+    picked.sort()
+    return picked
+
 
 def _exact_sse_gain(v: np.ndarray, y: np.ndarray, thr: float) -> Fraction:
     """SSE reduction of a cut in exact rational arithmetic.
@@ -178,7 +217,7 @@ class _SseSearch:
         rows = node.rows[0]
         return _exact_sse_gain(self.matrices[0].value(f, rows), self.outcomes(rows), thr)
 
-    def gains(self, rows, ks, lens, ids, fcol, thresholds, distinct):
+    def gains(self, rows, ks, lens, ids, fcol, ranks, distinct):
         """Block scorer of the SSE reduction."""
         ys = self.outcomes(ids)
         ys -= _node_columns(rows, ks, "mean")[:, None]
@@ -187,7 +226,9 @@ class _SseSearch:
         del ys
         n_l = np.arange(1.0, s.shape[1] + 1)
         n_r = lens[:, None] - n_l
-        valid = distinct & (n_l >= self.min_leaf) & (n_r >= self.min_leaf)
+        valid = n_r >= self.min_leaf
+        valid &= distinct
+        valid[:, : self.min_leaf - 1] = False  # n_l < min_leaf
         q_total, s_total, sse_parent = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
         # sse_parent - (q - s*s / n_l) - ((q_total - q) - (s_total - s)**2 / n_r),
         # operation by operation, in place
@@ -200,8 +241,7 @@ class _SseSearch:
         np.subtract(q, gains, out=gains)
         np.subtract(sse_parent, gains, out=gains)
         gains -= sse_r
-        gains[~valid] = -np.inf
-        return gains
+        return np.where(valid, gains, -np.inf)
 
 
 def _grow_carts(
@@ -228,11 +268,10 @@ def _grow_carts(
     # the trees' samples, one after another, so each tree's rows are a range
     search = _SseSearch(X.take(samples.ravel()), y, max_depth, min_leaf, draws)
 
-    choices = [rng.choice for rng in rngs or ()]
+    words = [_words(rng) for rng in rngs or ()]
 
     def draw(t: int) -> list:
-        # choice(n_features, size=mtry, replace=False), without keyword parsing
-        return sorted(choices[t](n_features, mtry, False).tolist())
+        return _choice(words[t], n_features, mtry)
 
     roots = (np.arange(t * n, (t + 1) * n, dtype=np.int32) for t in range(n_trees))
     return _grow(search, [(rows,) for rows in roots], draw if draws else None)
@@ -328,7 +367,9 @@ def fit_base_regressor(spec: RegressorSpec, data: Dataset) -> Regressor:
         trees = []
         for start in range(0, spec.n_trees, _LOCKSTEP):
             rngs = [np.random.default_rng(child) for child in children[start : start + _LOCKSTEP]]
-            # a member's bootstrap rows come from its generator before its split draws
+            # a member's bootstrap rows come from its generator, then its
+            # split draws, and nothing after them: so the draws may take
+            # words ahead of their use (_words)
             boots = np.empty((len(rngs), n), dtype=np.int32)
             for t, rng in enumerate(rngs):
                 boots[t] = rng.integers(0, n, size=n)

@@ -211,7 +211,7 @@ class _Ranked:
     without copying the ranks.
     """
 
-    __slots__ = ("ranks", "values", "sizes", "offsets", "rows", "shift")
+    __slots__ = ("ranks", "values", "sizes", "offsets", "rows", "shift", "key_type")
 
     def __init__(self, ranks: np.ndarray, values: np.ndarray, sizes: np.ndarray, rows=None):
         self.ranks = ranks
@@ -219,8 +219,12 @@ class _Ranked:
         self.sizes = sizes
         self.offsets = np.cumsum(sizes + 1) - (sizes + 1)
         self.rows = rows
-        #: bits of a node row in a sort key (rank << shift | row)
+        #: bits of a node row in a sort key (rank << shift | row), and the
+        #: narrower of int32 and int64 that holds every key: int32 keys sort
+        #: about twice as fast
         self.shift = (ranks.shape[1] if rows is None else rows.size).bit_length()
+        narrow = (int(sizes.max(initial=0)) + 1) << self.shift <= 2**31
+        self.key_type = np.int32 if narrow else np.int64
 
     @classmethod
     def of(cls, X: np.ndarray) -> "_Ranked":
@@ -246,6 +250,13 @@ class _Ranked:
         """The values of node rows ``rows`` in column f, or in column ``f[i]`` for row i."""
         return self.values[self.offsets[f] + self.rank(f, rows)]
 
+    def midpoints(self, f, ranks: np.ndarray) -> np.ndarray:
+        """The thresholds between consecutive entries of the (R, L) ``ranks``
+        of column f, or of column ``f[r]`` for row r: the (R, L - 1)
+        midpoints of their values."""
+        vs = self.values[self.offsets[f] + ranks]
+        return 0.5 * (vs[:, :-1] + vs[:, 1:])
+
     def sorted_block(self, rows: list, j: int) -> tuple:
         """The block of the (node, features) ``rows`` over the node rows in
         this matrix (``node.rows[j]``): one block row per feature, holding
@@ -258,16 +269,47 @@ class _Ranked:
         values does.  Padding has row 0 and rank ``sizes[f]``: it sorts
         last, and its value is +inf.
         """
-        parts = [node.rows[j] for node, fs in rows for _ in fs]
-        fcol = np.array([f for _, fs in rows for f in fs])[:, None]
-        lens = np.array([part.size for part in parts])
-        flat = np.concatenate(parts)
-        keys = np.empty((lens.size, lens.max()), dtype=np.int64)
+        flat, fcol, lens, real = self._block(rows, (j,))
+        keys = np.empty(real.shape, dtype=self.key_type)
         keys[:] = self.sizes[fcol] << self.shift
-        real = np.arange(keys.shape[1]) < lens[:, None]
-        keys[real] = (self.rank(np.repeat(fcol[:, 0], lens), flat).astype(np.int64) << self.shift) | flat
+        ranks = self.rank(np.repeat(fcol[:, 0], lens), flat).astype(self.key_type, copy=False)
+        keys[real] = (ranks << self.shift) | flat
         keys.sort(axis=1)
         return keys & ((1 << self.shift) - 1), keys >> self.shift, fcol, lens
+
+    def order_stats(self, rows: list, js: tuple, m: int) -> np.ndarray:
+        """The m-th smallest and the m-th largest rank of each block row of
+        the (node, features) ``rows`` over the node rows ``node.rows[j]``,
+        for each j in ``js`` in turn, as an (R * len(js), 2) array; every
+        block row holds at least m real rows.
+
+        Two selections on the ranks give them, without a sort and without
+        row ids.  Padding is -1: as int32 it sorts first, for the m-th
+        largest, and read as uint32 (2**32 - 1) it sorts last, for the m-th
+        smallest.
+        """
+        flat, fcol, lens, real = self._block(rows, js)
+        block = np.full(real.shape, -1, dtype=np.int32)
+        block[real] = self.rank(np.repeat(fcol[:, 0], lens), flat)
+        out = np.empty((lens.size, 2), dtype=np.int32)
+        high = block.shape[1] - m
+        block.partition(high, axis=1)
+        out[:, 1] = block[:, high]
+        block = block.view(np.uint32)
+        block.partition(m - 1, axis=1)
+        out[:, 0] = block[:, m - 1]
+        return out
+
+    def _block(self, rows: list, js: tuple) -> tuple:
+        """The node rows ``node.rows[j]`` of the (node, features) ``rows``
+        in this matrix, for each j in ``js`` in turn, concatenated; each
+        block row's feature as an (R, 1) column, each block row's length,
+        and the (R, L) mask of its real entries."""
+        parts = [node.rows[j] for j in js for node, fs in rows for _ in fs]
+        fcol = np.array([f for _ in js for _, fs in rows for f in fs])[:, None]
+        lens = np.array([part.size for part in parts])
+        real = np.arange(lens.max()) < lens[:, None]
+        return np.concatenate(parts), fcol, lens, real
 
 
 class _Node:
@@ -294,31 +336,28 @@ class _Node:
 
 
 def _score_block(search, rows: list):
-    """Gains and thresholds of every cut of the (node, features) ``rows``.
+    """Gains of every cut of the (node, features) ``rows``, the block's
+    sorted ranks and each block row's feature.
 
     Block row r holds one node's values of one feature in ascending order,
     ties in the node's row order (see :meth:`_Ranked.sorted_block`).
     Column k is the cut after sorted position k, at the midpoint of
-    positions k and k+1.  ``search.gains(rows, ks, lens, ids, fcol,
-    thresholds, distinct)`` scores every column with the kind's float
-    expression and returns -inf where a cut is inadmissible; ``ids`` are
-    the sorted rows of the split matrix.  Row-wise cumulative sums are
-    sequential, so they carry the same bits as per-node ones.  Cuts between
-    equal values are not ``distinct``; the cuts at and after a row's last
-    value leave no samples on the right, which the kinds' count rules
-    reject.
+    positions k and k+1 (:meth:`_Ranked.midpoints` of the ranks).
+    ``search.gains(rows, ks, lens, ids, fcol, ranks, distinct)`` scores
+    every column with the kind's float expression and returns -inf where a
+    cut is inadmissible; ``ids`` are the sorted rows of the split matrix.
+    Row-wise cumulative sums are sequential, so they carry the same bits as
+    per-node ones.  Cuts between equal values are not ``distinct``; the
+    cuts at and after a row's last value leave no samples on the right,
+    which the kinds' count rules reject.
     """
     split = search.matrices[0]
     ks = [len(fs) for _, fs in rows]
     ids, ranks, fcol, lens = split.sorted_block(rows, 0)
-    vs = split.values[split.offsets[fcol] + ranks]
-    thresholds = 0.5 * (vs[:, :-1] + vs[:, 1:])
-    del vs
     distinct = ranks[:, 1:] > ranks[:, :-1]
-    del ranks
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = search.gains(rows, ks, lens, ids, fcol, thresholds, distinct)
-    return gains, thresholds, fcol[:, 0]
+        gains = search.gains(rows, ks, lens, ids, fcol, ranks, distinct)
+    return gains, ranks, fcol[:, 0]
 
 
 def _node_columns(rows: list, ks: list, name: str) -> np.ndarray:
@@ -326,24 +365,23 @@ def _node_columns(rows: list, ks: list, name: str) -> np.ndarray:
     return np.repeat([getattr(node, name) for node, _ in rows], ks, axis=0)
 
 
-def _pick(
-    rows: list, gains: np.ndarray, thresholds: np.ndarray, fcol: np.ndarray, exact_gain: Callable
-) -> list:
+def _pick(rows: list, gains: np.ndarray, ranks: np.ndarray, fcol: np.ndarray, search) -> list:
     """The split of each node of the (node, features) ``rows``, or None.
 
-    The rows of ``gains`` are each node's features in ascending order, and
-    ``fcol`` holds their features.  Candidates whose float gain is within
-    ``_GAIN_NOISE * scale**2 * weight`` of the node's best are re-scored
-    with ``exact_gain(node, f, threshold)``, so that the tie rule (lowest
-    feature index, then lowest threshold) and the strict gain > 0 rule
-    apply to exact values.
+    The rows of ``gains`` are each node's features in ascending order,
+    ``ranks`` their sorted ranks in the split matrix and ``fcol`` their
+    features; only the candidates get thresholds.  Candidates whose float
+    gain is within ``_GAIN_NOISE * scale**2 * weight`` of the node's best
+    are re-scored with ``search.exact(node, f, threshold)``, so that the
+    tie rule (lowest feature index, then lowest threshold) and the strict
+    gain > 0 rule apply to exact values.
     """
-    ks = [len(fs) for _, fs in rows]
-    g_star = np.maximum.reduceat(gains.max(axis=1), np.cumsum([0] + ks[:-1]))
+    ks = np.array([len(fs) for _, fs in rows])
+    g_star = np.maximum.reduceat(gains.max(axis=1), np.cumsum(ks) - ks)
     scale = np.array([node.scale for node, _ in rows])
     tol = _GAIN_NOISE * scale * scale * np.array([node.weight for node, _ in rows])
-    with np.errstate(invalid="ignore"):  # g_star - g_star at -inf: replaced below
-        cutoffs = np.where(g_star > tol, g_star - (tol + 1e-9 * g_star), -np.inf)
+    cutoffs = np.full(len(rows), -np.inf)
+    np.subtract(g_star, tol + 1e-9 * g_star, out=cutoffs, where=g_star > tol)
     cutoffs[g_star == -np.inf] = np.inf  # no admissible candidate
     # otherwise a best within the window may be an exact tie with zero, and
     # every admissible candidate is re-checked
@@ -357,9 +395,11 @@ def _pick(
     owner = np.repeat(np.arange(len(rows)), ks)[r]
     counts = np.bincount(owner, minlength=len(rows))
     lone = ((counts == 1) & (cutoffs > -np.inf)).tolist()
-    starts = np.searchsorted(owner, np.arange(len(rows))).tolist()
-    features = fcol[r].tolist()
-    thresholds = thresholds[r, k].tolist()
+    starts = (np.cumsum(counts) - counts).tolist()
+    features = fcol[r]
+    sides = ranks[r[:, None], k[:, None] + (0, 1)]  # the ranks either side of each cut
+    thresholds = search.matrices[0].midpoints(features[:, None], sides)[:, 0].tolist()
+    features = features.tolist()
 
     out = []
     for (node, _), best, one, start, count in zip(rows, g_star.tolist(), lone, starts, counts.tolist()):
@@ -369,7 +409,7 @@ def _pick(
         split = None
         best_exact = Fraction(0)  # strict > 0 required to split at all
         for f, thr in zip(features[start : start + count], thresholds[start : start + count]):
-            exact = exact_gain(node, f, thr)
+            exact = search.exact(node, f, thr)
             if exact > best_exact:
                 best_exact = exact
                 split = Split(f, thr, float(exact))
@@ -392,7 +432,7 @@ def _best_cuts(search, nodes: list) -> list[Optional[Split]]:
 
     def flush() -> None:
         rows = [(nodes[slot], nodes[slot].features) for slot in batch]
-        for slot, cut in zip(batch, _pick(rows, *_score_block(search, rows), search.exact)):
+        for slot, cut in zip(batch, _pick(rows, *_score_block(search, rows), search)):
             out[slot] = cut
 
     for slot in sorted(range(len(nodes)), key=lambda i: nodes[i].cost):
@@ -403,7 +443,7 @@ def _best_cuts(search, nodes: list) -> list[Optional[Split]]:
             (out[slot],) = _pick(
                 [(node, node.features)],
                 *(np.concatenate(parts) for parts in zip(*scored)),
-                search.exact,
+                search,
             )
             continue
         if (n_rows + k) * node.cost > _BLOCK_CAP:
@@ -499,26 +539,33 @@ def _partition(matrices: tuple, forks: list) -> tuple[list, list]:
     """The rows of the left children and those of the right children of
     the (node, cut) ``forks``.
 
-    For each matrix, the rows of all cut nodes are partitioned by their
-    cuts in one pass; each child keeps its rows in ascending order.  A left
-    child's rows are a view of the lefts of all cuts: the next round takes
-    it, or it is a leaf.  A right child's are a copy, because a depth-first
-    tree keeps it pending while its left sibling's subtree grows.
+    For each matrix, the rows of all cut nodes in it (in every row set that
+    indexes it) are partitioned by their cuts in one pass; each child keeps
+    its rows in ascending order.  A left child's rows are a view of the
+    lefts of all cuts: the next round takes it, or it is a leaf.  A right
+    child's are a copy, because a depth-first tree keeps it pending while
+    its left sibling's subtree grows.
     """
     features = np.array([cut.feature_index for _, cut in forks])
     thresholds = np.array([cut.threshold for _, cut in forks])
-    lefts, rights = [], []
-    for j, m in enumerate(matrices):
-        rows, bounds = _concat_rows([node.rows for node, _ in forks], j)
-        sizes = np.diff(bounds)
-        goes_left = m.value(np.repeat(features, sizes), rows) < np.repeat(thresholds, sizes)
-        n_left = np.add.reduceat(goes_left, bounds[:-1], dtype=np.intp)
+    lefts, rights = [None] * len(matrices), [None] * len(matrices)
+    for m in dict.fromkeys(matrices):
+        js = [j for j, other in enumerate(matrices) if other is m]
+        parts = [node.rows[j] for j in js for node, _ in forks]
+        rows = np.concatenate(parts)
+        sizes = np.array([part.size for part in parts])
+        f = np.repeat(np.tile(features, len(js)), sizes)
+        goes_left = m.value(f, rows) < np.repeat(np.tile(thresholds, len(js)), sizes)
+        n_left = np.add.reduceat(goes_left, np.cumsum(sizes) - sizes, dtype=np.intp)
         lo = rows.compress(goes_left)
         hi = rows.compress(~goes_left)
         lb = np.cumsum(np.append(0, n_left)).tolist()
         hb = np.cumsum(np.append(0, sizes - n_left)).tolist()
-        lefts.append([lo[a:b] for a, b in zip(lb, lb[1:])])
-        rights.append([hi[a:b].copy() for a, b in zip(hb, hb[1:])])
+        for i, j in enumerate(js):
+            lj = lb[i * len(forks) : (i + 1) * len(forks) + 1]
+            hj = hb[i * len(forks) : (i + 1) * len(forks) + 1]
+            lefts[j] = [lo[a:b] for a, b in zip(lj, lj[1:])]
+            rights[j] = [hi[a:b].copy() for a, b in zip(hj, hj[1:])]
     return list(zip(*lefts)), list(zip(*rights))
 
 
@@ -548,23 +595,27 @@ def _concat_rows(nodes: list, j: int) -> tuple:
 class _EffectSearch:
     """Split search of the honest causal tree over one pair of halves.
 
-    A node has rows in the split half (``matrices[0]``) and in the
-    estimation half's individual rows (``matrices[1]``) and control rows
-    (``matrices[2]``), each kept in the half's order.  Its stats are its
-    split rows of each group, individual then control.
+    A node has rows in the split half (``matrices[0]``) and, apart, the
+    estimation half's individual rows and control rows (``matrices[1]`` and
+    ``matrices[2]``, one ranking of the whole half), each kept in the
+    half's order.  Its stats are its split rows of each group, individual
+    then control.
     """
 
     def __init__(self, split: Dataset, est: Dataset, m: int, max_depth: int):
         self.m = m
         self.max_depth = max_depth
-        ind = est.groups == int(GroupLabel.INDIVIDUAL)
-        parts = (split.features, est.features[ind], est.features[~ind])
-        self.matrices = tuple(_Ranked.of(X) for X in parts)
+        ranked_est = _Ranked.of(est.features)
+        self.matrices = (_Ranked.of(split.features), ranked_est, ranked_est)
         self.g = split.groups == int(GroupLabel.INDIVIDUAL)
         self.y = split.outcomes
-        self.y_ind = est.outcomes[ind]
-        self.y_ctl = est.outcomes[~ind]
-        self.root = tuple(np.arange(X.ranks.shape[1], dtype=np.int32) for X in self.matrices)
+        self.y_est = est.outcomes
+        ind = est.groups == int(GroupLabel.INDIVIDUAL)
+        self.root = (
+            np.arange(len(split), dtype=np.int32),
+            np.flatnonzero(ind).astype(np.int32),
+            np.flatnonzero(~ind).astype(np.int32),
+        )
 
     def open(self, room: np.ndarray, nodes: list) -> list:
         """A node to search, or a leaf, per tuple of row arrays in ``nodes``.
@@ -591,31 +642,34 @@ class _EffectSearch:
 
     def _leaf(self, rows: tuple) -> Leaf:
         """The leaf of a node's row arrays ``rows``: its estimation rows' outcomes."""
-        return _leaf(self.y_ind.take(rows[1]), self.y_ctl.take(rows[2]))
+        return _leaf(self.y_est.take(rows[1]), self.y_est.take(rows[2]))
 
     def exact(self, node: _Node, f: int, thr: float) -> Fraction:
         rows = node.rows[0]
         v = self.matrices[0].value(f, rows)
         return _exact_effect_gain(v, self.g.take(rows), self.y.take(rows), thr)
 
-    def gains(self, rows, ks, lens, ids, fcol, thresholds, distinct):
+    def gains(self, rows, ks, lens, ids, fcol, ranks, distinct):
         """Block scorer of the effect contrast (see the module docstring)."""
         m = self.m
+        thresholds = self.matrices[0].midpoints(fcol, ranks)
         n1, n0 = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
+        # each estimation group's m-th smallest and m-th largest value (see
+        # the module docstring); a searched node has 2m of each
+        est = self.matrices[1]
+        at = est.offsets[fcol] + est.order_stats(rows, (1, 2), m).reshape(2, len(fcol), 2)
         valid = distinct
-        for j in (1, 2):
-            # each estimation group's m-th smallest and m-th largest value
-            # (see the module docstring); a searched node has 2m of each
-            est = self.matrices[j]
-            _, ranks, _, n_g = est.sorted_block(rows, j)
-            at = np.column_stack((np.full(n_g.size, m - 1), n_g - m))
-            bounds = est.values[est.offsets[fcol] + np.take_along_axis(ranks, at, axis=1)]
-            valid = valid & (thresholds > bounds[:, :1]) & (thresholds <= bounds[:, 1:])
+        for bounds in est.values[at]:
+            valid &= thresholds > bounds[:, :1]
+            valid &= thresholds <= bounds[:, 1:]
+        del thresholds
 
         gs = self.g.take(ids)
-        ys = self.y.take(ids) - _node_columns(rows, ks, "mean")[:, None]
+        ys = self.y.take(ids)
+        ys -= _node_columns(rows, ks, "mean")[:, None]
         s1_all = np.cumsum(np.where(gs, ys, 0.0), axis=1)
-        s0_all = np.cumsum(np.where(gs, 0.0, ys), axis=1)
+        np.putmask(ys, gs, 0.0)
+        s0_all = np.cumsum(ys, axis=1)
         c1 = np.cumsum(gs, axis=1)[:, :-1]
         del gs, ys
         last = np.arange(len(lens)), lens - 1
@@ -626,14 +680,30 @@ class _EffectSearch:
         c0 = np.arange(1, c1.shape[1] + 1) - c1
         n1r = n1 - c1
         n0r = n0 - c0
-        valid &= (c1 >= m) & (c0 >= m) & (n1r >= m) & (n0r >= m)
+        valid &= c1 >= m
+        valid &= c0 >= m
+        valid &= n1r >= m
+        valid &= n0r >= m
 
-        tau_l = s1 / c1 - s0 / c0
-        tau_r = (S1 - s1) / n1r - (S0 - s0) / n0r
+        # (n_l * n_r) / n**2 * (tau_l - tau_r)**2, with tau_l = s1 / c1 -
+        # s0 / c0 and tau_r = (S1 - s1) / n1r - (S0 - s0) / n0r, operation
+        # by operation, in place
+        tau_l = s1 / c1
+        tau_l -= s0 / c0
+        tau_r = S1 - s1
+        tau_r /= n1r
+        ctl_r = S0 - s0
+        ctl_r /= n0r
+        tau_r -= ctl_r
+        del ctl_r
+        tau_l -= tau_r
+        np.square(tau_l, out=tau_l)
         n = lens[:, None]
         n_l = np.arange(1.0, c1.shape[1] + 1)
-        n_r = n - n_l
-        gains = (n_l * n_r) / (n * n).astype(np.float64) * (tau_l - tau_r) ** 2
+        gains = n - n_l
+        gains *= n_l
+        gains /= (n * n).astype(np.float64)
+        gains *= tau_l
         return np.where(valid, gains, -np.inf)
 
 

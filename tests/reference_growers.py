@@ -39,6 +39,7 @@ from reachmap.domain import (
     canonical_order,
     stratified_honest_split,
 )
+from reachmap.errors import DegenerateSplit
 
 
 def best_cut(
@@ -187,6 +188,14 @@ def search_split(split, est, s_idx, e_idx, min_group_leaf) -> Optional[Split]:
 
 
 def grow_causal_tree(split_half: Dataset, estimation_half: Dataset, params: CausalTreeParams) -> CausalTree:
+    for name, half in (("split", split_half), ("estimation", estimation_half)):
+        n_ind = int(np.count_nonzero(half.groups == int(GroupLabel.INDIVIDUAL)))
+        n_ctl = len(half) - n_ind
+        if n_ctl < params.min_group_leaf or n_ind < params.min_group_leaf:
+            raise DegenerateSplit(
+                f"{name} half has {n_ctl} control / {n_ind} individual samples; "
+                f"root needs at least {params.min_group_leaf} of each"
+            )
     split = _Half(split_half)
     est = _Half(estimation_half)
 
@@ -211,11 +220,9 @@ def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
     return grow_causal_tree(split_half, estimation_half, params)
 
 
-def fit_causal_forest(d: Dataset, params: CausalTreeParams, n_trees: int, subsample_ratio: float,
-                      fit_tree: Optional[Callable] = None) -> CausalForest:
-    """Members one at a time, each fit by ``fit_tree``: :func:`fit_causal_tree`
-    unless given."""
-    fit_tree = fit_tree or fit_causal_tree
+def fit_causal_forest(d: Dataset, params: CausalTreeParams, n_trees: int,
+                      subsample_ratio: float) -> CausalForest:
+    """Members one at a time, each fit by :func:`fit_causal_tree`."""
     order = canonical_order(d)
     groups_in_order = d.groups[order]
     by_group = {g: order[groups_in_order == g] for g in (0, 1)}
@@ -229,7 +236,7 @@ def fit_causal_forest(d: Dataset, params: CausalTreeParams, n_trees: int, subsam
             k = int(math.floor(subsample_ratio * rows.size))
             picked.append(rng.permutation(rows)[:k])
         sub = d.subset(np.concatenate(picked))
-        trees.append(fit_tree(sub, replace(params, seed=fit_seed)))
+        trees.append(fit_causal_tree(sub, replace(params, seed=fit_seed)))
     return CausalForest(tuple(trees), params, n_trees, float(subsample_ratio))
 
 

@@ -12,10 +12,12 @@ from reachmap import (
     ForestSpec,
     KnnSpec,
     features_from_xyz,
+    baselines,
     fit_base_regressor,
     fit_t_learner,
+    serialize_model,
 )
-from reachmap.baselines import RegLeaf
+from reachmap.baselines import RegLeaf, _bounded, _choice, _words
 from reachmap.causal_tree import Split
 from reachmap.domain import Dataset
 from reachmap.errors import EmptyDataset, InsufficientSamples, MissingGroup
@@ -176,6 +178,75 @@ class TestForest:
         roots = regressor_to_dict(r)["roots"]
         want = statistics.fmean(route(root, p)["value"] for root in roots)
         assert predict_one(r, p) == pytest.approx(want, abs=1e-15)
+
+
+def lemire(words, j: int) -> int:
+    """A draw on [0, j] from 32-bit ``words``, Lemire's nearly divisionless
+    rule written out: reject a product whose low word is below
+    (2**32 - (j + 1)) % (j + 1)."""
+    while True:
+        m = next(words) * (j + 1)
+        if m % 2**32 >= (2**32 - (j + 1)) % (j + 1):
+            return m // 2**32
+
+
+class TestFeatureDraws:
+    """t_forest's split features are ``Generator.choice``'s, taken from the
+    generator's raw words.  This class fails first if numpy changes
+    ``choice`` or its bounded draws."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        prefix=st.sampled_from([0, 1, 7, 1999, 2000]),
+        chunk=st.sampled_from([1, 2, 5, 256]),
+        ks=st.lists(st.integers(1, 3), min_size=1, max_size=40),
+    )
+    def test_same_as_numpy_choice(self, seed, prefix, chunk, ks):
+        # a bootstrap draw of odd or even length first, as a member's
+        # bootstrap rows come first: it decides which half of a 64-bit
+        # output the next word is
+        numpy_rng, words_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if prefix:
+            numpy_rng.integers(0, prefix, size=prefix)
+            words_rng.integers(0, prefix, size=prefix)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(baselines, "_WORD_CHUNK", chunk)
+            words = _words(words_rng)
+            for k in ks:
+                want = sorted(numpy_rng.choice(4, k, replace=False).tolist())
+                assert _choice(words, 4, k) == want
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 2**31, 3 * 2**30, 2**32 - 2])
+    def test_bounded_draw_rejects_as_lemire(self, j):
+        # word 0 is rejected at j = 2, the only rejection for n = 4; at
+        # j = 2**31 about half of all words are
+        script = [0, 0, 1, 2**31, 2**32 - 1, 12345, 0, 3 * 2**30 + 7, 2**32 - 3, 99]
+        got, want = iter(script), iter(script)
+        for _ in range(4):
+            assert _bounded(got, j) == lemire(want, j)
+        assert list(got) == list(want)  # the same words were used up
+
+    def test_rejected_word_is_skipped(self):
+        assert _bounded(iter([0, 2**31]), 2) == 1  # 0 * 3 is rejected, 3 * 2**31 >> 32 is 1
+        # two features of 4: the draw on [0, 2] rejects two words and picks 2,
+        # the one on [0, 3] picks 0 from word 0, and the shuffle of the two
+        # picks takes the last word
+        words = iter([0, 0, 2**32 - 1, 0, 5])
+        assert _choice(words, 4, 2) == [0, 2]
+        assert list(words) == []
+
+    @pytest.mark.parametrize("mtry", [1, 2, 3])
+    def test_forest_does_not_depend_on_the_word_chunk(self, mtry, monkeypatch):
+        # drawing words ahead of their use is harmless: nothing draws from
+        # a member's generator after its split draws
+        d = random_dataset(np.random.default_rng(70 + mtry), 45, 45, effect=0.3)
+        spec = ForestSpec(n_trees=4, max_depth=6, min_leaf=2, features_per_split=mtry, seed=mtry)
+        texts = set()
+        for chunk in (1, 3, baselines._WORD_CHUNK):
+            monkeypatch.setattr(baselines, "_WORD_CHUNK", chunk)
+            texts.add(serialize_model(fit_t_learner(d, spec)))
+        assert len(texts) == 1
 
 
 class TestKnn:

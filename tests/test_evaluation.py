@@ -248,6 +248,36 @@ def test_only_bench_loads_scipy(tmp_path):
     assert fresh.count(b"\n") == 3
 
 
+#: Run in a fresh interpreter by ``test_cli_import_loads_only_numpy``:
+#: prints the top-level names of the modules that importing the CLI loads
+#: from an installed-package directory (site-packages), so that a package
+#: counts as third-party by where its files are, not by a list of names.
+THIRD_PARTY_AT_IMPORT = """
+import os, site, sys, sysconfig
+
+before = set(sys.modules)
+import reachmap.cli
+dirs = {sysconfig.get_paths()[key] for key in ("purelib", "platlib")}
+dirs = {os.path.realpath(d) + os.sep for d in dirs | {site.getusersitepackages()}}
+loaded = set()
+for name in set(sys.modules) - before:
+    path = getattr(sys.modules[name], "__file__", None)
+    if path and os.path.realpath(path).startswith(tuple(dirs)):
+        loaded.add(name.partition(".")[0])
+print(sorted(loaded - {"reachmap"}))
+"""
+
+
+def test_cli_import_loads_only_numpy():
+    """A cold start of the CLI imports no third-party package but numpy:
+    import-time work is what ``python -m reachmap --version`` pays."""
+    src = str(Path(reachmap.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", THIRD_PARTY_AT_IMPORT],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == ["['numpy']"]
+
+
 def small_bench(models, runs=3, master_seed=99, preset=EffectPreset.REGIONAL):
     return BenchConfig(
         dgp=DgpSpec(effect_preset=preset, noise_sigma=0.1),

@@ -218,29 +218,17 @@ class _SseSearch:
         return _exact_sse_gain(self.matrices[0].value(f, rows), self.outcomes(rows), thr)
 
     def gains(self, rows, ks, lens, ids, fcol, ranks, distinct):
-        """Block scorer of the SSE reduction."""
-        ys = self.outcomes(ids)
-        ys -= _node_columns(rows, ks, "mean")[:, None]
-        s = np.cumsum(ys, axis=1)[:, :-1]
-        q = np.cumsum(np.multiply(ys, ys, out=ys), axis=1)[:, :-1]
-        del ys
+        """Block scorer of the SSE reduction: the node's SSE less each
+        child's, q - s**2 / n_l for a left child with sum s and sum of
+        squares q of its centred outcomes."""
+        q_total, s_total, sse_parent = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
+        yc = self.outcomes(ids) - _node_columns(rows, ks, "mean")[:, None]
+        s = np.cumsum(yc, axis=1)[:, :-1]
+        q = np.cumsum(yc * yc, axis=1)[:, :-1]
         n_l = np.arange(1.0, s.shape[1] + 1)
         n_r = lens[:, None] - n_l
-        valid = n_r >= self.min_leaf
-        valid &= distinct
-        valid[:, : self.min_leaf - 1] = False  # n_l < min_leaf
-        q_total, s_total, sse_parent = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
-        # sse_parent - (q - s*s / n_l) - ((q_total - q) - (s_total - s)**2 / n_r),
-        # operation by operation, in place
-        sse_r = s_total - s
-        sse_r *= sse_r
-        sse_r /= n_r
-        np.subtract(q_total - q, sse_r, out=sse_r)
-        gains = s * s
-        gains /= n_l
-        np.subtract(q, gains, out=gains)
-        np.subtract(sse_parent, gains, out=gains)
-        gains -= sse_r
+        valid = distinct & (n_l >= self.min_leaf) & (n_r >= self.min_leaf)
+        gains = sse_parent - (q - s * s / n_l) - ((q_total - q) - (s_total - s) ** 2 / n_r)
         return np.where(valid, gains, -np.inf)
 
 

@@ -220,8 +220,8 @@ class _Ranked:
         self.offsets = np.cumsum(sizes + 1) - (sizes + 1)
         self.rows = rows
         #: bits of a node row in a sort key (rank << shift | row), and the
-        #: narrower of int32 and int64 that holds every key: int32 keys sort
-        #: about twice as fast
+        #: narrower of int32 and int64 that holds every key: int32 keys
+        #: lower a fit's peak memory
         self.shift = (ranks.shape[1] if rows is None else rows.size).bit_length()
         narrow = (int(sizes.max(initial=0)) + 1) << self.shift <= 2**31
         self.key_type = np.int32 if narrow else np.int64
@@ -652,58 +652,36 @@ class _EffectSearch:
     def gains(self, rows, ks, lens, ids, fcol, ranks, distinct):
         """Block scorer of the effect contrast (see the module docstring)."""
         m = self.m
-        thresholds = self.matrices[0].midpoints(fcol, ranks)
         n1, n0 = (col[:, None] for col in _node_columns(rows, ks, "stats").T)
-        # each estimation group's m-th smallest and m-th largest value (see
-        # the module docstring); a searched node has 2m of each
-        est = self.matrices[1]
-        at = est.offsets[fcol] + est.order_stats(rows, (1, 2), m).reshape(2, len(fcol), 2)
-        valid = distinct
-        for bounds in est.values[at]:
-            valid &= thresholds > bounds[:, :1]
-            valid &= thresholds <= bounds[:, 1:]
-        del thresholds
-
         gs = self.g.take(ids)
-        ys = self.y.take(ids)
-        ys -= _node_columns(rows, ks, "mean")[:, None]
-        s1_all = np.cumsum(np.where(gs, ys, 0.0), axis=1)
-        np.putmask(ys, gs, 0.0)
-        s0_all = np.cumsum(ys, axis=1)
-        c1 = np.cumsum(gs, axis=1)[:, :-1]
-        del gs, ys
+        yc = self.y.take(ids) - _node_columns(rows, ks, "mean")[:, None]
+        s1_all = np.cumsum(np.where(gs, yc, 0.0), axis=1)
+        s0_all = np.cumsum(np.where(gs, 0.0, yc), axis=1)
         last = np.arange(len(lens)), lens - 1
-        S1 = s1_all[last][:, None]
-        S0 = s0_all[last][:, None]
-        s1 = s1_all[:, :-1]
-        s0 = s0_all[:, :-1]
-        c0 = np.arange(1, c1.shape[1] + 1) - c1
-        n1r = n1 - c1
-        n0r = n0 - c0
-        valid &= c1 >= m
-        valid &= c0 >= m
-        valid &= n1r >= m
-        valid &= n0r >= m
-
-        # (n_l * n_r) / n**2 * (tau_l - tau_r)**2, with tau_l = s1 / c1 -
-        # s0 / c0 and tau_r = (S1 - s1) / n1r - (S0 - s0) / n0r, operation
-        # by operation, in place
-        tau_l = s1 / c1
-        tau_l -= s0 / c0
-        tau_r = S1 - s1
-        tau_r /= n1r
-        ctl_r = S0 - s0
-        ctl_r /= n0r
-        tau_r -= ctl_r
-        del ctl_r
-        tau_l -= tau_r
-        np.square(tau_l, out=tau_l)
+        S1, S0 = s1_all[last][:, None], s0_all[last][:, None]
+        s1, s0 = s1_all[:, :-1], s0_all[:, :-1]
+        c1 = np.cumsum(gs, axis=1)[:, :-1]
         n = lens[:, None]
         n_l = np.arange(1.0, c1.shape[1] + 1)
-        gains = n - n_l
-        gains *= n_l
-        gains /= (n * n).astype(np.float64)
-        gains *= tau_l
+        c0 = n_l - c1
+        n1r, n0r = n1 - c1, n0 - c0
+
+        # bounds[g, r]: estimation group g's m-th smallest and m-th largest
+        # value in block row r (see the module docstring); a searched node
+        # has 2m of each
+        est = self.matrices[1]
+        at = est.offsets[fcol] + est.order_stats(rows, (1, 2), m).reshape(2, len(fcol), 2)
+        bounds = est.values[at]
+        thresholds = self.matrices[0].midpoints(fcol, ranks)
+        valid = (
+            distinct
+            & (c1 >= m) & (c0 >= m) & (n1r >= m) & (n0r >= m)
+            & ((bounds[..., :1] < thresholds) & (thresholds <= bounds[..., 1:])).all(axis=0)
+        )
+
+        tau_l = s1 / c1 - s0 / c0
+        tau_r = (S1 - s1) / n1r - (S0 - s0) / n0r
+        gains = n_l * (n - n_l) / (n * n).astype(np.float64) * (tau_l - tau_r) ** 2
         return np.where(valid, gains, -np.inf)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain or I/O error (one ``error: <kind>: <detail>``
 line on stderr), 2 usage error.  Every file write is atomic (temp file plus
-rename) and no command mutates its inputs.  Randomness never comes from the
+rename) and no command mutates its inputs: an output path that names an
+input or another output is a usage error.  Randomness never comes from the
 clock: fitting and generation require an explicit ``--seed`` and benchmarks a
 ``master_seed`` in their config.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -139,7 +141,41 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
                 )
     if ns.command == "map" and ns.out_svg is None and ns.out_csv is None:
         parser.error("map needs at least one of --out-svg / --out-csv")
+    _refuse_clashing_paths(parser, ns)
     return ns
+
+
+#: the input flags, then the output flags, of each command that writes files
+_FILE_FLAGS = {
+    "gen": (("dgp",), ("out",)),
+    "fit": (("data",), ("out",)),
+    "bench": (("config",), ("out",)),
+    "map": (("model",), ("out_svg", "out_csv")),
+}
+
+
+def _sidecar(out: str) -> Path:
+    """The DGP config that ``gen`` writes beside its dataset ``out``."""
+    return Path(out).with_suffix(".truth.cfg")
+
+
+def _refuse_clashing_paths(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
+    """A usage error where an output path of ``ns`` names one of its inputs
+    or another of its outputs: the same file where both exist, else the
+    same resolved path."""
+    inputs, outputs = _FILE_FLAGS.get(ns.command, ((), ()))
+    named = [(f"--{flag.replace('_', '-')}", getattr(ns, flag)) for flag in inputs + outputs
+             if getattr(ns, flag) is not None]  # inputs are required: they come first
+    if ns.command == "gen" and Path(ns.out).name:
+        named.append(("the --out sidecar", str(_sidecar(ns.out))))
+    for i, (flag, path) in enumerate(named[len(inputs):], len(inputs)):
+        for other, other_path in named[:i]:
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:  # a file is missing
+                same = os.path.realpath(path) == os.path.realpath(other_path)
+            if same:
+                parser.error(f"{flag} and {other} name the same file: {path}")
 
 
 def _require_seed(seed: Optional[int], what: str) -> int:
@@ -159,7 +195,7 @@ def run_command(ns: argparse.Namespace) -> int:
         spec = load_dgp_config(ns.dgp)
         dataset, truth = generate_dataset(spec, ns.n0, ns.n1, seed)
         save_dataset_csv(dataset, ns.out)
-        save_dgp_config(truth.spec, Path(ns.out).with_suffix(".truth.cfg"))
+        save_dgp_config(truth.spec, _sidecar(ns.out))
         print(f"wrote {len(dataset)} samples to {ns.out}")
         return 0
 

@@ -12,7 +12,6 @@ import functools
 import json
 import math
 import os
-import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, get_type_hints
@@ -27,9 +26,15 @@ def write_bytes_atomic(path, data: bytes) -> None:
 
 
 def write_chunks_atomic(path, chunks: Iterable[bytes]) -> None:
-    """Write the chunks in order; the target appears only once all are written."""
+    """Write the chunks in order; the target appears only once all are written.
+
+    The chunks go to a new file with an unpredictable name beside the
+    target, which then replaces it.  That file is created with mode 0o666
+    less the umask, as ``open(path, "w")`` creates one.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.writelines(chunks)
@@ -111,7 +116,7 @@ def _member(enum_cls: type, obj: dict, key: str, path: str, error):
 
 
 #: field checker by annotation
-_CHECKERS = {int: _exactly(int, "an integer"), float: number, bool: _exactly(bool, "a boolean")}
+CHECKERS = {int: _exactly(int, "an integer"), float: number, bool: _exactly(bool, "a boolean")}
 
 
 @functools.cache
@@ -125,7 +130,7 @@ def _field_readers(cls: type, prefix: str) -> tuple:
     readers = []
     for f in fields(cls):
         t = hints[f.name]
-        check = _CHECKERS.get(t) or functools.partial(_member, t)
+        check = CHECKERS.get(t) or functools.partial(_member, t)
         has_default = f.default is not MISSING or f.default_factory is not MISSING
         readers.append((f.name, prefix + f.name, check, has_default))
     return tuple(readers)

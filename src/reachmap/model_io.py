@@ -53,7 +53,7 @@ from .causal_tree import (
 )
 from .domain import FEATURE_NAMES
 from .errors import MalformedModel
-from .fileio import decode_json, expect_dict, finite_number, from_fields, get, write_text_atomic
+from .fileio import CHECKERS, decode_json, expect_dict, from_fields, get, write_text_atomic
 
 FORMAT_VERSION = 1
 
@@ -250,10 +250,6 @@ def _node_path(path: str, chain: tuple) -> str:
     return path + "".join(reversed(steps))
 
 
-def _missing(path: str, key: str) -> MalformedModel:
-    return MalformedModel(f"{path}.{key}", "missing required field")
-
-
 #: the fields the fast path of :func:`_nodes_from_dict` reads by name, in the
 #: order it builds each record from, with whether it tests for an int; a
 #: node class whose fields differ fails here, at import, not in a load
@@ -331,36 +327,25 @@ def _checked_fields(d: Any, path: str, chain: tuple, depth: int, max_depth: int,
     ``chain`` and ``depth``, with a number written as an integer read as a
     float; or MalformedModel at the node's first fault.
 
-    A node's fields are checked in field order: an integer must be exactly
-    an int, a number a finite int or float that is no bool.  Then a causal
+    A node's fields are read in field order by the document reader's field
+    checkers (``fileio.CHECKERS``): an integer must be exactly an int, a
+    number a finite int or float that is no bool.  Then a causal
     leaf's ``leaf_id`` must be ``rank``; a split's feature must exist, its
     depth be below ``max_depth``, and its right child, then its left one,
     be present.
     """
     where = _node_path(path, chain)
-    if not isinstance(d, dict):
-        raise MalformedModel(where, f"expected an object, got {type(d).__name__}")
-    kind = d.get("kind", _ABSENT)
+    d = expect_dict(d, where, MalformedModel)
+    kind = get(d, "kind", where, MalformedModel)
     if kind != "leaf" and kind != "internal":
-        if kind is _ABSENT:
-            raise _missing(where, "kind")
         raise MalformedModel(f"{where}.kind", f"expected 'leaf' or 'internal', got {kind!r}")
-    values = []
-    for key, integer in _NODE_FIELDS[leaf_cls if kind == "leaf" else Split]:
-        v = d.get(key, _ABSENT)
-        if v is _ABSENT:
-            raise _missing(where, key)
-        if integer:
-            if type(v) is not int:
-                raise MalformedModel(f"{where}.{key}", f"expected an integer, got {v!r}")
-        else:
-            v = finite_number(v, f"{where}.{key}", MalformedModel)
-        values.append(v)
+    values = [
+        CHECKERS[int if integer else float](d, key, where, MalformedModel)
+        for key, integer in _NODE_FIELDS[leaf_cls if kind == "leaf" else Split]
+    ]
     if kind == "leaf":
         if leaf_cls is Leaf:
-            leaf_id = d.get("leaf_id", _ABSENT)
-            if leaf_id is _ABSENT:
-                raise _missing(where, "leaf_id")
+            leaf_id = get(d, "leaf_id", where, MalformedModel)
             if type(leaf_id) is not int or leaf_id != rank:
                 raise MalformedModel(f"{where}.leaf_id",
                                      f"expected {rank}, the leaf's rank, got {leaf_id!r}")
@@ -370,8 +355,7 @@ def _checked_fields(d: Any, path: str, chain: tuple, depth: int, max_depth: int,
     if depth >= max_depth:
         raise MalformedModel(where, f"a split at depth {depth}; max_depth is {max_depth}")
     for side in ("right", "left"):
-        if side not in d:
-            raise _missing(where, side)
+        get(d, side, where, MalformedModel)
     return values
 
 

@@ -31,6 +31,7 @@ from reachmap.baselines import _LOCKSTEP, _exact_sse_gain
 from reachmap.causal_tree import _BLOCK_CAP, Leaf, _EffectSearch, _exact_effect_gain, _Ranked
 from reachmap.domain import MAX_OUTCOME_S
 from reachmap.errors import DegenerateSplit, ReachmapError
+from reachmap.evaluation import model_entry
 
 KINDS = ("causal_tree", "causal_forest", "t_cart", "t_forest")
 
@@ -217,6 +218,53 @@ class TestOrderStats:
         # ranks 2, 0, 1, 0 in column 0: 2nd smallest 0, 2nd largest 1
         assert matrix.order_stats([(node, [0])], (0,), 2).tolist() == [[0, 1]]
         assert matrix.order_stats([(node, [0])], (0,), 1).tolist() == [[0, 2]]
+
+
+class TestWideSortKeys:
+    """Where a (rank, row) key needs more than 31 bits, the keys are int64
+    and still sort as a stable sort of each node's values does."""
+
+    @pytest.mark.parametrize("view", ["matrix", "bootstrap"])
+    def test_sorted_block_is_a_stable_sort(self, view):
+        # 40,000 distinct values a column: 16 rank bits and 16 row bits; a
+        # bootstrap view repeats rows, so its nodes hold equal values
+        rng = np.random.default_rng(11)
+        n = 40_000
+        matrix = _Ranked.of(np.column_stack([rng.permutation(n) for _ in range(4)]) / 7.0)
+        if view == "bootstrap":
+            matrix = matrix.take(rng.integers(0, n, size=n).astype(np.int32))
+        assert matrix.key_type is np.int64
+        rows = [
+            (SimpleNamespace(rows=(np.arange(n, dtype=np.int32),)), [0, 2]),
+            (SimpleNamespace(rows=(np.sort(rng.choice(n, 1000, replace=False)).astype(np.int32),)),
+             [1, 3]),
+            (SimpleNamespace(rows=(np.array([5, 17, 39_999], dtype=np.int32),)), [3]),
+        ]
+        ids, ranks, fcol, lens = matrix.sorted_block(rows, 0)
+        block_rows = [(node.rows[0], f) for node, features in rows for f in features]
+        assert fcol[:, 0].tolist() == [f for _, f in block_rows]
+        for r, (node_rows, f) in enumerate(block_rows):
+            want = node_rows[np.argsort(matrix.value(f, node_rows), kind="stable")]
+            assert lens[r] == node_rows.size
+            assert ids[r, : lens[r]].tolist() == want.tolist()
+            assert ranks[r, : lens[r]].tolist() == matrix.rank(f, want).tolist()
+            assert (ranks[r, lens[r]:] == matrix.sizes[f]).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_forced_wide_keys_fit_the_same_model(self, kind, monkeypatch):
+        d = random_dataset(np.random.default_rng(12), 150, 150, effect=0.4)
+        narrow = serialize_model(model_entry(kind).fit(d, 12))
+        real_init = _Ranked.__init__
+        was_int32 = []
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            was_int32.append(self.key_type is np.int32)
+            self.key_type = np.int64
+
+        monkeypatch.setattr(_Ranked, "__init__", init)
+        assert serialize_model(model_entry(kind).fit(d, 12)) == narrow
+        assert was_int32 and all(was_int32)
 
 
 def fit_result(fit):

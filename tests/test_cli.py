@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import stat
 import threading
 
 import numpy as np
@@ -84,6 +86,19 @@ def run(args):
         return main([str(a) for a in args])
     except SystemExit as e:
         return e.code
+
+
+SMALL_BENCH = {
+    "dgp": {"effect_preset": "regional", "noise_sigma": 0.1},
+    "models": [{"kind": "causal_tree", "max_depth": 2, "min_group_leaf": 2}, {"kind": "t_knn"}],
+    "n_control": 60, "n_individual": 60,
+    "runs": 2, "holdout_points": 20, "master_seed": 5,
+}
+
+
+def file_digests(directory) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir()) if p.is_file()}
 
 
 class TestPipeline:
@@ -549,14 +564,105 @@ class TestDeterminism:
         assert models[1] == models[0] and models[2] == models[0]
 
     def test_inputs_never_mutated(self, workdir):
-        data = workdir / "d.csv"
-        run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 40, "--n1", 40,
-             "--seed", 2, "--out", data])
-        before = data.read_bytes()
-        run(["fit", "--data", data, "--model", "t_cart", "--seed", 3,
-             "--out", workdir / "m.json"])
-        assert data.read_bytes() == before
-        assert (workdir / "regional.cfg").read_text() == REGIONAL_CFG
+        (workdir / "bench.json").write_text(json.dumps(SMALL_BENCH))
+        steps = [
+            ("regional.cfg", ["gen", "--dgp", workdir / "regional.cfg", "--n0", 40, "--n1", 40,
+                              "--seed", 1, "--out", workdir / "d.csv"]),
+            ("d.csv", ["fit", "--data", workdir / "d.csv", "--model", "t_cart", "--seed", 3,
+                       "--out", workdir / "m.json"]),
+            ("m.json", ["predict", "--model", workdir / "m.json",
+                        "--x", 0.1, "--y", 0.1, "--z", 0.1]),
+            ("m.json", ["map", "--model", workdir / "m.json", "--z-slice", 0.1,
+                        "--resolution", 0.1, "--out-svg", workdir / "m.svg"]),
+            ("bench.json", ["bench", "--config", workdir / "bench.json",
+                            "--out", workdir / "b.csv"]),
+        ]
+        for name, argv in steps:
+            before = file_digests(workdir)[name]
+            assert run(argv) == 0
+            assert file_digests(workdir)[name] == before
+
+
+@pytest.fixture
+def inputs(workdir):
+    """``workdir`` holding a DGP config, a dataset, a model and a bench config."""
+    assert run(["gen", "--dgp", workdir / "regional.cfg", "--n0", 40, "--n1", 40,
+                "--seed", 1, "--out", workdir / "d.csv"]) == 0
+    assert run(["fit", "--data", workdir / "d.csv", "--model", "causal_tree",
+                "--max-depth", 2, "--seed", 2, "--out", workdir / "m.json"]) == 0
+    (workdir / "bench.json").write_text(json.dumps(SMALL_BENCH))
+    return workdir
+
+
+class TestFileSafety:
+    """Outputs take the mode ``open`` gives, and never overwrite an input or
+    another output of the same command."""
+
+    #: (argv, the error line): each output path names an input or another output
+    CLASHES = [
+        ("gen --dgp d.truth.cfg --n0 40 --n1 40 --seed 1 --out d.csv",
+         "the --out sidecar and --dgp name the same file: d.truth.cfg"),
+        ("gen --dgp regional.cfg --n0 40 --n1 40 --seed 1 --out regional.cfg",
+         "--out and --dgp name the same file: regional.cfg"),
+        ("fit --data d.csv --model causal_tree --seed 1 --out d.csv",
+         "--out and --data name the same file: d.csv"),
+        ("fit --data d.csv --model causal_tree --seed 1 --out ./sub/../d.csv",
+         "--out and --data name the same file: ./sub/../d.csv"),
+        ("fit --data d.csv --model causal_tree --seed 1 --out hard.csv",
+         "--out and --data name the same file: hard.csv"),
+        ("map --model m.json --z-slice 0.1 --out-svg p --out-csv p",
+         "--out-csv and --out-svg name the same file: p"),
+        ("map --model m.json --z-slice 0.1 --out-csv m.json",
+         "--out-csv and --model name the same file: m.json"),
+        ("bench --config bench.json --out bench.json",
+         "--out and --config name the same file: bench.json"),
+    ]
+
+    @pytest.mark.parametrize("argv, line", CLASHES, ids=[
+        "gen-sidecar", "gen-out", "fit", "fit-dotted", "fit-hard-link", "map-outputs",
+        "map-model", "bench"])
+    def test_output_naming_an_input_or_output_is_refused(
+            self, inputs, capsys, monkeypatch, argv, line):
+        for cfg in ("regional.cfg", "d.truth.cfg"):
+            text = (inputs / cfg).read_text()
+            (inputs / cfg).write_text("# the user's own notes\n" + text)
+        os.link(inputs / "d.csv", inputs / "hard.csv")
+        (inputs / "sub").mkdir()
+        before = file_digests(inputs)
+        monkeypatch.chdir(inputs)
+        capsys.readouterr()
+        assert run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"reachmap: error: {line}"
+        assert file_digests(inputs) == before
+
+    @pytest.mark.parametrize("umask", [0o022, 0o007], ids=["umask-022", "umask-007"])
+    def test_outputs_take_the_mode_open_gives(self, workdir, umask):
+        old = os.umask(umask)
+        try:
+            with open(workdir / "sibling", "w"):
+                pass
+            expected = stat.S_IMODE(os.stat(workdir / "sibling").st_mode)
+            (workdir / "bench.json").write_text(json.dumps(SMALL_BENCH))
+            commands = [
+                ["gen", "--dgp", workdir / "regional.cfg", "--n0", 40, "--n1", 40,
+                 "--seed", 1, "--out", workdir / "d.csv"],
+                ["fit", "--data", workdir / "d.csv", "--model", "causal_tree",
+                 "--max-depth", 2, "--seed", 2, "--out", workdir / "m.json"],
+                ["map", "--model", workdir / "m.json", "--z-slice", 0.1, "--resolution", 0.1,
+                 "--out-svg", workdir / "m.svg", "--out-csv", workdir / "m.csv"],
+                ["bench", "--config", workdir / "bench.json", "--out", workdir / "b.csv"],
+            ]
+            outputs = ["d.csv", "d.truth.cfg", "m.json", "m.svg", "m.csv", "b.csv"]
+            for _ in ("new", "overwrite"):
+                for argv in commands:
+                    assert run(argv) == 0
+                modes = {name: stat.S_IMODE(os.stat(workdir / name).st_mode) for name in outputs}
+                assert modes == dict.fromkeys(outputs, expected)
+        finally:
+            os.umask(old)
+        assert expected == 0o666 & ~umask
 
 
 class TestDatasetInput:

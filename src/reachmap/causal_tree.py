@@ -649,6 +649,18 @@ class _EffectSearch:
         v = self.matrices[0].value(f, rows)
         return _exact_effect_gain(v, self.g.take(rows), self.y.take(rows), thr)
 
+    def _estimation_admits(self, rows, fcol, ranks) -> np.ndarray:
+        """The (R, L - 1) mask of the block's cuts that leave at least m of
+        each estimation group on both sides (see the module docstring)."""
+        m = self.m
+        # bounds[g, r]: estimation group g's m-th smallest and m-th largest
+        # value in block row r; a searched node has 2m of each
+        est = self.matrices[1]
+        at = est.offsets[fcol] + est.order_stats(rows, (1, 2), m).reshape(2, len(fcol), 2)
+        bounds = est.values[at]
+        thresholds = self.matrices[0].midpoints(fcol, ranks)
+        return ((bounds[..., :1] < thresholds) & (thresholds <= bounds[..., 1:])).all(axis=0)
+
     def gains(self, rows, ks, lens, ids, fcol, ranks, distinct):
         """Block scorer of the effect contrast (see the module docstring)."""
         m = self.m
@@ -665,18 +677,10 @@ class _EffectSearch:
         n_l = np.arange(1.0, c1.shape[1] + 1)
         c0 = n_l - c1
         n1r, n0r = n1 - c1, n0 - c0
-
-        # bounds[g, r]: estimation group g's m-th smallest and m-th largest
-        # value in block row r (see the module docstring); a searched node
-        # has 2m of each
-        est = self.matrices[1]
-        at = est.offsets[fcol] + est.order_stats(rows, (1, 2), m).reshape(2, len(fcol), 2)
-        bounds = est.values[at]
-        thresholds = self.matrices[0].midpoints(fcol, ranks)
         valid = (
             distinct
             & (c1 >= m) & (c0 >= m) & (n1r >= m) & (n0r >= m)
-            & ((bounds[..., :1] < thresholds) & (thresholds <= bounds[..., 1:])).all(axis=0)
+            & self._estimation_admits(rows, fcol, ranks)
         )
 
         tau_l = s1 / c1 - s0 / c0
@@ -772,7 +776,6 @@ def fit_causal_tree(d: Dataset, params: CausalTreeParams) -> CausalTree:
     Deterministic given the dataset as a multiset and the params.  Raises
     DegenerateSplit when either honest half cannot host a root leaf.
     """
-    validate_dataset(d)
     split_half, estimation_half = stratified_honest_split(
         d, params.honest_fraction, params.seed
     )
@@ -842,7 +845,6 @@ class CausalForest:
 
     trees: tuple[CausalTree, ...]
     params: CausalTreeParams
-    n_trees: int
     subsample_ratio: float
 
     def predict(self, X: np.ndarray) -> DifficultyEstimate:
@@ -914,9 +916,4 @@ def fit_causal_forest(
             picked.append(rows[np.sort(rng.permutation(rows.size)[:k])])
         sub = d.subset(np.concatenate(picked))
         trees.append(fit_causal_tree(sub, member_params))
-    return CausalForest(
-        trees=tuple(trees),
-        params=params,
-        n_trees=n_trees,
-        subsample_ratio=float(subsample_ratio),
-    )
+    return CausalForest(tuple(trees), params, float(subsample_ratio))

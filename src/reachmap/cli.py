@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 domain or I/O error (one ``error: <kind>: <detail>``
 line on stderr), 2 usage error.  Every file write is atomic (temp file plus
-rename) and no command mutates its inputs: an output path that names an
-input or another output is a usage error.  Randomness never comes from the
-clock: fitting and generation require an explicit ``--seed`` and benchmarks a
-``master_seed`` in their config.
+rename) and no command mutates its inputs: an output path that names a
+directory, an input or another output is a usage error.  Randomness never
+comes from the clock: fitting and generation require an explicit ``--seed``
+and benchmarks a ``master_seed`` in their config.
 """
 
 from __future__ import annotations
@@ -160,15 +160,17 @@ def _sidecar(out: str) -> Path:
 
 
 def _refuse_clashing_paths(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
-    """A usage error where an output path of ``ns`` names one of its inputs
-    or another of its outputs: the same file where both exist, else the
-    same resolved path."""
+    """A usage error where an output path of ``ns`` names a directory, one
+    of its inputs or another of its outputs: the same file where both
+    exist, else the same resolved path."""
     inputs, outputs = _FILE_FLAGS.get(ns.command, ((), ()))
     named = [(f"--{flag.replace('_', '-')}", getattr(ns, flag)) for flag in inputs + outputs
              if getattr(ns, flag) is not None]  # inputs are required: they come first
     if ns.command == "gen" and Path(ns.out).name:
         named.append(("the --out sidecar", str(_sidecar(ns.out))))
     for i, (flag, path) in enumerate(named[len(inputs):], len(inputs)):
+        if os.path.isdir(path):
+            parser.error(f"{flag} names a directory: {path}")
         for other, other_path in named[:i]:
             try:
                 same = os.path.samefile(path, other_path)
@@ -193,9 +195,9 @@ def run_command(ns: argparse.Namespace) -> int:
     if ns.command == "gen":
         seed = _require_seed(ns.seed, "dataset generation")
         spec = load_dgp_config(ns.dgp)
-        dataset, truth = generate_dataset(spec, ns.n0, ns.n1, seed)
+        dataset, _ = generate_dataset(spec, ns.n0, ns.n1, seed)
         save_dataset_csv(dataset, ns.out)
-        save_dgp_config(truth.spec, _sidecar(ns.out))
+        save_dgp_config(spec, _sidecar(ns.out))
         print(f"wrote {len(dataset)} samples to {ns.out}")
         return 0
 

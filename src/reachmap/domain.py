@@ -102,9 +102,9 @@ class Dataset:
     __slots__ = ("features", "groups", "outcomes")
 
     def __init__(self, features: np.ndarray, groups: np.ndarray, outcomes: np.ndarray):
-        features = np.ascontiguousarray(features, dtype=np.float64)
-        groups = np.ascontiguousarray(groups, dtype=np.int8)
-        outcomes = np.ascontiguousarray(outcomes, dtype=np.float64)
+        features = np.array(features, dtype=np.float64, order="C")
+        groups = np.array(groups, dtype=np.int8, order="C")
+        outcomes = np.array(outcomes, dtype=np.float64, order="C")
         if features.ndim != 2 or features.shape[1] != len(FEATURE_NAMES):
             raise ValueError(f"features must be (n, 4), got {features.shape}")
         n = features.shape[0]
@@ -209,15 +209,14 @@ def stratified_honest_split(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    validate_dataset(d)
+    counts = validate_dataset(d)
 
     order = canonical_order(d)
     rng = np.random.default_rng(seed)
     shuffled = order[rng.permutation(len(order))]
 
     quotas = {}
-    for g in (GroupLabel.CONTROL, GroupLabel.INDIVIDUAL):
-        n_g = int(np.count_nonzero(d.groups == int(g)))
+    for g, n_g in zip((GroupLabel.CONTROL, GroupLabel.INDIVIDUAL), counts):
         q = int(math.floor(fraction * n_g))
         if q == 0:
             raise DegenerateSplit(f"split half would have no {g.name} samples")

@@ -30,9 +30,10 @@ def write_chunks_atomic(path, chunks: Iterable[bytes]) -> None:
 
     The chunks go to a new file with an unpredictable name beside the
     target, which then replaces it.  That file is created with mode 0o666
-    less the umask, as ``open(path, "w")`` creates one.
+    less the umask, as ``open(path, "w")`` creates one.  A symlink at
+    ``path`` stays: as ``open`` does, the write goes to the file it names.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -167,29 +167,26 @@ def extract_regions(m: DifficultyMap) -> list[Region]:
 
     regions = []
     for leaf_id, cell_indices in by_leaf.items():
+        # one flood fill: the region is connected when it reaches every cell
         remaining = {coords[i] for i in cell_indices}
-        components = 0
-        while remaining:
-            components += 1
-            queue = deque([next(iter(remaining))])
-            remaining.discard(queue[0])
-            while queue:
-                qx, qy, qz = queue.popleft()
-                for nb in (
-                    (qx - 2, qy, qz),
-                    (qx + 2, qy, qz),
-                    (qx, qy - 2, qz),
-                    (qx, qy + 2, qz),
-                ):
-                    if nb in remaining:
-                        remaining.discard(nb)
-                        queue.append(nb)
+        stack = [remaining.pop()]
+        while stack:
+            qx, qy, qz = stack.pop()
+            for nb in (
+                (qx - 2, qy, qz),
+                (qx + 2, qy, qz),
+                (qx, qy - 2, qz),
+                (qx, qy + 2, qz),
+            ):
+                if nb in remaining:
+                    remaining.remove(nb)
+                    stack.append(nb)
         regions.append(
             Region(
                 leaf_id=leaf_id,
                 tau_hat=float(m.tau_hat[cell_indices[0]]),
                 cells=tuple(cell_indices),
-                connected=components == 1,
+                connected=not remaining,
             )
         )
     regions.sort(key=lambda reg: (-abs(reg.tau_hat), reg.leaf_id))

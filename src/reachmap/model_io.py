@@ -23,7 +23,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import asdict
 from operator import attrgetter
 from typing import Any, Callable, Optional, Union, get_type_hints
 
@@ -80,25 +80,16 @@ _SORTED_FIELDS = {
 # --- encoding ----------------------------------------------------------------
 
 
-def _to_dict(obj) -> dict:
-    """Field name -> value of a model dataclass; every field holds a plain value.
-
-    A shallow copy: ``dataclasses.asdict`` gives the same dict but deep-copies
-    each value, which made saving a forest several times slower.
-    """
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def _tree_to_dict(tree: CausalTree, root: Callable) -> dict:
     return {
         "feature_names": list(FEATURE_NAMES),
-        "params": _to_dict(tree.params),
+        "params": asdict(tree.params),
         "root": root(tree.nodes),
     }
 
 
 def _regressor_to_dict(r: Regressor, root: Callable) -> dict:
-    doc: dict[str, Any] = {"spec": _to_dict(r.spec)}
+    doc: dict[str, Any] = {"spec": asdict(r.spec)}
     if isinstance(r, CartRegressor):
         doc.update(kind="cart", root=root(r.nodes))
     elif isinstance(r, ForestRegressor):
@@ -136,14 +127,14 @@ def _document(model: Model, root: Callable) -> dict:
         doc.update(_tree_to_dict(model, root))
     elif isinstance(model, CausalForest):
         doc.update(
-            params=_to_dict(model.params),
-            n_trees=model.n_trees,
+            params=asdict(model.params),
+            n_trees=len(model.trees),
             subsample_ratio=model.subsample_ratio,
             trees=[_tree_to_dict(t, root) for t in model.trees],
         )
     else:
         doc.update(
-            spec=_to_dict(model.spec),
+            spec=asdict(model.spec),
             model_individual=_regressor_to_dict(model.model_individual, root),
             model_control=_regressor_to_dict(model.model_control, root),
         )
@@ -450,7 +441,7 @@ def model_from_dict(doc: Any) -> Model:
                              "$.params", MalformedModel)
         trees = tuple(_tree_from_dict(t, f"$.trees[{i}]", forest_member(params, i)[1])
                       for i, t in enumerate(trees_v))
-        return CausalForest(trees, params, ensemble.n_trees, ensemble.subsample_ratio)
+        return CausalForest(trees, params, ensemble.subsample_ratio)
 
     if isinstance(kind, str) and kind in _T_KINDS:
         base_kind, spec_cls = _T_KINDS[kind]

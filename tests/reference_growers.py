@@ -237,7 +237,7 @@ def fit_causal_forest(d: Dataset, params: CausalTreeParams, n_trees: int,
             picked.append(rng.permutation(rows)[:k])
         sub = d.subset(np.concatenate(picked))
         trees.append(fit_causal_tree(sub, replace(params, seed=fit_seed)))
-    return CausalForest(tuple(trees), params, n_trees, float(subsample_ratio))
+    return CausalForest(tuple(trees), params, float(subsample_ratio))
 
 
 def best_cart_cut(X, y, idx, features, min_leaf) -> Optional[Split]:

@@ -66,7 +66,7 @@ def model_to_dict(model) -> dict:
     if isinstance(model, CausalTree):
         doc.update(_tree_to_dict(model))
     elif isinstance(model, CausalForest):
-        doc.update(params=_to_dict(model.params), n_trees=model.n_trees,
+        doc.update(params=_to_dict(model.params), n_trees=len(model.trees),
                    subsample_ratio=model.subsample_ratio,
                    trees=[_tree_to_dict(t) for t in model.trees])
     else:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from reachmap import dataset_to_csv, load_dataset_csv, load_model
+from reachmap import cli
 from reachmap.cli import main, parse_args
 from conftest import CSV_MUTATIONS, mutate_csv, random_dataset
 
@@ -610,6 +611,8 @@ class TestFileSafety:
          "--out and --data name the same file: ./sub/../d.csv"),
         ("fit --data d.csv --model causal_tree --seed 1 --out hard.csv",
          "--out and --data name the same file: hard.csv"),
+        ("fit --data d.csv --model causal_tree --seed 1 --out link.csv",
+         "--out and --data name the same file: link.csv"),
         ("map --model m.json --z-slice 0.1 --out-svg p --out-csv p",
          "--out-csv and --out-svg name the same file: p"),
         ("map --model m.json --z-slice 0.1 --out-csv m.json",
@@ -619,14 +622,15 @@ class TestFileSafety:
     ]
 
     @pytest.mark.parametrize("argv, line", CLASHES, ids=[
-        "gen-sidecar", "gen-out", "fit", "fit-dotted", "fit-hard-link", "map-outputs",
-        "map-model", "bench"])
+        "gen-sidecar", "gen-out", "fit", "fit-dotted", "fit-hard-link", "fit-symlink",
+        "map-outputs", "map-model", "bench"])
     def test_output_naming_an_input_or_output_is_refused(
             self, inputs, capsys, monkeypatch, argv, line):
         for cfg in ("regional.cfg", "d.truth.cfg"):
             text = (inputs / cfg).read_text()
             (inputs / cfg).write_text("# the user's own notes\n" + text)
         os.link(inputs / "d.csv", inputs / "hard.csv")
+        os.symlink("d.csv", inputs / "link.csv")
         (inputs / "sub").mkdir()
         before = file_digests(inputs)
         monkeypatch.chdir(inputs)
@@ -636,6 +640,55 @@ class TestFileSafety:
         assert out == ""
         assert err.splitlines()[-1] == f"reachmap: error: {line}"
         assert file_digests(inputs) == before
+
+    #: (argv, the error line): an output path names a directory or a link to one
+    DIRECTORIES = [
+        ("gen --dgp regional.cfg --n0 40 --n1 40 --seed 1 --out outdir",
+         "--out names a directory: outdir"),
+        ("gen --dgp regional.cfg --n0 40 --n1 40 --seed 1 --out dirlink",
+         "--out names a directory: dirlink"),
+        ("gen --dgp regional.cfg --n0 40 --n1 40 --seed 1 --out side.csv",
+         "the --out sidecar names a directory: side.truth.cfg"),
+        ("fit --data d.csv --model causal_tree --seed 1 --out outdir",
+         "--out names a directory: outdir"),
+        ("map --model m.json --z-slice 0.1 --out-svg dirlink",
+         "--out-svg names a directory: dirlink"),
+        ("map --model m.json --z-slice 0.1 --out-svg p.svg --out-csv outdir",
+         "--out-csv names a directory: outdir"),
+        ("bench --config bench.json --out outdir",
+         "--out names a directory: outdir"),
+    ]
+
+    @pytest.mark.parametrize("argv, line", DIRECTORIES, ids=[
+        "gen", "gen-link", "gen-sidecar", "fit", "map-svg-link", "map-csv", "bench"])
+    def test_output_naming_a_directory_is_refused(self, inputs, capsys, monkeypatch, argv, line):
+        (inputs / "outdir").mkdir()
+        (inputs / "side.truth.cfg").mkdir()
+        os.symlink("outdir", inputs / "dirlink")
+        before = file_digests(inputs), sorted(inputs.rglob("*"))
+        monkeypatch.chdir(inputs)
+
+        def no_draws(*args):
+            raise AssertionError("generate_dataset called")
+
+        monkeypatch.setattr(cli, "generate_dataset", no_draws)
+        capsys.readouterr()
+        assert run(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"reachmap: error: {line}"
+        assert (file_digests(inputs), sorted(inputs.rglob("*"))) == before
+
+    def test_outputs_are_written_through_symlinks(self, inputs, monkeypatch):
+        monkeypatch.chdir(inputs)
+        os.symlink("target.json", "link.json")  # dangling until the first fit
+        fit = "fit --data d.csv --model causal_tree --max-depth 2 --seed 2 --out link.json"
+        for _ in ("new", "overwrite"):
+            assert run(fit.split()) == 0
+            assert os.readlink("link.json") == "target.json"
+            # m.json is the same fit, written directly
+            assert (inputs / "target.json").read_bytes() == (inputs / "m.json").read_bytes()
+            (inputs / "target.json").write_text("stale")
 
     @pytest.mark.parametrize("umask", [0o022, 0o007], ids=["umask-022", "umask-007"])
     def test_outputs_take_the_mode_open_gives(self, workdir, umask):

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import CSV_MUTATIONS, make_dataset, mutate_csv, random_dataset
 from reachmap import (
     CartSpec,
     CausalTreeParams,
+    Dataset,
     GroupLabel,
     Workspace,
     dataset_from_csv,
@@ -124,6 +126,26 @@ def _pair_dataset(n_control=2, n_individual=2):
     feats = features_from_xyz(xs, ys, 0.0)
     groups = [GroupLabel.CONTROL] * n_control + [GroupLabel.INDIVIDUAL] * n_individual
     return make_dataset(feats, groups, [1.0] * n_control + [1.5] * n_individual)
+
+
+class TestDataset:
+    """A Dataset holds frozen copies of the arrays it is given."""
+
+    def test_callers_arrays_stay_writeable_and_apart(self):
+        X, g, y = np.zeros((3, 4)), np.array([0, 1, 1], dtype=np.int8), np.ones(3)
+        d = Dataset(X, g, y)
+        for given, held in ((X, d.features), (g, d.groups), (y, d.outcomes)):
+            assert given.flags.writeable and not held.flags.writeable
+        X[0, 0], g[0], y[0] = 5.0, 1, 9.0
+        assert (d.features[0, 0], d.groups[0], d.outcomes[0]) == (0.0, 0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            d.features[0, 0] = 5.0
+
+    def test_base_of_a_contiguous_view_is_apart(self):
+        X, y = np.zeros((5, 4)), np.ones(5)
+        d = Dataset(X[:3], np.zeros(3, dtype=np.int8), y[:3])
+        X[0, 0], y[0] = 5.0, 9.0
+        assert (d.features[0, 0], d.outcomes[0]) == (0.0, 1.0)
 
 
 class TestValidateDataset:
@@ -332,6 +354,29 @@ class TestCsv:
             write_chunks_atomic(target, pieces())
         assert target.read_bytes() == b"before"
         assert [p.name for p in tmp_path.iterdir()] == ["d.csv"]
+
+    def test_write_goes_through_a_symlink(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "d.csv").write_bytes(b"before")
+        os.symlink("sub/d.csv", tmp_path / "link.csv")
+        beside = []
+
+        def pieces():  # the temporary file sits beside the file the link names
+            beside.extend(p.name for p in (tmp_path / "sub").iterdir())
+            yield b"after"
+
+        write_chunks_atomic(tmp_path / "link.csv", pieces())
+        assert os.readlink(tmp_path / "link.csv") == "sub/d.csv"
+        assert (tmp_path / "sub" / "d.csv").read_bytes() == b"after"
+        assert len(beside) == 2 and any(n.startswith(".d.csv.") for n in beside)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "sub"]
+        assert [p.name for p in (tmp_path / "sub").iterdir()] == ["d.csv"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        os.symlink("d.csv", tmp_path / "link.csv")
+        write_chunks_atomic(tmp_path / "link.csv", [b"new"])
+        assert os.path.islink(tmp_path / "link.csv")
+        assert (tmp_path / "d.csv").read_bytes() == b"new"
 
     def test_header_exact(self):
         d = random_dataset(np.random.default_rng(7), 2, 2)

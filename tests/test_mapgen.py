@@ -134,6 +134,24 @@ class TestDifficultyMap:
             assert tau == direct.tau_hat and leaf_id == direct.leaf_id
 
 
+def _components(m, cells) -> int:
+    """4-neighbourhood components of ``cells`` within each z layer, counted
+    over cell centers on the doubled lattice."""
+    remaining = {tuple(round(v / (m.resolution / 2)) for v in m.features[i, :3])
+                 for i in cells}
+    components = 0
+    while remaining:
+        components += 1
+        stack = [remaining.pop()]
+        while stack:
+            cx, cy, cz = stack.pop()
+            for nb in ((cx - 2, cy, cz), (cx + 2, cy, cz), (cx, cy - 2, cz), (cx, cy + 2, cz)):
+                if nb in remaining:
+                    remaining.remove(nb)
+                    stack.append(nb)
+    return components
+
+
 class TestExtractRegions:
     def test_constant_map_single_connected_region(self):
         m = difficulty_map(manual_tree((leaf(0.4),)), build_grid(Workspace(), 0.05, z_slice=0.1))
@@ -186,6 +204,27 @@ class TestExtractRegions:
         assert components == 2
         # one pocket per side of the workspace
         assert {1 if x > 0 else -1 for x, _ in cells} == {-1, 1}
+
+    def test_region_spanning_z_layers_is_not_connected(self):
+        # layers at z = 0.05, 0.15, 0.25, 0.35; neighbours share a layer
+        tree = manual_tree((Split(2, 0.1, 1.0), leaf(0.0), leaf(1.0)))
+        m = difficulty_map(tree, build_grid(Workspace(), 0.1))
+        regions = {r.leaf_id: r for r in extract_regions(m)}
+        assert {float(m.features[i, 2]) for i in regions[0].cells} == {0.05}
+        assert regions[0].connected is True
+        assert len({float(m.features[i, 2]) for i in regions[1].cells}) == 3
+        assert regions[1].connected is False
+
+    @pytest.mark.parametrize("z_slice", [0.1, None], ids=["slice", "layered"])
+    def test_connected_is_one_component(self, z_slice):
+        grid = build_grid(Workspace(), 0.05, z_slice=z_slice)
+        rng = np.random.default_rng(11)
+        for trial in range(4):
+            d = random_dataset(rng, 40, 40, effect=float(rng.uniform(-1, 1)))
+            m = difficulty_map(fit_causal_tree(
+                d, CausalTreeParams(max_depth=4, min_group_leaf=2, seed=trial)), grid)
+            for region in extract_regions(m):
+                assert region.connected == (_components(m, region.cells) == 1)
 
     def test_sorted_by_descending_magnitude(self):
         tree = manual_tree((Split(0, 0.0, 1.0), leaf(-0.7), leaf(0.3)))

@@ -3,7 +3,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -98,6 +98,17 @@ class TestForestRoundTrip:
         assert back == forest
         for p in random_points(4):
             assert predict_one(back, p).tau_hat == predict_one(forest, p).tau_hat
+
+    def test_size_is_the_member_count(self):
+        d = random_dataset(np.random.default_rng(3), 25, 25, effect=0.4)
+        forest = fit_causal_forest(
+            d, CausalTreeParams(max_depth=2, min_group_leaf=2, seed=4), 5, 0.8
+        )
+        assert [f.name for f in fields(CausalForest)] == ["trees", "params", "subsample_ratio"]
+        fewer = CausalForest(forest.trees[:3], forest.params, forest.subsample_ratio)
+        text = serialize_model(fewer)
+        assert json.loads(text)["n_trees"] == 3
+        assert parse_model(text) == fewer
 
 
 class TestTLearnerRoundTrip:
@@ -359,7 +370,7 @@ def _message_docs() -> dict:
     params = CausalTreeParams(max_depth=3, min_group_leaf=2, seed=0)
     nodes = _shaped_nodes(lambda i: Leaf(0.5 + i, 3, 4, 1.5 + i, 1.0))
     trees = tuple(CausalTree(nodes, forest_member(params, i)[1]) for i in range(4))
-    forest = CausalForest(trees=trees, params=params, n_trees=4, subsample_ratio=0.7)
+    forest = CausalForest(trees=trees, params=params, subsample_ratio=0.7)
     spec = ForestSpec(n_trees=2, max_depth=3, seed=0)
     ctl_seed, ind_seed = derived_seeds(spec.seed, 2)
     members = (_shaped_nodes(lambda i: RegLeaf(1.0 + i, 3)),) * 2
@@ -630,7 +641,7 @@ def random_models(draw, kind: str):
         params = CausalTreeParams(max_depth=max(map(tree_depth, members)), seed=0)
         trees = tuple(CausalTree(nodes, forest_member(params, i)[1])
                       for i, nodes in enumerate(members))
-        return CausalForest(trees, params, len(members), 0.7)
+        return CausalForest(trees, params, 0.7)
     n_trees = 1 if kind == "t_cart" else draw(st.integers(1, 2))
     members = st.lists(preorder_trees(REG_LEAVES), min_size=n_trees, max_size=n_trees)
     sides = [draw(members) for _ in range(2)]
